@@ -5,7 +5,7 @@
 //! same Table III group (and roughly the same Fig. 4 position) as the real
 //! benchmark does on the ThunderX2. SYNPA only ever observes the four PMU
 //! counters, so matching the counter signature is what preserves behaviour
-//! (see DESIGN.md §2).
+//! (see `docs/simulation.md`).
 //!
 //! Applications with documented phase behaviour — notably `leela_r`, whose
 //! alternation between frontend- and backend-dominated phases drives the

@@ -209,8 +209,7 @@ pub fn phase_shifted_workload(
 /// complete and relaunch early while the other half runs long ones, so
 /// completion traffic, relaunch phases and per-core activity stay
 /// decorrelated for the entire run — the ROADMAP's "heterogeneous launch
-/// targets" regime, and a steady source of mid-burst completion parks for
-/// the burst engine. Scales layer on top of the app mix (they do not
+/// targets" regime. Scales layer on top of the app mix (they do not
 /// disturb the RNG stream), mirroring how arrivals are layered.
 pub fn heterogeneous_workload(
     name: &str,

@@ -1,8 +1,8 @@
 //! Simulator throughput: cycles simulated per second for a single thread,
 //! an SMT pair, the full 4-core evaluation chip and the 28-core/56-thread
-//! full machine — plus a four-way engine comparison (reference vs.
-//! chip-wide batched vs. per-core horizons vs. private bursts) on the
-//! 8-app and 56-app chips so the horizon wins are tracked in BASELINES.md.
+//! full machine — plus an engine comparison (reference vs. per-core
+//! horizons) on the 8-app and 56-app chips so the horizon wins are tracked
+//! in BASELINES.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,8 +10,8 @@ use synpa::prelude::*;
 use synpa::sim::{EngineKind, PhaseParams, UniformProgram};
 
 /// The LLC-thrashing mix of the classic `simulator/*` rows: every L1D
-/// miss escalates past the (bypassed) L2 into the shared LLC, so the
-/// burst engine's probe gating matters and private bursts are rare.
+/// miss escalates past the (bypassed) L2 into the shared LLC, so shared
+/// touches are frequent and every core rendezvouses often.
 fn llc_params() -> PhaseParams {
     PhaseParams {
         mem_ratio: 0.3,
@@ -22,8 +22,7 @@ fn llc_params() -> PhaseParams {
 }
 
 /// Compute-bound, private-cache-resident mix: long private phases with
-/// rare LLC touches — the regime the private-burst engine decouples from
-/// the global clock entirely.
+/// rare LLC touches.
 fn private_params() -> PhaseParams {
     PhaseParams {
         mem_ratio: 0.25,
@@ -75,16 +74,12 @@ fn sim_throughput(c: &mut Criterion) {
 fn engine_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.throughput(Throughput::Elements(CYCLES));
-    // `batched_percore` is the per-core horizon engine on the same 8-app
-    // scenario; `burst` the private-burst engine; the `_56` rows isolate
-    // the full-chip regime the per-core rendezvous and bursts were built
-    // for (most cores busy, stalls uncorrelated). The `sparse_*_56` pair
-    // runs a private-cache-resident 8-app mix on the otherwise idle
-    // 28-core machine — the burst engine's best case: active cores run
-    // decoupled from the global clock between their rare shared-state
-    // touches, so the per-cycle rendezvous sweep disappears entirely.
-    // The `parallel*` rows resolve their worker count from the machine
-    // (or `SYNPA_THREADS`), so single-CPU boxes measure the inline path.
+    // `percore` is the per-core horizon engine on the same 8-app scenario
+    // as `reference`; the `_56` row isolates the full-chip regime the
+    // per-core rendezvous was built for (most cores busy, stalls
+    // uncorrelated). `sparse_percore_56` runs a private-cache-resident
+    // 8-app mix on the otherwise idle 28-core machine, where empty cores
+    // are skipped wholesale.
     for (label, engine, apps, cores, params) in [
         (
             "reference",
@@ -93,37 +88,11 @@ fn engine_comparison(c: &mut Criterion) {
             4u32,
             llc_params(),
         ),
-        ("batched", EngineKind::Batched, 8, 4, llc_params()),
-        ("batched_percore", EngineKind::PerCore, 8, 4, llc_params()),
-        ("burst", EngineKind::Burst, 8, 4, llc_params()),
-        ("parallel", EngineKind::Parallel, 8, 4, llc_params()),
-        ("batched_56", EngineKind::Batched, 56, 28, llc_params()),
-        (
-            "batched_percore_56",
-            EngineKind::PerCore,
-            56,
-            28,
-            llc_params(),
-        ),
-        ("burst_56", EngineKind::Burst, 56, 28, llc_params()),
-        ("parallel_56", EngineKind::Parallel, 56, 28, llc_params()),
+        ("percore", EngineKind::PerCore, 8, 4, llc_params()),
+        ("percore_56", EngineKind::PerCore, 56, 28, llc_params()),
         (
             "sparse_percore_56",
             EngineKind::PerCore,
-            8,
-            28,
-            private_params(),
-        ),
-        (
-            "sparse_burst_56",
-            EngineKind::Burst,
-            8,
-            28,
-            private_params(),
-        ),
-        (
-            "sparse_parallel_56",
-            EngineKind::Parallel,
             8,
             28,
             private_params(),

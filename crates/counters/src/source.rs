@@ -4,7 +4,7 @@
 //! this crate's [`CounterSource`] trait plays that role. The SYNPA policy in
 //! `synpa-sched` is written only against this trait, so a real
 //! `perf_event_open` backend could be slotted in on ARM hardware without
-//! touching any policy code (see DESIGN.md §2).
+//! touching any policy code (see `docs/simulation.md`).
 
 use synpa_sim::{Chip, PmuCounters, PmuDelta};
 

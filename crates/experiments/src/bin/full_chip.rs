@@ -23,10 +23,10 @@
 //! all run), a phase-shifted workload whose 56 apps arrive in four waves,
 //! and a heterogeneous-launch-target workload mixing half-length and
 //! double-length launches on one chip — the partial- and decorrelated-
-//! activity regimes where the per-core horizon and burst engines pay off.
+//! activity regimes where the per-core horizon engine pays off.
 //! `--engine` selects the cycle-advancement engine (`SYNPA_ENGINE` pins it
-//! environment-wide); all engines produce byte-identical scenario tables
-//! (CI diffs them on every PR).
+//! environment-wide); both engines produce byte-identical scenario tables
+//! (CI diffs them).
 
 use std::time::Instant;
 use synpa::metrics::{antt, fairness, stp, tt_speedup, workload_ipc};
@@ -58,7 +58,7 @@ fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
     eprintln!(
         "usage: full_chip [--smoke] [--workloads N] [--reps N] \
-         [--engine reference|batched|percore|burst|parallel] [--faults seed:rate[:kind]] \
+         [--engine reference|percore] [--faults seed:rate[:kind]] \
          [--chip-faults seed:rate]"
     );
     std::process::exit(2)
@@ -77,8 +77,7 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             // Engines are bit-identical (same cells, same cache keys);
-            // `--engine reference` exists to time the retained oracle path
-            // and `--engine batched` the chip-wide horizon midpoint.
+            // `--engine reference` exists to time the retained oracle path.
             // Unknown names are a hard error (never a silent default).
             "--engine" => {
                 let name = it.next().unwrap_or_else(|| usage("--engine needs a value"));

@@ -38,7 +38,7 @@ fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
     eprintln!(
         "usage: open_system [--smoke] [--arrivals N] [--queue-capacity N] \
-         [--engine reference|batched|percore|burst|parallel] [--faults seed:rate[:kind]] \
+         [--engine reference|percore] [--faults seed:rate[:kind]] \
          [--chip-faults seed:rate]"
     );
     std::process::exit(2)

@@ -1,6 +1,6 @@
 //! Table II: the experimental processor configuration. Prints the simulated
 //! chip's parameters next to the paper's ThunderX2 CN9975 values, flagging
-//! the deliberate 1/8 capacity scaling (DESIGN.md §5).
+//! the deliberate 1/8 capacity scaling (`docs/simulation.md`).
 
 use synpa::prelude::*;
 

@@ -1,7 +1,7 @@
 //! Shared plumbing for the per-table/per-figure experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library provides:
+//! (see `docs/simulation.md` for the index). This library provides:
 //!
 //! * the canonical train/holdout application split (§IV-C's 80 %),
 //! * a disk-cached trained model so binaries don't retrain redundantly,
@@ -127,15 +127,32 @@ fn load_model(path: &Path) -> Option<(SynpaModel, [f64; 3])> {
 /// `lots`) abort with the accepted format instead of being silently
 /// ignored — an explicit pin that doesn't take effect would skew every
 /// measurement it was meant to control, exactly like an unknown
-/// `SYNPA_ENGINE` name. Parsing lives in [`synpa::sim::threads_from_env`]
-/// so the parallel chip engine and the experiment runner agree on the
-/// variable's meaning.
+/// `SYNPA_ENGINE` name.
 pub fn threads() -> usize {
-    synpa::sim::threads_from_env().unwrap_or_else(|| {
+    threads_from_env().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(8)
     })
+}
+
+/// Strict `SYNPA_THREADS` parser behind [`threads`]: `None` when the
+/// variable is unset or empty, `Some(n)` for a positive integer, and an
+/// abort naming the accepted format for anything else.
+fn threads_from_env() -> Option<usize> {
+    let v = std::env::var("SYNPA_THREADS").ok()?;
+    let v = v.trim();
+    if v.is_empty() {
+        return None;
+    }
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        Ok(_) => panic!("SYNPA_THREADS: worker count must be at least 1, got '{v}'"),
+        Err(_) => panic!(
+            "SYNPA_THREADS: unparseable value '{v}' (expected a positive integer, e.g. \
+             SYNPA_THREADS=4; unset or empty means machine parallelism)"
+        ),
+    }
 }
 
 /// The experiment configuration used by every evaluation binary

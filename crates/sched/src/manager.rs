@@ -459,8 +459,8 @@ pub fn run_workload_with_arrivals(
             attached_at[k] = Some(chip.cycle());
             next_pending += 1;
         }
-        // Absolute quantum boundaries: the engine (reference, batched or
-        // percore, per `cfg.chip.engine`) advances to exactly this cycle.
+        // Absolute quantum boundaries: the engine (reference or percore,
+        // per `cfg.chip.engine`) advances to exactly this cycle.
         let events = chip.run_until((quantum + 1) * cfg.quantum_cycles);
         for ev in events {
             if ev.launch == 0 && tt[ev.app_id].is_none() {

@@ -92,12 +92,9 @@ impl Cache {
         self.cfg.latency
     }
 
-    /// Set index `addr` maps to. Exposed within the crate so the burst
-    /// probe can reason about same-set interactions between the accesses of
-    /// one cycle (a fill into a set makes every later same-cycle probe of
-    /// that set unprovable).
+    /// Set index `addr` maps to.
     #[inline]
-    pub(crate) fn set_of(&self, addr: u64) -> u64 {
+    fn set_of(&self, addr: u64) -> u64 {
         (addr >> self.set_shift) & (self.sets - 1)
     }
 
@@ -113,7 +110,7 @@ impl Cache {
     /// Every lookup advances the LRU clock (and `stats().accesses`), so
     /// the access count doubles as an activity stamp: when this cache is
     /// the shared LLC, a lookup is a cross-core *epoch event* whose global
-    /// order the horizon engines must — and do — preserve exactly (the
+    /// order the horizon engine must — and does — preserve exactly (the
     /// per-core engine cross-checks `StepOutcome::llc` against it).
     pub fn access(&mut self, addr: u64) -> Access {
         self.clock += 1;
@@ -167,28 +164,6 @@ impl Cache {
         Access::Miss
     }
 
-    /// Probe without filling or updating LRU: the *probe* half of the
-    /// probe/commit split the burst engine is built on. `probe(addr)`
-    /// answers "would [`Cache::access`] / [`Cache::access_no_alloc`] hit?"
-    /// without perturbing the array, so the L2-miss path — the boundary
-    /// where a private data/fetch walk escalates into a shared LLC touch —
-    /// can be *detected* a cycle early and *committed* (via the mutating
-    /// accessors) only at the rendezvous epoch, in reference order.
-    ///
-    /// Sound within one probed cycle as long as no earlier access of the
-    /// same cycle filled the probed set: hits never change content (only
-    /// LRU stamps, which cannot flip a later hit/miss), and this level's
-    /// fills on behalf of *shared-touching* accesses never happen in a
-    /// cycle the probe approves. Also used by tests/diagnostics.
-    pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr) as usize;
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways as usize;
-        self.ways[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|w| w.stamp != 0 && w.tag == tag)
-    }
-
     /// Invalidates everything (power-on state).
     pub fn flush(&mut self) {
         for w in &mut self.ways {
@@ -236,9 +211,9 @@ mod tests {
         c.access(0x100);
         c.access(0x000); // refresh 0x000; 0x100 is now LRU
         c.access(0x200); // evicts 0x100
-        assert!(c.probe(0x000));
-        assert!(!c.probe(0x100));
-        assert!(c.probe(0x200));
+        assert_eq!(c.access(0x000), Access::Hit);
+        assert_eq!(c.access(0x200), Access::Hit);
+        assert_eq!(c.access(0x100), Access::Miss);
     }
 
     #[test]
@@ -288,9 +263,8 @@ mod tests {
     fn flush_invalidates() {
         let mut c = small();
         c.access(0x40);
-        assert!(c.probe(0x40));
+        assert_eq!(c.access(0x40), Access::Hit);
         c.flush();
-        assert!(!c.probe(0x40));
         assert_eq!(c.access(0x40), Access::Miss);
     }
 
@@ -304,16 +278,5 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.misses, 2);
         assert!((s.miss_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_does_not_disturb_lru() {
-        let mut c = small();
-        c.access(0x000);
-        c.access(0x100);
-        // Probing 0x000 must not refresh it...
-        assert!(c.probe(0x000));
-        c.access(0x200); // ...so 0x000 (oldest) is evicted.
-        assert!(!c.probe(0x000));
     }
 }

@@ -46,22 +46,8 @@ pub struct Chip {
     /// empty — evacuation is the scheduler's job, enforced by asserts.
     pub(crate) offline: Vec<bool>,
     /// Per-core resume times, reused across `run_until` calls by the
-    /// per-core horizon and burst engines so the quantum loop never
-    /// allocates.
+    /// per-core horizon engine so the quantum loop never allocates.
     pub(crate) percore_resume: Vec<u64>,
-    /// Per-core burst duty-cycle state (see `engine::run_burst`): negative
-    /// while a core rests between burst engagements, creeping back toward
-    /// its next span. Persisted across `run_until` calls so the pacing
-    /// survives quantum boundaries.
-    pub(crate) burst_credit: Vec<i16>,
-    /// The parallel engine's pinned worker pool, spawned lazily on the
-    /// first `run_until` under `EngineKind::Parallel` with ≥ 2 workers and
-    /// reused for every epoch and quantum after that. Dropping the chip
-    /// shuts the workers down synchronously.
-    pub(crate) pool: Option<crate::pool::WorkerPool>,
-    /// The parallel engine's inline scratch for the 1-worker case (no pool
-    /// is spawned; the private advance runs on the calling thread).
-    pub(crate) scratch: Option<engine::PrivateScratch>,
     /// Diagnostic stepped/elided tallies (see [`EngineStats`]).
     pub(crate) stats: EngineStats,
 }
@@ -81,9 +67,6 @@ impl Chip {
             slot_index: HashMap::new(),
             offline: vec![false; cores_n],
             percore_resume: Vec::new(),
-            burst_credit: Vec::new(),
-            pool: None,
-            scratch: None,
             stats: EngineStats::default(),
         }
     }
@@ -224,10 +207,7 @@ impl Chip {
         );
         match self.cfg.engine {
             EngineKind::Reference => engine::run_reference(self, target),
-            EngineKind::Batched => engine::run_batched(self, target),
             EngineKind::PerCore => engine::run_percore(self, target),
-            EngineKind::Burst => engine::run_burst(self, target),
-            EngineKind::Parallel => engine::run_parallel(self, target),
         }
     }
 

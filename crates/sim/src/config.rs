@@ -3,8 +3,9 @@
 //! The default configuration mirrors Table II of the paper (Cavium ThunderX2
 //! CN9975, Vulcan microarchitecture) with the clock scaled down so that a
 //! full 20-workload evaluation completes in minutes instead of hours. All
-//! reported quantities are ratios of cycle counts, so uniform time scaling
-//! preserves the shape of every result (see DESIGN.md §5).
+//! reported quantities are ratios of cycle counts, so scaling time down
+//! preserves the shape of every result (see `docs/simulation.md`, "Clock
+//! and capacity scaling").
 
 use crate::engine::EngineKind;
 
@@ -100,23 +101,15 @@ pub struct ChipConfig {
     /// Base RNG seed; each hardware thread derives its own stream from it.
     pub seed: u64,
     /// Cycle-advancement engine used by `Chip::run_cycles`/`run_until`.
-    /// All engines are bit-identical on every counter (enforced by the
+    /// Both engines are bit-identical on every counter (enforced by the
     /// `engine_equivalence` differential wall); this is a pure performance
     /// knob and deliberately *not* part of the experiment cache key.
     pub engine: EngineKind,
-    /// Worker threads for [`EngineKind::Parallel`]'s intra-run pool.
-    /// `None` (the default) resolves on first use to `SYNPA_THREADS`
-    /// (strictly parsed — see `synpa_sim::threads_from_env`) or, unset, to
-    /// the machine's parallelism; `Some(1)` runs the private advance
-    /// inline with no pool. Results are byte-identical for every worker
-    /// count, so — like `engine` — this is a pure wall-clock knob and not
-    /// part of the experiment cache key.
-    pub parallel_workers: Option<usize>,
 }
 
 impl ChipConfig {
     /// Configuration mirroring Table II of the paper, with capacities scaled
-    /// by 1/8 so that the scaled-down instruction streams (DESIGN.md §5)
+    /// by 1/8 so that the scaled-down instruction streams (`docs/simulation.md`)
     /// exercise the same hit/miss regimes the full-size machine would.
     ///
     /// `cores` is the number of SMT2 cores to instantiate; the paper's
@@ -179,12 +172,11 @@ impl ChipConfig {
             migration_penalty: 200,
             cache_sample: 1,
             seed: 0x5EED_CAFE,
-            // Burst by default; `SYNPA_ENGINE` pins a specific engine for
+            // PerCore by default; `SYNPA_ENGINE` pins a specific engine for
             // timing comparisons without code changes (safe to honour here
-            // because every engine is bit-identical on every observable —
+            // because both engines are bit-identical on every observable —
             // the override can only change wall-clock time).
-            engine: EngineKind::from_env().unwrap_or(EngineKind::Burst),
-            parallel_workers: None,
+            engine: EngineKind::from_env().unwrap_or(EngineKind::PerCore),
         }
     }
 
@@ -227,17 +219,6 @@ impl ChipConfig {
     /// Returns a copy driven by a different cycle-advancement engine.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns a copy with a pinned worker count for the parallel
-    /// engine's intra-run pool (tests pin it so their coverage does not
-    /// depend on the machine; panics on 0 — mirror the strict
-    /// `SYNPA_THREADS` contract). Only changes wall-clock time: results
-    /// are byte-identical for every worker count.
-    pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "parallel_workers must be at least 1");
-        self.parallel_workers = Some(workers);
         self
     }
 }
@@ -322,11 +303,11 @@ mod tests {
     #[test]
     fn with_engine_selects_engine() {
         let a = ChipConfig::thunderx2(4);
-        // The workspace default is burst, unless the developer has pinned
+        // The workspace default is percore, unless the developer has pinned
         // an engine via SYNPA_ENGINE — honour the pin here so the suite
         // stays green under it (the override's own semantics are covered
         // by the dedicated `engine_env` integration binary).
-        let expected = EngineKind::from_env().unwrap_or(EngineKind::Burst);
+        let expected = EngineKind::from_env().unwrap_or(EngineKind::PerCore);
         assert_eq!(a.engine, expected, "default engine");
         let b = a.clone().with_engine(EngineKind::Reference);
         assert_eq!(b.engine, EngineKind::Reference);
@@ -335,33 +316,15 @@ mod tests {
 
     #[test]
     fn engine_names_round_trip_and_reject_unknown() {
-        assert_eq!(EngineKind::ALL.len(), 5);
+        assert_eq!(EngineKind::ALL.len(), 2);
         for e in EngineKind::ALL {
             assert_eq!(EngineKind::parse(e.name()), Ok(e));
             assert_eq!(format!("{e}"), e.name());
         }
         let err = EngineKind::parse("warp").unwrap_err();
         assert!(
-            err.contains("warp")
-                && err.contains("percore")
-                && err.contains("burst")
-                && err.contains("parallel"),
+            err.contains("warp") && err.contains("reference, percore"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn with_parallel_workers_pins_the_pool_size() {
-        let a = ChipConfig::thunderx2(4);
-        assert_eq!(a.parallel_workers, None, "default resolves from the env");
-        let b = a.clone().with_parallel_workers(4);
-        assert_eq!(b.parallel_workers, Some(4));
-        assert_eq!(a.engine, b.engine, "only the worker count changes");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_parallel_workers_panics() {
-        let _ = ChipConfig::thunderx2(4).with_parallel_workers(0);
     }
 }

@@ -27,7 +27,7 @@ const LOAD_FRACTION: f64 = 0.65;
 
 /// What one [`Core::step`] call did, as observed by the engines.
 ///
-/// `active` is the inertness bit the horizon engines key on; `llc`/`dram`
+/// `active` is the inertness bit the horizon engine keys on; `llc`/`dram`
 /// surface the cycle's *shared-state* touches as explicit events rather
 /// than interior side effects, so the rendezvous invariant the per-core
 /// engine relies on — an inert cycle touches no shared state — is checked
@@ -37,7 +37,7 @@ pub(crate) struct StepOutcome {
     /// A fetch was issued, µops dispatched or retired, or a completion
     /// reported. `false` = the cycle was *inert* for this core: the only
     /// state it changed is closed-form advanceable (stall counters, EWMA
-    /// decay, timing wheels), which is what lets the horizon engines jump
+    /// decay, timing wheels), which is what lets the horizon engine jump
     /// over stretches of them (see `crate::engine`).
     pub active: bool,
     /// The shared LLC was looked up (hit, fill or bypassed probe — every
@@ -55,32 +55,6 @@ impl StepOutcome {
     }
 }
 
-/// Verdict of [`Core::probe_cycle`] on the core's next cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CycleProbe {
-    /// The cycle may touch the shared LLC/DRAM or emit a completion (or the
-    /// probe cannot prove otherwise): it must execute at a rendezvous
-    /// epoch, in reference (cycle, core-index) order.
-    Shared,
-    /// Provably private and completion-free: the burst engine may execute
-    /// it locally, decoupled from the global clock. The cycle may still be
-    /// inert (e.g. a pending phase refresh on an otherwise idle cycle, or a
-    /// stall the caller will discover from the step's outcome).
-    Private,
-    /// Provably inert with no pending phase refresh: eligible for the
-    /// closed-form fast-forward, exactly like a step that returned
-    /// `active = false`.
-    Inert,
-}
-
-/// SMT-context bound for the probe's stack-allocated scratch. Chips beyond
-/// it (none exist; SMT2 everywhere) conservatively rendezvous every cycle.
-const MAX_PROBE_WAYS: usize = 8;
-
-/// Bound on tracked same-cycle cache fills; `dispatch_width + 1` accesses
-/// is the architectural maximum, so 16 never binds on real configs.
-const MAX_PROBE_ACCESSES: usize = 16;
-
 /// A physical core with `smt_ways` hardware-thread contexts.
 pub struct Core {
     pub(crate) id: usize,
@@ -90,8 +64,7 @@ pub struct Core {
     pub(crate) ctx: Vec<Option<HwThread>>,
     /// Injected dispatch-width derate (thermal throttle / partial failure):
     /// when set, the core dispatches at most `min(dispatch_width, limit)`
-    /// µops per cycle. Lives on the core itself so it travels with
-    /// ownership into the parallel engine's workers.
+    /// µops per cycle.
     pub(crate) width_limit: Option<u32>,
     fetch_rr: usize,
     /// Reusable ICOUNT-order scratch so the dispatch stage allocates
@@ -192,7 +165,7 @@ impl Core {
 
     /// Advances every resident thread across `n` inert cycles in closed
     /// form, starting at cycle `now` (the first elided cycle). The caller
-    /// (the horizon engine) guarantees no thread on the chip can fetch,
+    /// (the horizon engine) guarantees no thread on the core can fetch,
     /// dispatch, retire or complete anywhere in the window, so every input
     /// to the stall classification is constant across it.
     pub(crate) fn fast_forward(&mut self, n: u64, now: u64, cfg: &ChipConfig) {
@@ -202,229 +175,6 @@ impl Core {
         for t in self.ctx.iter_mut().flatten() {
             let rob_space = rob_space(&cfg.core, total_rob, rob_cap, t);
             t.fast_forward_stall(n, now, &cfg.core, lq_cap, sq_cap, rob_space);
-        }
-    }
-
-    /// Predicts, **without mutating anything**, whether stepping this core
-    /// at cycle `now` can touch shared state (LLC lookup, DRAM access) or
-    /// emit a completion — the probe half of the probe/commit split the
-    /// burst engine is built on (the commit half is the ordinary
-    /// [`Core::step`] at the rendezvous epoch).
-    ///
-    /// The contract is *conservative exactness*: `Private`/`Inert` are hard
-    /// guarantees (the differential wall and the engines' debug asserts
-    /// hold the probe to them), while `Shared` may be a false alarm — a
-    /// spurious rendezvous costs performance, never correctness. The probe
-    /// replicates the step's decision cascade on *clones* of the per-thread
-    /// stochastic state (RNG, address streams, dither, sample counter), so
-    /// the commit consumes the identical draws and lands on the identical
-    /// addresses; cache outcomes are read through the non-mutating
-    /// [`Cache::probe`]. Three conservative escapes keep it sound:
-    ///
-    /// * **completion margin** — retirement adds at most `retire_width`
-    ///   instructions per cycle, so any thread within that margin of its
-    ///   launch target might complete and must rendezvous;
-    /// * **same-set fills** — an L1 fill earlier in the cycle can evict
-    ///   the line a later access of the same set would have hit, so such
-    ///   accesses are unprovable from start-of-cycle state (L2 content
-    ///   never changes inside a cycle the probe approves: an L2 fill
-    ///   requires an L2 miss, which is already a shared touch);
-    /// * **pending phase refresh** — the refresh retunes address streams,
-    ///   so an otherwise-inert cycle carrying one must be stepped exactly
-    ///   rather than elided in closed form (`Private`, never `Inert`).
-    pub(crate) fn probe_cycle(&self, now: u64, cfg: &ChipConfig) -> CycleProbe {
-        let ways = self.ctx.len();
-        if ways > MAX_PROBE_WAYS {
-            return CycleProbe::Shared;
-        }
-
-        // --- rendezvous guards independent of cache state ---
-        let mut any_retire = false;
-        for t in self.ctx.iter().flatten() {
-            if t.hung {
-                // A wedged thread can neither retire nor complete; skipping
-                // it here keeps the completion margin from parking the core
-                // at every epoch forever.
-                continue;
-            }
-            if t.retired_in_launch + cfg.core.retire_width as u64 >= t.program.length() {
-                return CycleProbe::Shared;
-            }
-            if cfg.core.retire_width > 0 && t.rob.front().is_some_and(|h| h.ready <= now) {
-                any_retire = true;
-            }
-        }
-
-        // Ledger of this cycle's L1D fill sets. Only the data cache needs
-        // one: it is the only private array that can see a fill *and* a
-        // later access in the same cycle (the single I-fetch is the L1I's
-        // only access, and L2 content cannot change in a private cycle —
-        // an L2 fill requires an L2 miss, which is already a shared
-        // touch).
-        let mut fills = [0u64; MAX_PROBE_ACCESSES];
-        let mut n_fills = 0usize;
-        // Per-thread RNG clones: the fetch draw and the data draws of one
-        // thread come from one stream, so a clone made for the fetch must
-        // keep advancing through dispatch.
-        let mut rng: [Option<crate::rng::SplitMix64>; MAX_PROBE_WAYS] =
-            std::array::from_fn(|_| None);
-        // Dispatch-queue sizes as the dispatch stage will see them (the
-        // fetch stage runs first and may top up the fetching thread).
-        let mut fetch_q = [0u32; MAX_PROBE_WAYS];
-        for (i, t) in self.ctx.iter().enumerate() {
-            if let Some(t) = t {
-                fetch_q[i] = t.fetch_q;
-            }
-        }
-
-        // --- stage 1: fetch (round-robin port, at most one winner) ---
-        let mut fetch_active = false;
-        for probe in 0..ways {
-            let i = (self.fetch_rr + probe) % ways;
-            let Some(t) = self.ctx[i].as_ref() else {
-                continue;
-            };
-            if !t.wants_fetch(now, cfg.core.fetch_width, cfg.core.fetch_queue) {
-                continue;
-            }
-            fetch_active = true;
-            let r = rng[i].get_or_insert_with(|| t.rng.clone());
-            let mut code_stream = t.code_stream.clone();
-            let mut cursor = t.hot_code_cursor;
-            let line = cfg.l1i.line_bytes as u64;
-            let addr = crate::thread::fetch_addr(
-                t.app_id,
-                t.phase.code_hot,
-                line,
-                &mut code_stream,
-                r,
-                &mut cursor,
-            );
-            if self.l1i.probe(addr) {
-                fetch_q[i] = (t.fetch_q + cfg.core.fetch_width).min(cfg.core.fetch_queue);
-            } else if !self.l2.probe(addr) {
-                return CycleProbe::Shared; // the I-fetch would reach the LLC
-            }
-            // An L1I miss that hits the L2 fills the L1I privately; no
-            // ledger entry is needed (see above).
-            break;
-        }
-
-        // --- stage 2: dispatch (ICOUNT order, shared budget cascade) ---
-        // Stable insertion sort on the dispatch stage's exact key, so the
-        // probe walks the threads in the order the commit will.
-        let mut order = [0usize; MAX_PROBE_WAYS];
-        let mut n_order = 0usize;
-        for (i, t) in self.ctx.iter().enumerate() {
-            if t.is_some() {
-                order[n_order] = i;
-                n_order += 1;
-            }
-        }
-        let key = |i: usize| {
-            let t = self.ctx[i].as_ref().unwrap();
-            (t.rob_occ, (i + now as usize) % ways)
-        };
-        for k in 1..n_order {
-            let mut j = k;
-            while j > 0 && key(order[j - 1]) > key(order[j]) {
-                order.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-
-        let mut total_rob: u32 = order[..n_order]
-            .iter()
-            .map(|&i| self.ctx[i].as_ref().unwrap().rob_occ)
-            .sum();
-        let mut width_left = self.effective_width(&cfg.core);
-        let active = (n_order as u32).max(1);
-        let (rob_cap, lq_cap, sq_cap) = shared_caps(&cfg.core, active);
-        let mut any_dispatch = false;
-        let mut refresh_pending = false;
-
-        for &i in &order[..n_order] {
-            let t = self.ctx[i].as_ref().unwrap();
-            // The dispatch stage refreshes phase parameters (and retunes
-            // the streams) before its stall check; mirror it on clones.
-            let phase = if t.refresh_pending() {
-                refresh_pending = true;
-                t.program.phase_at(t.retired_in_launch)
-            } else {
-                t.phase
-            };
-            let rob_space = rob_space(&cfg.core, total_rob, rob_cap, t);
-            if t.stall_kind(
-                now,
-                fetch_q[i],
-                width_left,
-                lq_cap,
-                sq_cap,
-                rob_space,
-                cfg.core.iq_size,
-            )
-            .is_some()
-            {
-                continue; // zero-dispatch: stall counters + EWMA only
-            }
-            let d = width_left.min(fetch_q[i]).min(rob_space);
-            any_dispatch = true;
-            let mut dither = t.mem_dither.clone();
-            let m = dither.step(d as f64 * phase.mem_ratio).min(d);
-            if m > 0 {
-                // L2-bypassing streams (footprint beyond 4× the L2) send
-                // every L1D miss straight to the LLC, and misses dominate
-                // their access mix, so proving all `m` draws hit the tiny
-                // L1D almost never pays for the draws. Park without
-                // drawing: the rendezvous step resolves the cycle exactly
-                // (possibly privately — a false alarm costs one epoch
-                // visit, which is what the percore engine would have paid
-                // anyway), and thrash phases probe at near-zero cost.
-                if phase.data_footprint > 4 * cfg.l2.size_bytes {
-                    return CycleProbe::Shared;
-                }
-                let r = rng[i].get_or_insert_with(|| t.rng.clone());
-                let mut data_stream = t.data_stream.clone();
-                if t.refresh_pending() {
-                    data_stream.retune(phase.data_footprint, phase.data_seq);
-                }
-                let mut sample_tick = t.sample_tick;
-                for _ in 0..m {
-                    sample_tick += 1;
-                    if cfg.cache_sample > 1 && sample_tick % cfg.cache_sample != 0 {
-                        continue; // unsampled: reuses the latency class
-                    }
-                    let addr = data_stream.next(r);
-                    let set = self.l1d.set_of(addr);
-                    if fills[..n_fills].contains(&set) {
-                        return CycleProbe::Shared; // unprovable after a fill
-                    }
-                    if self.l1d.probe(addr) {
-                        continue; // L1D hit: stamp refresh only
-                    }
-                    // The bypass knobs only change *allocation*, never
-                    // whether the walk escalates, so presence probes cover
-                    // both access flavours.
-                    if !self.l2.probe(addr) {
-                        return CycleProbe::Shared; // the walk would reach the LLC
-                    }
-                    if n_fills == MAX_PROBE_ACCESSES {
-                        return CycleProbe::Shared;
-                    }
-                    fills[n_fills] = set;
-                    n_fills += 1;
-                }
-            }
-            total_rob += d;
-            width_left -= d;
-            // Branch-redirect draws only shape *future* cycles; the commit
-            // performs them.
-        }
-
-        if fetch_active || any_dispatch || any_retire || refresh_pending {
-            CycleProbe::Private
-        } else {
-            CycleProbe::Inert
         }
     }
 
@@ -536,19 +286,13 @@ impl Core {
             let mut dram_fills: u32 = 0;
 
             // Zero-dispatch cycle? One shared classifier (also used by the
-            // batched engine's closed-form fast-forward, so the two can
+            // per-core engine's closed-form fast-forward, so the two can
             // never drift apart) picks the Table I stall category and its
             // extended attribution.
             let rob_space = rob_space(&cfg.core, total_rob, rob_cap, t);
-            if let Some(kind) = t.stall_kind(
-                now,
-                t.fetch_q,
-                width_left,
-                lq_cap,
-                sq_cap,
-                rob_space,
-                cfg.core.iq_size,
-            ) {
+            if let Some(kind) =
+                t.stall_kind(now, width_left, lq_cap, sq_cap, rob_space, cfg.core.iq_size)
+            {
                 t.apply_stall(kind, 1);
                 t.update_dram_rate(0);
                 continue;

@@ -1,10 +1,8 @@
 //! Cycle-advancement engines for [`Chip`]: the retained cycle-by-cycle
-//! reference loop, the chip-wide batched *event-horizon* engine, the
-//! per-core horizon engine with LLC-epoch rendezvous, and the *private
-//! burst* engine that runs active cores locally between shared-state
-//! touches.
+//! reference loop and the per-core *event-horizon* engine with LLC-epoch
+//! rendezvous.
 //!
-//! The horizon engines exploit a structural property of the pipeline model:
+//! The horizon engine exploits a structural property of the pipeline model:
 //! in a cycle where a core's hardware threads neither fetch, dispatch,
 //! retire nor report a completion, the only state the reference loop
 //! mutates *for that core* is
@@ -27,95 +25,42 @@
 //! do — which is what licenses the per-core engine to fast-forward one
 //! core while others keep stepping.
 //!
-//! The burst engine extends that purity argument from *inert* cores to
-//! *private-phase* cores: a cycle that is active but touches only the
-//! core's own L1/L2 mutates nothing any other core can observe either, so
-//! its execution may be decoupled from the global clock as well. Because an
-//! executed cycle cannot be un-executed, the burst engine needs the touch
-//! verdict *before* mutating anything — [`crate::core::CycleProbe`], the
-//! probe half of a probe/commit split through the fetch and dispatch
-//! paths. The engine consults `Cache::probe` at the L2-miss boundary
-//! (where a private walk escalates into a shared touch) and parks there,
-//! so it never needs to predict DRAM timing itself; `Memory::peek_latency`
-//! completes the split at the DRAM entry point for diagnostics and the
-//! park-replay tests, which use it to pin down that a parked access's
-//! latency is fully determined at its rendezvous epoch.
-//! A cycle the probe cannot prove private is *parked*: the core's resume
-//! time is set to that cycle and the ordinary `Core::step` replays it at
-//! the rendezvous epoch, bit-identically, in reference order.
-//!
 //! Cycles in which shared state can move — *interaction windows* — always
 //! run through the reference `Core::step` path, in reference order
 //! (ascending cycle, ascending core index within a cycle), which is why
-//! all five engines are bit-identical on every counter (see
-//! `docs/engine.md` and the `engine_equivalence` differential test wall).
-//!
-//! The parallel engine extends the burst engine's decoupling across OS
-//! threads: between rendezvous epochs, provably-private stretches of
-//! different cores advance concurrently on a pinned worker pool
-//! ([`crate::pool`]), while every shared-touching or unprovable cycle is
-//! still committed by the main thread at its epoch, in reference order.
-//! Private cycles commute with everything by construction, so the worker
-//! interleaving — and the worker *count* — can never change a result.
+//! both engines are bit-identical on every counter (see `docs/engine.md`
+//! and the `engine_equivalence` differential test wall).
 
 use crate::chip::Chip;
 use crate::config::ChipConfig;
-use crate::core::{Core, CycleProbe};
+use crate::core::Core;
 use crate::thread::Completion;
 
 /// Which engine [`Chip::run_cycles`]/[`Chip::run_until`] advances time with.
 ///
-/// All engines produce bit-identical [`crate::PmuCounters`], completions
+/// Both engines produce bit-identical [`crate::PmuCounters`], completions
 /// and downstream `RunResult`s for every seed and chip size; the choice is
-/// purely a performance knob. `Burst` is the default; `Reference` retains
-/// the original loop as the differential oracle, `Batched` the chip-wide
-/// horizon engine and `PerCore` the per-core rendezvous engine as
-/// structural midpoints.
+/// purely a performance knob. `PerCore` is the default; `Reference` retains
+/// the original loop as the differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Step every core one cycle at a time (the original loop).
     Reference,
-    /// Chip-wide event-horizon engine: when *every* core is inert, jump in
-    /// closed form to the chip-wide horizon; otherwise step exactly.
-    Batched,
     /// Per-core horizon engine: each core fast-forwards independently to
     /// its own wake event while active cores rendezvous every cycle, so
     /// shared-state (LLC/DRAM) interleaving is preserved exactly.
     PerCore,
-    /// Private-burst engine: on top of the per-core horizons, an active
-    /// core whose cycles provably touch only its private L1/L2 keeps
-    /// stepping in a tight local loop, decoupled from the global clock,
-    /// and parks for an exact rendezvous replay at the first cycle that
-    /// would touch the LLC/DRAM or emit a completion.
-    Burst,
-    /// Parallel engine: the burst engine's private stretches, sharded
-    /// across a pinned worker pool *inside one chip run*. Between
-    /// rendezvous epochs each worker advances its assigned cores through
-    /// their private phases; every parked or shared-touching cycle is
-    /// committed by the main thread at its epoch in reference (cycle,
-    /// core-index) order, so results are byte-identical for any worker
-    /// count (`ChipConfig::parallel_workers`, `SYNPA_THREADS`).
-    Parallel,
 }
 
 impl EngineKind {
     /// Every engine, in documentation order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Reference,
-        EngineKind::Batched,
-        EngineKind::PerCore,
-        EngineKind::Burst,
-        EngineKind::Parallel,
-    ];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Reference, EngineKind::PerCore];
 
     /// Stable lowercase name (CLI flags, bench labels, reports).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Batched => "batched",
             EngineKind::PerCore => "percore",
-            EngineKind::Burst => "burst",
-            EngineKind::Parallel => "parallel",
         }
     }
 
@@ -124,14 +69,9 @@ impl EngineKind {
     pub fn parse(name: &str) -> Result<EngineKind, String> {
         match name {
             "reference" => Ok(EngineKind::Reference),
-            "batched" => Ok(EngineKind::Batched),
-            // `batched_percore` is the Criterion label of the percore
-            // target; accept it as an alias.
-            "percore" | "per-core" | "batched_percore" => Ok(EngineKind::PerCore),
-            "burst" => Ok(EngineKind::Burst),
-            "parallel" => Ok(EngineKind::Parallel),
+            "percore" | "per-core" => Ok(EngineKind::PerCore),
             other => Err(format!(
-                "unknown engine '{other}' (valid: reference, batched, percore, burst, parallel)"
+                "unknown engine '{other}' (valid: reference, percore)"
             )),
         }
     }
@@ -140,8 +80,8 @@ impl EngineKind {
     /// `SYNPA_THREADS`), so binaries and the differential test wall can pin
     /// the engine without code changes. Returns `None` when the variable is
     /// unset or empty; an unknown value aborts with the full valid list —
-    /// an explicit pin must never fall back silently. Because every engine
-    /// is bit-identical on every observable, the override can only change
+    /// an explicit pin must never fall back silently. Because both engines
+    /// are bit-identical on every observable, the override can only change
     /// wall-clock time, never a result.
     pub fn from_env() -> Option<EngineKind> {
         let v = std::env::var("SYNPA_ENGINE").ok()?;
@@ -173,11 +113,6 @@ pub struct EngineStats {
     pub stepped: u64,
     /// Core-cycles advanced in closed form (fast-forwarded).
     pub elided: u64,
-    /// Of `stepped`: core-cycles executed inside a private burst, decoupled
-    /// from the global clock (burst-stepped cycles count as stepped, so the
-    /// partition above is unchanged; this tally isolates how much of the
-    /// exact stepping ran outside rendezvous epochs).
-    pub burst: u64,
 }
 
 /// One exact `Core::step` with the touch-faithfulness cross-checks every
@@ -186,8 +121,8 @@ pub struct EngineStats {
 /// access count, and an inert outcome is asserted to have touched nothing
 /// shared — so a future model change that misreports a shared touch trips
 /// an assertion (and the differential wall) instead of corrupting
-/// results. All five engines step through this one helper, so the checks
-/// can never drift apart between them.
+/// results. Both engines step through this one helper, so the checks can
+/// never drift apart between them.
 fn checked_step(
     core: &mut Core,
     now: u64,
@@ -242,63 +177,14 @@ pub(crate) fn run_reference(chip: &mut Chip, end: u64) -> Vec<Completion> {
     std::mem::take(&mut chip.events)
 }
 
-/// The chip-wide event-horizon engine. Identical to [`run_reference`]
-/// except that a cycle reported inert by every core is followed by a
-/// closed-form jump to the next chip-wide horizon event.
-pub(crate) fn run_batched(chip: &mut Chip, end: u64) -> Vec<Completion> {
-    let n_cores = chip.cores.len() as u64;
-    let n_off = chip.offline.iter().filter(|&&off| off).count() as u64;
-    while chip.cycle < end {
-        chip.mem.tick(chip.cycle);
-        let mut active = false;
-        for (core, &off) in chip.cores.iter_mut().zip(chip.offline.iter()) {
-            if off {
-                continue;
-            }
-            let out = checked_step(
-                core,
-                chip.cycle,
-                &chip.cfg,
-                &mut chip.llc,
-                &mut chip.mem,
-                &mut chip.events,
-            );
-            active |= out.active;
-        }
-        chip.cycle += 1;
-        chip.stats.stepped += n_cores - n_off;
-        chip.stats.elided += n_off;
-        if !active {
-            let horizon = horizon(chip, end);
-            if horizon > chip.cycle {
-                let n = horizon - chip.cycle;
-                for core in &mut chip.cores {
-                    core.fast_forward(n, chip.cycle, &chip.cfg);
-                }
-                chip.cycle = horizon;
-                chip.stats.elided += n * n_cores;
-            }
-        }
-    }
-    std::mem::take(&mut chip.events)
-}
-
 /// Fast-forwards an inert core in closed form: the window `[first, wake)`
-/// is elided (`first` is the first cycle the reference loop will never
-/// execute exactly), and the returned resume time is the core's wake event
-/// clamped into `[min_resume, end]`. `min_resume` must be strictly after
-/// the last cycle the caller has accounted for, so resume times always
-/// advance; every wake event is strictly future anyway (an arrived event
-/// would have made the cycle active), the clamp is defensive.
-fn park_inert(
-    core: &mut Core,
-    cfg: &ChipConfig,
-    first: u64,
-    min_resume: u64,
-    end: u64,
-    elided: &mut u64,
-) -> u64 {
-    let wake = core.wake_event(&cfg.core).min(end).max(min_resume);
+/// is elided (`first` is the cycle after the inert step, the first one the
+/// reference loop will never execute exactly), and the returned resume time
+/// is the core's wake event clamped into `[first, end]`. Every wake event
+/// is strictly future anyway (an arrived event would have made the cycle
+/// active), the clamp is defensive.
+fn park_inert(core: &mut Core, cfg: &ChipConfig, first: u64, end: u64, elided: &mut u64) -> u64 {
+    let wake = core.wake_event(&cfg.core).min(end).max(first);
     if wake > first {
         core.fast_forward(wake - first, first, cfg);
         *elided += wake - first;
@@ -310,8 +196,8 @@ fn park_inert(
 ///
 /// Each core carries its own *resume* time: the first cycle at which it
 /// must be stepped exactly again. A core whose step comes back inert
-/// immediately fast-forwards — in the same closed form the batched engine
-/// uses — to `min(own wake event, quantum end)` and is skipped until then;
+/// immediately fast-forwards in closed form to
+/// `min(own wake event, quantum end)` and is skipped until then;
 /// a core that acted is due again next cycle. The global clock advances to
 /// the earliest resume time (the *epoch rendezvous*), so every cycle in
 /// which *any* core can touch the shared LLC, the DRAM timing wheel or
@@ -360,7 +246,7 @@ pub(crate) fn run_percore(chip: &mut Chip, end: u64) -> Vec<Completion> {
             *due = if out.active {
                 now + 1
             } else {
-                park_inert(core, &chip.cfg, now + 1, now + 1, end, &mut elided)
+                park_inert(core, &chip.cfg, now + 1, end, &mut elided)
             };
             next = next.min(*due);
         }
@@ -375,484 +261,10 @@ pub(crate) fn run_percore(chip: &mut Chip, end: u64) -> Vec<Completion> {
     std::mem::take(&mut chip.events)
 }
 
-/// The private-burst engine: per-core rendezvous epochs as in
-/// [`run_percore`], plus local execution of provably private cycles.
-///
-/// After a rendezvous step that was active and touched nothing shared, the
-/// core enters a *burst*: [`Core::probe_cycle`] predicts — without mutating
-/// anything — whether the next cycle can touch the LLC/DRAM or emit a
-/// completion. While it cannot, the core keeps stepping right here, in a
-/// tight local loop with no resume sweep, no `mem.tick` and no neighbour
-/// interleaving; provably inert stretches inside the burst fast-forward in
-/// the usual closed form and the burst resumes at the wake event. The
-/// first unprovable cycle *parks* the core: its resume time is set to that
-/// exact cycle and the ordinary rendezvous machinery replays it through
-/// `Core::step` in reference (cycle, core-index) order — the probe left
-/// the core's state untouched, so the replay is bit-identical, and every
-/// shared-state mutation still happens in reference order because burst
-/// cycles by construction perform none.
-///
-/// Probing is speculative work, and it is *duty-cycled*: on this model's
-/// measured cost structure an active private step costs ~120 ns while the
-/// rendezvous overhead a decoupled cycle avoids (the fused resume-sweep
-/// plus `mem.tick`, amortized over the epoch's due cores) is under
-/// ~10 ns, so the probe's partial re-derivation of the cycle (~45 % of a
-/// step) cannot pay for itself when run on every eligible cycle — see
-/// BASELINES.md. Each core therefore bursts in short *spans* separated by
-/// long percore-paced *rests*: the machinery (and its differential
-/// pressure) stays fully exercised at a bounded, near-zero overhead, and
-/// regimes whose step costs grow (richer pipeline models,
-/// `cache_sample > 1` fidelity trades) can re-tune the duty cycle upward.
-/// The rest counter persists across `run_until` calls; gating affects
-/// wall-clock only — a skipped probe just means the cycle runs at a
-/// rendezvous epoch, exactly like percore.
-pub(crate) fn run_burst(chip: &mut Chip, end: u64) -> Vec<Completion> {
-    /// Maximum probes per burst engagement (a *span*).
-    const BURST_SPAN: u32 = 16;
-    /// Eligible (active, untouched) paced steps between engagements.
-    const BURST_REST: i16 = 255;
-    let n_cores = chip.cores.len();
-    let mut resume = std::mem::take(&mut chip.percore_resume);
-    resume.clear();
-    resume.resize(n_cores, chip.cycle);
-    let mut credit = std::mem::take(&mut chip.burst_credit);
-    if credit.len() != n_cores {
-        credit.clear();
-        credit.resize(n_cores, 1);
-    }
-    let (mut stepped, mut elided, mut burst) = (0u64, 0u64, 0u64);
-    // Offline cores never become due (see `run_percore`).
-    for (due, &off) in resume.iter_mut().zip(chip.offline.iter()) {
-        if off {
-            *due = end;
-            elided += end.saturating_sub(chip.cycle);
-        }
-    }
-    let mut now = chip.cycle;
-    while now < end {
-        chip.mem.tick(now);
-        let mut next = end;
-        for ((core, due), gate) in chip
-            .cores
-            .iter_mut()
-            .zip(resume.iter_mut())
-            .zip(credit.iter_mut())
-        {
-            if *due > now {
-                next = next.min(*due);
-                continue;
-            }
-            // The rendezvous step (reference order, real shared state).
-            stepped += 1;
-            let out = checked_step(
-                core,
-                now,
-                &chip.cfg,
-                &mut chip.llc,
-                &mut chip.mem,
-                &mut chip.events,
-            );
-            *due = if !out.active {
-                park_inert(core, &chip.cfg, now + 1, now + 1, end, &mut elided)
-            } else if out.touched_shared() {
-                // Touch phases rarely turn private on the very next cycle;
-                // skip the probe and pace like the percore engine.
-                now + 1
-            } else if *gate <= 0 {
-                // Resting between engagements: pace like the percore
-                // engine, creeping toward the next span.
-                *gate += 1;
-                now + 1
-            } else {
-                // Private burst: run ahead locally until the probe predicts
-                // a shared touch or possible completion (park there for the
-                // rendezvous replay), the span budget runs out, or the
-                // quantum ends.
-                let mut span = BURST_SPAN;
-                let mut c = now + 1;
-                let parked = loop {
-                    if c >= end || span == 0 {
-                        break c.min(end);
-                    }
-                    span -= 1;
-                    match core.probe_cycle(c, &chip.cfg) {
-                        CycleProbe::Shared => break c,
-                        CycleProbe::Inert => {
-                            let wake = park_inert(core, &chip.cfg, c, c + 1, end, &mut elided);
-                            if wake >= end {
-                                break end;
-                            }
-                            c = wake; // keep bursting through the private stall
-                        }
-                        CycleProbe::Private => {
-                            #[cfg(debug_assertions)]
-                            let ev_len = chip.events.len();
-                            let o = checked_step(
-                                core,
-                                c,
-                                &chip.cfg,
-                                &mut chip.llc,
-                                &mut chip.mem,
-                                &mut chip.events,
-                            );
-                            // The probe promised privacy; hold it to that
-                            // (the touch flags are counter-verified by
-                            // `checked_step`).
-                            debug_assert!(!o.touched_shared(), "burst cycle touched shared state");
-                            #[cfg(debug_assertions)]
-                            debug_assert_eq!(
-                                chip.events.len(),
-                                ev_len,
-                                "burst cycle emitted a completion"
-                            );
-                            stepped += 1;
-                            burst += 1;
-                            if o.active {
-                                c += 1;
-                            } else {
-                                // Probe-private but inert in execution (a
-                                // pending phase refresh on an idle cycle):
-                                // elide onward exactly like the percore
-                                // engine after an inert step.
-                                let wake =
-                                    park_inert(core, &chip.cfg, c + 1, c + 1, end, &mut elided);
-                                if wake >= end {
-                                    break end;
-                                }
-                                c = wake;
-                            }
-                        }
-                    }
-                };
-                // Rest before the next engagement, whatever this one did.
-                *gate = -BURST_REST;
-                parked
-            };
-            next = next.min(*due);
-        }
-        now = next;
-    }
-    chip.cycle = chip.cycle.max(end);
-    chip.stats.stepped += stepped;
-    chip.stats.elided += elided;
-    chip.stats.burst += burst;
-    chip.percore_resume = resume;
-    chip.burst_credit = credit;
-    std::mem::take(&mut chip.events)
-}
-
-/// Scratch stand-ins for the shared state handed to `Core::step` during a
-/// private advance off the global clock: a minimal cache, an idle memory
-/// model and an event buffer — all of which must come back *untouched*,
-/// because the probe promised the cycles were private. Each pool worker
-/// owns one; the single-worker inline path keeps one on the [`Chip`].
-pub(crate) struct PrivateScratch {
-    llc: crate::cache::Cache,
-    mem: crate::mem::Memory,
-    events: Vec<Completion>,
-}
-
-impl PrivateScratch {
-    pub(crate) fn new() -> Self {
-        // One-set, one-way stand-in: it is never legitimately accessed
-        // (the probe proved every advanced cycle private), so the geometry
-        // is irrelevant — the release-grade assert in `advance_private`
-        // turns any access into a hard failure instead of a silent
-        // divergence from the reference interleaving.
-        let tiny = crate::config::CacheConfig {
-            size_bytes: 64,
-            ways: 1,
-            line_bytes: 64,
-            latency: 1,
-        };
-        Self {
-            llc: crate::cache::Cache::new(tiny),
-            mem: crate::mem::Memory::new(1, 0.0),
-            events: Vec::new(),
-        }
-    }
-}
-
-/// Advances one core privately over `[from, end)`, decoupled from the
-/// global clock: the burst engine's span loop, factored out so the
-/// parallel engine can run it on a pool worker (or inline at one worker).
-/// Probes first, steps only probe-approved cycles, fast-forwards provably
-/// inert stretches, and stops — *parking* the core — at the first cycle it
-/// cannot prove private, after `span` probes, or at `end`.
-///
-/// Unlike the burst engine's in-loop variant this steps against
-/// [`PrivateScratch`] rather than the real LLC/memory, and holds the probe
-/// to its promise with a **release-grade** assert (not a `debug_assert`):
-/// on a worker thread a violated privacy promise would silently diverge
-/// from the reference interleaving instead of tripping the differential
-/// wall, so it must abort even in release builds.
-///
-/// Returns `(resume, stepped, elided, burst)`: the park cycle (first cycle
-/// *not* advanced, in `[from, end]`) and the accounting tallies.
-pub(crate) fn advance_private(
-    core: &mut Core,
-    cfg: &ChipConfig,
-    from: u64,
-    end: u64,
-    mut span: u32,
-    scratch: &mut PrivateScratch,
-) -> (u64, u64, u64, u64) {
-    let (mut stepped, mut elided, mut burst) = (0u64, 0u64, 0u64);
-    let mut c = from;
-    let resume = loop {
-        if c >= end || span == 0 {
-            break c.min(end);
-        }
-        span -= 1;
-        match core.probe_cycle(c, cfg) {
-            CycleProbe::Shared => break c,
-            CycleProbe::Inert => {
-                let wake = park_inert(core, cfg, c, c + 1, end, &mut elided);
-                if wake >= end {
-                    break end;
-                }
-                c = wake;
-            }
-            CycleProbe::Private => {
-                let before = (scratch.llc.stats().accesses, scratch.mem.accesses());
-                let o = core.step(
-                    c,
-                    cfg,
-                    &mut scratch.llc,
-                    &mut scratch.mem,
-                    &mut scratch.events,
-                );
-                assert!(
-                    !o.touched_shared()
-                        && (scratch.llc.stats().accesses, scratch.mem.accesses()) == before
-                        && scratch.events.is_empty(),
-                    "private advance touched shared state at cycle {c} (core {})",
-                    core.id
-                );
-                stepped += 1;
-                burst += 1;
-                if o.active {
-                    c += 1;
-                } else {
-                    let wake = park_inert(core, cfg, c + 1, c + 1, end, &mut elided);
-                    if wake >= end {
-                        break end;
-                    }
-                    c = wake;
-                }
-            }
-        }
-    };
-    (resume, stepped, elided, burst)
-}
-
-/// The parallel engine: burst-style rendezvous epochs on the main thread,
-/// private stretches sharded across the pinned worker pool.
-///
-/// Each epoch the main thread steps every due core in reference (cycle,
-/// core-index) order against the real shared state — exactly like the
-/// percore/burst engines, so LLC/DRAM interleaving and completion order
-/// are reference-identical. A core whose rendezvous step was active and
-/// touched nothing shared is *dispatched*: ownership of the `Core` moves
-/// to its worker (`core_index % workers`, deterministic), which advances
-/// it through [`advance_private`] until the first unprovable cycle. The
-/// epoch ends with a barrier — every dispatched core checks back in with
-/// its park cycle before the clock moves — and the global clock advances
-/// to the earliest resume time.
-///
-/// Worker-count independence: workers only ever execute cycles the probe
-/// proved private, which touch no shared state and commute with
-/// everything; every cycle that can interact is committed by the main
-/// thread at its epoch in reference order. The worker count (and the duty
-/// cycle below) can therefore only change wall-clock time, never a result
-/// — `SYNPA_THREADS ∈ {1, N}` is byte-identical by construction, and the
-/// differential wall plus the CI byte-diff enforce it.
-///
-/// At one worker no pool is spawned: the same advance runs inline under
-/// the burst engine's exact duty cycle, so the single-worker overhead
-/// stays within noise of `EngineKind::Burst`. With real workers the span
-/// is unbounded (the probe work runs off the main thread; a dispatch must
-/// win back its channel round trip) and rests are short.
-pub(crate) fn run_parallel(chip: &mut Chip, end: u64) -> Vec<Completion> {
-    /// Single-worker duty cycle: mirror `run_burst` exactly.
-    const SPAN_SINGLE: u32 = 16;
-    const REST_SINGLE: i16 = 255;
-    /// Multi-worker rest: dispatching is cheap for the main thread (the
-    /// probing runs elsewhere), so engage far more often than burst.
-    const REST_MULTI: i16 = 31;
-
-    // Resolve the worker count and build the backend on first use; both
-    // persist on the chip across `run_until` calls (the pool threads are
-    // long-lived — per-quantum fan-out must not spawn).
-    if chip.pool.is_none() && chip.scratch.is_none() {
-        let workers = chip.cfg.parallel_workers.unwrap_or_else(|| {
-            crate::pool::threads_from_env().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        });
-        assert!(workers >= 1, "parallel engine needs at least one worker");
-        if workers > 1 {
-            chip.pool = Some(crate::pool::WorkerPool::new(workers, &chip.cfg));
-        } else {
-            chip.scratch = Some(PrivateScratch::new());
-        }
-    }
-    let pool = chip.pool.take();
-    let mut scratch = chip.scratch.take();
-    let (span, rest) = match &pool {
-        // Dispatched cores may run to their next interaction: the probing
-        // happens on worker threads the run wouldn't otherwise use.
-        Some(p) if p.workers() >= 2 => (u32::MAX, REST_MULTI),
-        _ => (SPAN_SINGLE, REST_SINGLE),
-    };
-
-    let n_cores = chip.cores.len();
-    // Cores move out of the chip so their ownership can transfer to the
-    // workers (no borrow smuggling under `forbid(unsafe_code)`); every
-    // core is checked back in before this function returns.
-    let mut cores: Vec<Option<Core>> = chip.cores.drain(..).map(Some).collect();
-    let mut resume = std::mem::take(&mut chip.percore_resume);
-    resume.clear();
-    resume.resize(n_cores, chip.cycle);
-    let mut credit = std::mem::take(&mut chip.burst_credit);
-    if credit.len() != n_cores {
-        credit.clear();
-        credit.resize(n_cores, 1);
-    }
-    let (mut stepped, mut elided, mut burst) = (0u64, 0u64, 0u64);
-    // Offline cores never become due (see `run_percore`); their `Core`
-    // values sit checked-in for the whole run.
-    for (due, &off) in resume.iter_mut().zip(chip.offline.iter()) {
-        if off {
-            *due = end;
-            elided += end.saturating_sub(chip.cycle);
-        }
-    }
-    let mut failure: Option<Box<dyn std::any::Any + Send>> = None;
-    let mut now = chip.cycle;
-    while now < end {
-        chip.mem.tick(now);
-        let mut next = end;
-        let mut outstanding = 0usize;
-        for idx in 0..n_cores {
-            if resume[idx] > now {
-                next = next.min(resume[idx]);
-                continue;
-            }
-            // The rendezvous step (reference order, real shared state).
-            let core = cores[idx].as_mut().expect("core checked in at epoch");
-            stepped += 1;
-            let out = checked_step(
-                core,
-                now,
-                &chip.cfg,
-                &mut chip.llc,
-                &mut chip.mem,
-                &mut chip.events,
-            );
-            let due = if !out.active {
-                park_inert(core, &chip.cfg, now + 1, now + 1, end, &mut elided)
-            } else if out.touched_shared() {
-                now + 1
-            } else if credit[idx] <= 0 {
-                credit[idx] += 1;
-                now + 1
-            } else {
-                credit[idx] = -rest;
-                if let Some(pool) = &pool {
-                    let core = cores[idx].take().expect("core present at dispatch");
-                    pool.submit(crate::pool::Job {
-                        core,
-                        idx,
-                        from: now + 1,
-                        end,
-                        span,
-                    });
-                    outstanding += 1;
-                    continue; // resume committed at the barrier below
-                }
-                let (at, s, e, b) = advance_private(
-                    core,
-                    &chip.cfg,
-                    now + 1,
-                    end,
-                    span,
-                    scratch.as_mut().expect("inline scratch at one worker"),
-                );
-                stepped += s;
-                elided += e;
-                burst += b;
-                at
-            };
-            resume[idx] = due;
-            next = next.min(due);
-        }
-        // The epoch barrier: every dispatched core checks back in before
-        // the clock moves, so the next epoch again owns every core.
-        if let Some(pool) = &pool {
-            for _ in 0..outstanding {
-                let adv = pool.recv();
-                cores[adv.idx] = Some(adv.core);
-                if let Some(p) = adv.panic {
-                    // Keep draining so every core comes home, then
-                    // propagate the first worker panic intact below.
-                    failure.get_or_insert(p);
-                    continue;
-                }
-                resume[adv.idx] = adv.resume;
-                next = next.min(adv.resume);
-                stepped += adv.stepped;
-                elided += adv.elided;
-                burst += adv.burst;
-            }
-            if failure.is_some() {
-                break;
-            }
-        }
-        now = next;
-    }
-    // Check every core (and the backend) back into the chip before any
-    // unwind, so a worker panic surfaces from a structurally sound chip.
-    chip.cores = cores
-        .into_iter()
-        .map(|c| c.expect("all cores checked in at the final barrier"))
-        .collect();
-    chip.pool = pool;
-    chip.scratch = scratch;
-    chip.percore_resume = resume;
-    chip.burst_credit = credit;
-    if let Some(p) = failure {
-        std::panic::resume_unwind(p);
-    }
-    chip.cycle = chip.cycle.max(end);
-    chip.stats.stepped += stepped;
-    chip.stats.elided += elided;
-    chip.stats.burst += burst;
-    std::mem::take(&mut chip.events)
-}
-
-/// Earliest cycle in `(chip.cycle, end]` at which anything observable can
-/// happen, given that the cycle just executed was fully inert. Every
-/// per-thread wake event is strictly in the future (a thread whose event
-/// had arrived would have acted in the cycle just stepped), so the returned
-/// horizon never truncates an interaction window.
-fn horizon(chip: &Chip, end: u64) -> u64 {
-    let mut h = end;
-    for core in &chip.cores {
-        h = h.min(core.wake_event(&chip.cfg.core));
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Cache;
-    use crate::mem::Memory;
     use crate::program::{PhaseParams, UniformProgram};
-    use crate::thread::HwThread;
     use crate::{Chip, ChipConfig, Slot};
 
     /// Memory-bound demand: long DRAM stalls, lots of inert cycles.
@@ -891,7 +303,6 @@ mod tests {
             c.run_cycles(2_500);
             let s = c.engine_stats();
             assert_eq!(s.stepped + s.elided, 4 * 12_500, "{engine}: {s:?}");
-            assert!(s.burst <= s.stepped, "{engine}: {s:?}");
         }
     }
 
@@ -903,136 +314,14 @@ mod tests {
             c.engine_stats()
         };
         let r = elided(EngineKind::Reference);
-        let b = elided(EngineKind::Batched);
         let p = elided(EngineKind::PerCore);
-        let u = elided(EngineKind::Burst);
         assert_eq!(r.elided, 0);
-        assert_eq!(r.burst, 0);
-        assert!(
-            p.elided >= b.elided,
-            "percore {p:?} must elide at least as much as batched {b:?}"
-        );
-        assert!(
-            u.elided >= b.elided,
-            "burst {u:?} must elide at least as much as batched {b:?}"
-        );
         // Both threads sit on core 0; cores 1-3 are empty for the whole
-        // run, and only the per-core engines can skip them while core 0 is
-        // busy (the batched engine's chip-wide horizon cannot).
+        // run, and the per-core engine skips them while core 0 is busy.
         assert!(
             p.elided >= 3 * 19_000,
             "empty cores must be skipped wholesale: {p:?}"
         );
-        assert!(
-            u.elided >= 3 * 19_000,
-            "empty cores must be skipped wholesale: {u:?}"
-        );
-    }
-
-    #[test]
-    fn burst_runs_compute_phases_outside_epochs() {
-        // A pure L1-resident compute pair on one core of an otherwise idle
-        // chip: it touches shared state only while its code/data warm up,
-        // so every duty-cycled engagement should run its full span of
-        // decoupled cycles — steadily accumulating burst-stepped cycles
-        // across the run (the duty cycle bounds the fraction; the point is
-        // that spans reliably engage and complete on private phases).
-        let mut c = Chip::new(ChipConfig::thunderx2(4).with_engine(EngineKind::Burst));
-        for i in 0..2 {
-            c.attach(
-                Slot(i),
-                i,
-                Box::new(UniformProgram::new(
-                    format!("p{i}"),
-                    PhaseParams::compute(),
-                    u64::MAX,
-                )),
-            );
-        }
-        c.run_cycles(20_000);
-        let s = c.engine_stats();
-        assert_eq!(s.stepped + s.elided, 4 * 20_000, "{s:?}");
-        assert!(
-            s.burst > 500,
-            "compute phases must keep engaging full burst spans: {s:?}"
-        );
-    }
-
-    /// The tentpole contract at the engine level: the parallel engine is
-    /// bit-identical to the reference loop for *every* worker count, and
-    /// its accounting still partitions every (core, cycle) pair. One
-    /// worker exercises the inline path (no pool), the others the real
-    /// ownership-transfer pool with barrier epochs.
-    #[test]
-    fn parallel_engine_matches_reference_for_any_worker_count() {
-        let run = |cfg: ChipConfig| {
-            let mut c = Chip::new(cfg);
-            for i in 0..6 {
-                let p = if i % 2 == 0 {
-                    mem_phase()
-                } else {
-                    PhaseParams::compute()
-                };
-                c.attach(
-                    Slot(i),
-                    i,
-                    Box::new(UniformProgram::new(format!("p{i}"), p, 20_000)),
-                );
-            }
-            let mut completions = Vec::new();
-            for _ in 0..4 {
-                completions.extend(c.run_cycles(5_000));
-            }
-            let pmus: Vec<_> = (0..6).map(|i| *c.pmu_of(i).unwrap()).collect();
-            (completions, pmus, c.engine_stats())
-        };
-        let base = ChipConfig::thunderx2(4);
-        let (rev, rpmu, _) = run(base.clone().with_engine(EngineKind::Reference));
-        for workers in [1usize, 2, 4] {
-            let (ev, pmu, stats) = run(base
-                .clone()
-                .with_engine(EngineKind::Parallel)
-                .with_parallel_workers(workers));
-            assert_eq!(rev, ev, "{workers} workers: completions");
-            assert_eq!(rpmu, pmu, "{workers} workers: PMU counters");
-            assert_eq!(
-                stats.stepped + stats.elided,
-                4 * 20_000,
-                "{workers} workers: {stats:?}"
-            );
-        }
-    }
-
-    /// The pool is spawned lazily on the first quantum and then reused —
-    /// never respawned per `run_until` — and one worker means no pool at
-    /// all (the inline path).
-    #[test]
-    fn parallel_pool_is_lazy_reused_and_sized() {
-        let mut c = Chip::new(
-            ChipConfig::thunderx2(4)
-                .with_engine(EngineKind::Parallel)
-                .with_parallel_workers(3),
-        );
-        c.attach(
-            Slot(0),
-            0,
-            Box::new(UniformProgram::new("p0", mem_phase(), u64::MAX)),
-        );
-        assert!(c.pool.is_none(), "no workers before the first quantum");
-        c.run_cycles(2_000);
-        assert!(c.pool.is_some(), "pool spawned on first use");
-        assert_eq!(c.pool.as_ref().unwrap().workers(), 3);
-        c.run_cycles(2_000);
-        assert_eq!(c.pool.as_ref().unwrap().workers(), 3, "same pool reused");
-
-        let mut inline = Chip::new(
-            ChipConfig::thunderx2(4)
-                .with_engine(EngineKind::Parallel)
-                .with_parallel_workers(1),
-        );
-        inline.run_cycles(1_000);
-        assert!(inline.pool.is_none(), "one worker runs inline");
-        assert!(inline.scratch.is_some());
     }
 
     /// Offline-core exclusion is part of the equivalence contract: with a
@@ -1042,11 +331,7 @@ mod tests {
     #[test]
     fn offline_core_is_byte_identical_across_engines() {
         let run = |engine: EngineKind| {
-            let mut c = Chip::new(
-                ChipConfig::thunderx2(4)
-                    .with_engine(engine)
-                    .with_parallel_workers(2),
-            );
+            let mut c = Chip::new(ChipConfig::thunderx2(4).with_engine(engine));
             for i in 0..4 {
                 let p = if i % 2 == 0 {
                     mem_phase()
@@ -1074,15 +359,7 @@ mod tests {
             );
             (completions, pmus)
         };
-        let reference = run(EngineKind::Reference);
-        for engine in [
-            EngineKind::Batched,
-            EngineKind::PerCore,
-            EngineKind::Burst,
-            EngineKind::Parallel,
-        ] {
-            assert_eq!(reference, run(engine), "{engine}");
-        }
+        assert_eq!(run(EngineKind::Reference), run(EngineKind::PerCore));
     }
 
     /// A hung thread wedges identically in every engine: cycles keep
@@ -1091,11 +368,7 @@ mod tests {
     #[test]
     fn hung_thread_is_byte_identical_across_engines() {
         let run = |engine: EngineKind| {
-            let mut c = Chip::new(
-                ChipConfig::thunderx2(2)
-                    .with_engine(engine)
-                    .with_parallel_workers(2),
-            );
+            let mut c = Chip::new(ChipConfig::thunderx2(2).with_engine(engine));
             for i in 0..3 {
                 c.attach(
                     Slot(i),
@@ -1112,125 +385,17 @@ mod tests {
         };
         let reference = run(EngineKind::Reference);
         assert_eq!(reference[1].cpu_cycles, 20_000);
-        for engine in [
-            EngineKind::Batched,
-            EngineKind::PerCore,
-            EngineKind::Burst,
-            EngineKind::Parallel,
-        ] {
-            assert_eq!(reference, run(engine), "{engine}");
-        }
+        assert_eq!(reference, run(EngineKind::PerCore));
     }
 
     #[test]
     fn percore_resume_buffer_is_reused_across_quanta() {
-        for engine in [EngineKind::PerCore, EngineKind::Burst] {
-            let mut c = chip(engine, 2, 4);
+        let mut c = chip(EngineKind::PerCore, 2, 4);
+        c.run_cycles(1_000);
+        let cap = c.percore_resume.capacity();
+        for _ in 0..50 {
             c.run_cycles(1_000);
-            let cap = c.percore_resume.capacity();
-            for _ in 0..50 {
-                c.run_cycles(1_000);
-            }
-            assert_eq!(
-                c.percore_resume.capacity(),
-                cap,
-                "{engine}: no reallocation"
-            );
         }
-    }
-
-    /// A phase whose cycles are private except for occasional LLC walks:
-    /// the data footprint misses the L2 but small enough that the L2 is not
-    /// bypassed, and the hot code keeps the frontend L1I-resident. At most
-    /// one data access per cycle (`mem_ratio` ≤ 0.25 with dispatch width 4
-    /// keeps the dither below 2), so the probe's conservative same-set
-    /// escape can never fire and `Shared` means a genuine touch.
-    fn parky_phase() -> PhaseParams {
-        PhaseParams {
-            mem_ratio: 0.2,
-            data_footprint: 64 << 10,
-            data_seq: 0.3,
-            code_footprint: 1024,
-            code_hot: 1.0,
-            br_misp_rate: 0.0,
-            exec_latency: 1,
-            mlp: 0.8,
-        }
-    }
-
-    /// The park-replay contract, pinned at the probe level: driving one
-    /// core with the burst discipline (probe first, step only what the
-    /// probe approves, park on `Shared`) touches shared state at exactly
-    /// the cycles the reference loop does, each parked cycle's replayed
-    /// step performs the predicted shared access at the predicted cycle,
-    /// and every counter ends bit-identical.
-    #[test]
-    fn parked_shared_access_replays_at_predicted_cycle() {
-        let cfg = ChipConfig::thunderx2(1);
-        let mk = || {
-            let mut core = Core::new(0, &cfg);
-            core.ctx[0] = Some(HwThread::new(
-                0,
-                Box::new(UniformProgram::new("p", parky_phase(), u64::MAX)),
-                42,
-                cfg.l1d.line_bytes as u64,
-            ));
-            (
-                core,
-                Cache::new(cfg.llc),
-                Memory::new(cfg.mem_latency, cfg.mem_queue_penalty),
-            )
-        };
-        const CYCLES: u64 = 5_000;
-
-        // Reference: step every cycle, record the shared-touch cycles.
-        let (mut rc, mut rllc, mut rmem) = mk();
-        let mut rev = Vec::new();
-        let mut ref_touches = Vec::new();
-        for now in 0..CYCLES {
-            rmem.tick(now);
-            let out = rc.step(now, &cfg, &mut rllc, &mut rmem, &mut rev);
-            if out.touched_shared() {
-                ref_touches.push(now);
-            }
-        }
-        assert!(ref_touches.len() > 10, "phase must touch the LLC sometimes");
-
-        // Burst discipline: probe, then commit only what the probe allows.
-        let (mut bc, mut bllc, mut bmem) = mk();
-        let mut bev = Vec::new();
-        let mut parks = Vec::new();
-        let mut elided = 0u64;
-        let mut now = 0u64;
-        while now < CYCLES {
-            match bc.probe_cycle(now, &cfg) {
-                CycleProbe::Shared => {
-                    parks.push(now);
-                    bmem.tick(now);
-                    let out = bc.step(now, &cfg, &mut bllc, &mut bmem, &mut bev);
-                    assert!(
-                        out.touched_shared(),
-                        "cycle {now}: the parked access must replay as predicted"
-                    );
-                    now += 1;
-                }
-                CycleProbe::Inert => {
-                    now = park_inert(&mut bc, &cfg, now, now + 1, CYCLES, &mut elided);
-                }
-                CycleProbe::Private => {
-                    let out = bc.step(now, &cfg, &mut bllc, &mut bmem, &mut bev);
-                    assert!(!out.touched_shared(), "cycle {now}: probe promised privacy");
-                    now += 1;
-                }
-            }
-        }
-        assert_eq!(parks, ref_touches, "parks must be the reference touches");
-        assert_eq!(rllc.stats(), bllc.stats());
-        assert_eq!(rmem.accesses(), bmem.accesses());
-        assert_eq!(
-            rc.ctx[0].as_ref().unwrap().pmu(),
-            bc.ctx[0].as_ref().unwrap().pmu(),
-            "replayed run must be bit-identical"
-        );
+        assert_eq!(c.percore_resume.capacity(), cap, "no reallocation");
     }
 }

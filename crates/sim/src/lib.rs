@@ -42,7 +42,6 @@ mod engine;
 mod faults;
 mod mem;
 mod pmu;
-mod pool;
 mod program;
 mod rng;
 mod stream;
@@ -56,7 +55,6 @@ pub use engine::{EngineKind, EngineStats};
 pub use faults::{AppFault, ChipFaultConfig, ChipFaultPlan, CoreFault};
 pub use mem::Memory;
 pub use pmu::{Event, ExtCounters, PmuCounters, PmuDelta};
-pub use pool::threads_from_env;
 pub use program::{PhaseParams, ThreadProgram, UniformProgram};
 pub use rng::{Dither, SplitMix64};
 pub use stream::AddrStream;

@@ -41,7 +41,7 @@ impl Memory {
     /// The wheel's total content equals `outstanding` (completions are
     /// registered and retired in lockstep), so an idle memory — whether
     /// idle on entry or drained mid-walk — jumps to `cycle` in O(1). The
-    /// horizon engines lean on this: after a long elided stretch the walk
+    /// horizon engine leans on this: after a long elided stretch the walk
     /// costs only as many steps as there were completions to retire.
     pub fn tick(&mut self, cycle: u64) {
         while self.outstanding > 0 && self.now < cycle {
@@ -53,9 +53,7 @@ impl Memory {
         self.now = self.now.max(cycle);
     }
 
-    /// Issues an access at `cycle`, returning its latency in cycles. The
-    /// *commit* half of the access entry point; [`Memory::peek_latency`] is
-    /// the probe half.
+    /// Issues an access at `cycle`, returning its latency in cycles.
     pub fn access(&mut self, cycle: u64) -> u32 {
         self.tick(cycle);
         let latency = self.loaded_latency();
@@ -66,35 +64,10 @@ impl Memory {
         latency
     }
 
-    /// Latency [`Memory::access`] would charge at `cycle`, without mutating
-    /// anything: the *probe* half of the access entry point. The wheel is
-    /// walked read-only to count completions in `(now, cycle]`, so the
-    /// value accounts for drain exactly. A parked DRAM access's latency is
-    /// therefore fully determined at its rendezvous epoch before it
-    /// commits — the property the park-replay tests pin down. (The burst
-    /// engine itself parks earlier, at the L2-miss boundary via
-    /// `Cache::probe`, so this probe serves tests and diagnostics rather
-    /// than the engine's own park decision.)
-    pub fn peek_latency(&self, cycle: u64) -> u32 {
-        let mut outstanding = self.outstanding;
-        let mut t = self.now;
-        while outstanding > 0 && t < cycle {
-            t += 1;
-            outstanding = outstanding.saturating_sub(self.wheel[(t as usize) & (WHEEL - 1)]);
-        }
-        self.latency_for(outstanding)
-    }
-
-    /// Loaded latency at the wheel's current position.
+    /// Loaded latency at the wheel's current position: unloaded base plus
+    /// the queueing penalty per in-flight miss, clamped to the wheel span.
     fn loaded_latency(&self) -> u32 {
-        self.latency_for(self.outstanding)
-    }
-
-    /// The latency law, shared by the probe and commit halves so the two
-    /// can never drift apart: unloaded base plus the queueing penalty per
-    /// in-flight miss, clamped to the wheel span.
-    fn latency_for(&self, outstanding: u32) -> u32 {
-        let latency = self.base_latency + (self.queue_penalty * outstanding as f64) as u32;
+        let latency = self.base_latency + (self.queue_penalty * self.outstanding as f64) as u32;
         latency.min((WHEEL - 2) as u32)
     }
 
@@ -149,32 +122,6 @@ mod tests {
         m.tick(5);
         m.tick(5);
         assert_eq!(m.outstanding(), 1);
-    }
-
-    #[test]
-    fn peek_latency_predicts_access_without_mutation() {
-        let mut m = Memory::new(100, 2.0);
-        m.access(0);
-        m.access(0);
-        // Probe at a future cycle: one completion drains at 100, the other
-        // at 102; probing mutates nothing.
-        for cycle in [0, 50, 101, 200] {
-            let predicted = m.peek_latency(cycle);
-            let mut twin = m.clone();
-            assert_eq!(predicted, twin.access(cycle), "cycle {cycle}");
-        }
-        assert_eq!(m.outstanding(), 2, "peek left the queue untouched");
-        assert_eq!(m.accesses(), 2);
-        // Same contract on a staggered queue at rendezvous points across
-        // the drain (the park-replay property: a parked DRAM access's
-        // latency is fully determined before it commits).
-        let mut m = Memory::new(120, 1.5);
-        m.access(0);
-        m.access(0);
-        m.access(3);
-        for rendezvous in [5, 80, 121, 125, 500] {
-            assert_eq!(m.peek_latency(rendezvous), m.clone().access(rendezvous));
-        }
     }
 
     #[test]

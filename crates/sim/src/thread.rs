@@ -27,7 +27,7 @@ const DRAM_RATE_ALPHA: f64 = 1.0 / 128.0;
 /// of two, so `rate - LEAK` — and the batched `rate - n·LEAK` — are exact
 /// f64 operations for every rate below 2^40 (the leak lies on the ulp grid
 /// of any such rate, and the difference needs no extra significand bits):
-/// that exactness is what lets the horizon engines advance the estimator
+/// that exactness is what lets the horizon engine advance the estimator
 /// across an elided window in O(1) instead of replaying per-cycle
 /// roundings. 2^-13 empties a saturated estimator (rate ≈ the 0.02
 /// `dram_rate_cap`) in ~160 cycles, matching the horizon over which the
@@ -58,7 +58,7 @@ pub(crate) struct RobBatch {
 /// Why a thread dispatched nothing this cycle: the Table I architectural
 /// split (frontend vs. backend) with the extended attribution of §VI-A.
 /// One classifier ([`HwThread::stall_kind`]) is shared by the per-cycle
-/// dispatch stage and the batched engine's closed-form fast-forward, so
+/// dispatch stage and the per-core engine's closed-form fast-forward, so
 /// the two accountings can never drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallKind {
@@ -254,7 +254,7 @@ impl HwThread {
     /// `outstanding_misses` equals the wheel's total content (fills are
     /// registered and released in lockstep), so a wheel that is idle — on
     /// entry or once the walk drains the last fill — jumps straight to
-    /// `now` without touching empty slots. The horizon engines rely on
+    /// `now` without touching empty slots. The horizon engine relies on
     /// this: waking from a long elided stall costs O(fills released), not
     /// O(window length).
     pub(crate) fn tick_mshr(&mut self, now: u64) {
@@ -274,7 +274,7 @@ impl HwThread {
     /// linear leak on zero-fill cycles.
     ///
     /// The leak (rather than an exponential zero-fill decay) is what gives
-    /// the horizon engines an exact closed form: iterated f64 rounding of
+    /// the horizon engine an exact closed form: iterated f64 rounding of
     /// `rate · (1-α)` has none, so PR 4 had to *replay* the decay once per
     /// elided cycle — O(window length) per fast-forward, and the dominant
     /// cost of eliding at full-chip scale, since a realistic rate only
@@ -320,28 +320,12 @@ impl HwThread {
     /// Next instruction-fetch address: hot loop body with probability
     /// `code_hot` (8 resident lines, cycled), otherwise a cold-code access.
     pub(crate) fn next_fetch_addr(&mut self, line: u64) -> u64 {
-        let (code_stream, rng, cursor) = (
-            &mut self.code_stream,
-            &mut self.rng,
-            &mut self.hot_code_cursor,
-        );
-        fetch_addr(
-            self.app_id,
-            self.phase.code_hot,
-            line,
-            code_stream,
-            rng,
-            cursor,
-        )
-    }
-
-    /// True when the next dispatch-stage visit will refresh the phase
-    /// parameters (and retune both address streams). The burst probe treats
-    /// such a cycle as one that must be stepped exactly — the refresh is a
-    /// private mutation, but it changes the inputs of every later draw, so
-    /// a closed-form elision starting at this cycle would diverge.
-    pub(crate) fn refresh_pending(&self) -> bool {
-        self.retired_in_launch >= self.next_phase_refresh
+        if self.rng.chance(self.phase.code_hot) {
+            self.hot_code_cursor = (self.hot_code_cursor + 1) % 8;
+            ((self.app_id as u64 + 1) << 44) + self.hot_code_cursor * line
+        } else {
+            self.code_stream.next(&mut self.rng)
+        }
     }
 
     /// Retires up to `width` µops in order. Returns retired count.
@@ -428,16 +412,9 @@ impl HwThread {
     /// first (ARM's `STALL_FRONTEND` is "no operation in the queue"), then
     /// dispatch width, LSQ capacity, and the shared-window ROB space.
     /// `None` means the thread can dispatch this cycle.
-    ///
-    /// `fetch_q` is passed explicitly because the caller may be evaluating
-    /// a hypothetical frontend state: the burst probe classifies the cycle
-    /// *before* the fetch stage has run, using the queue value the fetch
-    /// would leave behind.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn stall_kind(
         &self,
         now: u64,
-        fetch_q: u32,
         width_left: u32,
         lq_cap: u32,
         sq_cap: u32,
@@ -447,11 +424,11 @@ impl HwThread {
         if self.hung {
             // A wedged thread accounts as a permanent backend data stall —
             // a load that will never return. One classification shared by
-            // the per-cycle path, the probe and the fast-forward, so every
-            // engine attributes the hang identically.
+            // the per-cycle path and the fast-forward, so both engines
+            // attribute the hang identically.
             return Some(StallKind::DCache);
         }
-        if fetch_q == 0 {
+        if self.fetch_q == 0 {
             return Some(match self.fetch_block {
                 FetchBlock::Redirect => StallKind::FrontendBranch,
                 _ => StallKind::FrontendICache,
@@ -520,7 +497,6 @@ impl HwThread {
         let kind = self
             .stall_kind(
                 now,
-                self.fetch_q,
                 core.dispatch_width,
                 lq_cap,
                 sq_cap,
@@ -561,27 +537,6 @@ impl HwThread {
         self.migrate_stall_until = now + penalty as u64;
         self.mem_dither.reset();
         self.br_dither.reset();
-    }
-}
-
-/// The fetch-address draw, factored out so the per-cycle fetch stage and
-/// the burst probe share one implementation: the probe runs it on *clones*
-/// of the stochastic state (RNG, cold-code stream, hot-line cursor) and the
-/// commit step then consumes the identical draws from the real state, which
-/// is what guarantees a parked cycle replays on the same address.
-pub(crate) fn fetch_addr(
-    app_id: usize,
-    code_hot: f64,
-    line: u64,
-    code_stream: &mut AddrStream,
-    rng: &mut SplitMix64,
-    hot_code_cursor: &mut u64,
-) -> u64 {
-    if rng.chance(code_hot) {
-        *hot_code_cursor = (*hot_code_cursor + 1) % 8;
-        ((app_id as u64 + 1) << 44) + *hot_code_cursor * line
-    } else {
-        code_stream.next(rng)
     }
 }
 

@@ -13,7 +13,7 @@ fn synpa_engine_overrides_the_default_engine() {
     // Unset: the workspace default.
     std::env::remove_var("SYNPA_ENGINE");
     assert_eq!(EngineKind::from_env(), None);
-    assert_eq!(ChipConfig::thunderx2(1).engine, EngineKind::Burst);
+    assert_eq!(ChipConfig::thunderx2(1).engine, EngineKind::PerCore);
 
     // Every valid name pins the engine for subsequently built configs.
     for engine in EngineKind::ALL {
@@ -29,25 +29,19 @@ fn synpa_engine_overrides_the_default_engine() {
     std::env::set_var("SYNPA_ENGINE", "  ");
     assert_eq!(EngineKind::from_env(), None);
 
-    // An explicit pin must never fall back silently: unknown names abort,
-    // and the message teaches the full valid list.
-    std::env::set_var("SYNPA_ENGINE", "warp");
-    let err = std::panic::catch_unwind(EngineKind::from_env).unwrap_err();
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-    for expected in [
-        "warp",
-        "reference",
-        "batched",
-        "percore",
-        "burst",
-        "parallel",
-    ] {
+    // An explicit pin must never fall back silently: unknown names —
+    // including the retired batched/burst/parallel engines — abort, and
+    // the message teaches the full valid list.
+    for name in ["warp", "batched", "burst", "parallel"] {
+        std::env::set_var("SYNPA_ENGINE", name);
+        let err = std::panic::catch_unwind(EngineKind::from_env).unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
         assert!(
-            msg.contains(expected),
-            "panic message {msg:?} lacks {expected}"
+            msg.contains(name) && msg.contains("reference, percore"),
+            "panic message {msg:?} must name {name:?} and the valid list"
         );
     }
 

@@ -86,12 +86,12 @@ proptest! {
             MatcherKind::Incremental,
             faults,
         ));
-        for engine in [EngineKind::Batched, EngineKind::PerCore] {
+        for engine in EngineKind::ALL {
             let got = no_matcher_fingerprint(&faulted_run(engine, MatcherKind::Incremental, faults));
             prop_assert_eq!(&reference, &got, "engine {}", engine);
         }
         let fresh = no_matcher_fingerprint(&faulted_run(
-            EngineKind::Batched,
+            EngineKind::PerCore,
             MatcherKind::Fresh,
             faults,
         ));
@@ -103,11 +103,11 @@ proptest! {
     #[test]
     fn zero_rate_faults_equal_no_faults(seed in 0u64..u64::MAX) {
         let with = faulted_run(
-            EngineKind::Batched,
+            EngineKind::PerCore,
             MatcherKind::Incremental,
             Some(FaultConfig::uniform(seed, 0.0)),
         );
-        let without = faulted_run(EngineKind::Batched, MatcherKind::Incremental, None);
+        let without = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(with.degraded.injected_total(), 0);
         prop_assert_eq!(with.degraded.samples_degraded(), 0);
@@ -123,7 +123,7 @@ proptest! {
         rate in 0.0f64..0.5,
     ) {
         let cfg = FaultConfig::uniform(seed, rate);
-        let result = faulted_run(EngineKind::Batched, MatcherKind::Incremental, Some(cfg));
+        let result = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, Some(cfg));
         let plan = FaultPlan::new(&cfg);
         let mut expected: InjectedCounts = Default::default();
         for q in 0..result.quanta {
@@ -156,7 +156,7 @@ proptest! {
 fn low_rate_faults_cause_bounded_degradation() {
     for seed in [1u64, 2, 3, 0xD15EA5E] {
         let cfg = FaultConfig::uniform(seed, 0.05);
-        let r = faulted_run(EngineKind::Batched, MatcherKind::Incremental, Some(cfg));
+        let r = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, Some(cfg));
         let d = r.degraded;
         let total = d.samples_ok + d.samples_degraded();
         assert!(

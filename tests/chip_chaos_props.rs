@@ -4,9 +4,8 @@
 //!
 //! 1. **No panics, deterministic**: a closed-batch run under any seeded
 //!    chip-fault plan completes without panicking and is bit-identical
-//!    across cycle engines, parallel worker counts and pairing matchers
-//!    (matcher overhead counters excluded — the one documented
-//!    difference).
+//!    across cycle engines and pairing matchers (matcher overhead
+//!    counters excluded — the one documented difference).
 //! 2. **Zero faults = today**: chip-fault injection at rate 0 produces a
 //!    `RunResult` bit-identical to running with no fault plan at all.
 //! 3. **Conservation**: the self-healing service loop partitions every
@@ -46,18 +45,9 @@ fn chip_filling_apps() -> (Vec<AppProfile>, Vec<f64>) {
     (apps, solo)
 }
 
-fn mgr_cfg(
-    engine: EngineKind,
-    workers: Option<usize>,
-    chip_faults: Option<ChipFaultConfig>,
-) -> ManagerConfig {
-    let chip = ChipConfig::thunderx2(4).with_engine(engine);
-    let chip = match workers {
-        Some(w) => chip.with_parallel_workers(w),
-        None => chip,
-    };
+fn mgr_cfg(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -> ManagerConfig {
     ManagerConfig {
-        chip,
+        chip: ChipConfig::thunderx2(4).with_engine(engine),
         quantum_cycles: 5_000,
         max_quanta: 40,
         faults: None,
@@ -85,18 +75,12 @@ fn no_matcher_fingerprint(r: &RunResult) -> String {
 
 fn chip_faulted_run(
     engine: EngineKind,
-    workers: Option<usize>,
     matcher: MatcherKind,
     chip_faults: Option<ChipFaultConfig>,
 ) -> RunResult {
     let (apps, solo) = chip_filling_apps();
     let mut policy = Synpa::with_matcher(canned_model(), matcher);
-    run_workload(
-        &apps,
-        &solo,
-        &mut policy,
-        &mgr_cfg(engine, workers, chip_faults),
-    )
+    run_workload(&apps, &solo, &mut policy, &mgr_cfg(engine, chip_faults))
 }
 
 fn trace_profiles(trace: &ArrivalTrace) -> Vec<AppProfile> {
@@ -157,8 +141,8 @@ fn assert_conserved(r: &synpa::sched::ServiceResult, n: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Contract 1: no panic, and bit-identical results across engines,
-    // parallel worker counts and matchers for any (seed, rate) — the
+    // Contract 1: no panic, and bit-identical results across engines and
+    // matchers for any (seed, rate) — the
     // execution-fault stream is part of the deterministic state, not a
     // source of divergence.
     #[test]
@@ -169,27 +153,15 @@ proptest! {
         let cf = Some(ChipFaultConfig::uniform(seed, rate));
         let reference = no_matcher_fingerprint(&chip_faulted_run(
             EngineKind::Reference,
-            None,
             MatcherKind::Incremental,
             cf,
         ));
-        for engine in [EngineKind::Batched, EngineKind::PerCore, EngineKind::Burst] {
-            let got =
-                no_matcher_fingerprint(&chip_faulted_run(engine, None, MatcherKind::Incremental, cf));
+        for engine in EngineKind::ALL {
+            let got = no_matcher_fingerprint(&chip_faulted_run(engine, MatcherKind::Incremental, cf));
             prop_assert_eq!(&reference, &got, "engine {}", engine);
         }
-        for workers in [1usize, 4] {
-            let got = no_matcher_fingerprint(&chip_faulted_run(
-                EngineKind::Parallel,
-                Some(workers),
-                MatcherKind::Incremental,
-                cf,
-            ));
-            prop_assert_eq!(&reference, &got, "parallel x{}", workers);
-        }
         let fresh = no_matcher_fingerprint(&chip_faulted_run(
-            EngineKind::Batched,
-            None,
+            EngineKind::PerCore,
             MatcherKind::Fresh,
             cf,
         ));
@@ -202,12 +174,11 @@ proptest! {
     #[test]
     fn zero_rate_chip_faults_equal_no_chip_faults(seed in 0u64..u64::MAX) {
         let with = chip_faulted_run(
-            EngineKind::Batched,
-            None,
+            EngineKind::PerCore,
             MatcherKind::Incremental,
             Some(ChipFaultConfig::uniform(seed, 0.0)),
         );
-        let without = chip_faulted_run(EngineKind::Batched, None, MatcherKind::Incremental, None);
+        let without = chip_faulted_run(EngineKind::PerCore, MatcherKind::Incremental, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(with.chip_faults, ChipFaultStats::default());
     }
@@ -230,7 +201,7 @@ proptest! {
         };
         let reference = run(EngineKind::Reference);
         assert_conserved(&reference, trace.len());
-        for engine in [EngineKind::Batched, EngineKind::PerCore] {
+        for engine in EngineKind::ALL {
             let got = run(engine);
             prop_assert_eq!(
                 format!("{got:?}"),
@@ -260,7 +231,7 @@ fn high_rate_chaos_survives_with_honest_accounting() {
             &apps,
             &trace.arrivals,
             &mut policy,
-            &chaos_service_cfg(EngineKind::Burst, cf),
+            &chaos_service_cfg(EngineKind::PerCore, cf),
         );
         assert_conserved(&r, trace.len());
         let s = r.chip_faults;

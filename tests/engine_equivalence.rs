@@ -1,22 +1,14 @@
-//! Differential test wall for the horizon engines.
+//! Differential test wall for the per-core horizon engine.
 //!
-//! The horizon engines' contract is *bit-identity*: for every seed, chip
-//! size and workload, `EngineKind::Batched` (chip-wide horizon),
-//! `EngineKind::PerCore` (per-core horizons with LLC-epoch rendezvous),
-//! `EngineKind::Burst` (private bursts between shared-state touches, with
-//! parked cycles replayed at their rendezvous epoch) and
-//! `EngineKind::Parallel` (burst-style epochs with the private stretches
-//! sharded across a worker pool) must produce exactly the same PMU
-//! counters, completions, placements and `RunResult`s as the retained
-//! `EngineKind::Reference` cycle-by-cycle loop. The parallel engine is
-//! additionally checked at pinned worker counts (1 = the inline path,
-//! 4 = a real pool), because its contract is worker-count independence,
-//! not just engine equivalence. These tests run all engines side by side
-//! over unit scenarios, full 28-core/56-thread chips, partial-occupancy
-//! and staggered-arrival managed runs, and proptest-randomized demand
-//! mixes — including a compute-bound / private-cache-heavy family (long
-//! private phases, rare LLC touches), the burst engine's best case and
-//! therefore its sharpest differential.
+//! The engine's contract is *bit-identity*: for every seed, chip size and
+//! workload, `EngineKind::PerCore` (per-core horizons with LLC-epoch
+//! rendezvous) must produce exactly the same PMU counters, completions,
+//! placements and `RunResult`s as the retained `EngineKind::Reference`
+//! cycle-by-cycle loop. These tests run both engines side by side over
+//! unit scenarios, full 28-core/56-thread chips, partial-occupancy and
+//! staggered-arrival managed runs, and proptest-randomized demand mixes —
+//! including a compute-bound / private-cache-heavy family (long private
+//! phases, rare LLC touches, frequent completions).
 
 use proptest::prelude::*;
 use synpa::prelude::*;
@@ -64,9 +56,7 @@ fn llc_phase() -> PhaseParams {
 
 /// Compute-bound, private-cache-heavy demands: hot code resident in the
 /// L1I, data resident in the private L1/L2, so after warm-up almost every
-/// active cycle is private — the burst engine runs these decoupled from
-/// the global clock and only rendezvouses for the rare LLC touch or a
-/// completion.
+/// active cycle is private and shared touches are rare.
 fn private_phase() -> PhaseParams {
     PhaseParams {
         mem_ratio: 0.25,
@@ -80,24 +70,12 @@ fn private_phase() -> PhaseParams {
     }
 }
 
-/// Every engine at its default configuration, plus the parallel engine at
-/// pinned worker counts (1 = inline, no pool; 4 = real pool with barrier
-/// epochs), so the wall proves worker-count independence too. Index 0 is
-/// always the reference loop.
+/// Every engine, reference loop first.
 fn engine_variants(cfg: &ChipConfig) -> Vec<(String, ChipConfig)> {
-    let mut v: Vec<(String, ChipConfig)> = EngineKind::ALL
+    EngineKind::ALL
         .iter()
         .map(|&e| (e.to_string(), cfg.clone().with_engine(e)))
-        .collect();
-    for workers in [1usize, 4] {
-        v.push((
-            format!("parallel x{workers}"),
-            cfg.clone()
-                .with_engine(EngineKind::Parallel)
-                .with_parallel_workers(workers),
-        ));
-    }
-    v
+        .collect()
 }
 
 fn build(cfg: &ChipConfig, apps: &[(PhaseParams, u64)]) -> Chip {
@@ -182,13 +160,13 @@ fn single_thread_all_profiles() {
 }
 
 #[test]
-fn private_phase_bursts_agree_with_reference() {
-    // The burst engine's best case: long private phases with rare LLC
-    // touches and short launches, so parked completions and parked shared
-    // accesses replay mid-burst many times per run. Mixing a private-heavy
-    // pair against a memory hog on the neighbouring core also checks that
-    // a bursting core never perturbs the rendezvous interleaving of the
-    // cores that do touch shared state.
+fn private_phases_agree_with_reference() {
+    // Long private phases with rare LLC touches and short launches, so
+    // completions land between long stretches of private cycles many times
+    // per run. Mixing a private-heavy pair against a memory hog on the
+    // neighbouring core also checks that a private-phase core never
+    // perturbs the rendezvous interleaving of the cores that do touch
+    // shared state.
     assert_equivalent(
         &ChipConfig::thunderx2(1),
         &[(private_phase(), 8_000), (private_phase(), 11_000)],
@@ -284,37 +262,9 @@ fn thunderx2_full_56_threads() {
     );
 }
 
-/// Non-reference engine configurations for managed-run fingerprints:
-/// every engine at its default, plus the parallel engine pinned to 1 and
-/// 4 workers (the contract is worker-count independence, and pinning
-/// keeps the tests deterministic regardless of the machine or any
-/// `SYNPA_THREADS` value in the environment).
-fn fingerprint_variants() -> Vec<(String, EngineKind, Option<usize>)> {
-    let mut v: Vec<(String, EngineKind, Option<usize>)> = EngineKind::ALL[1..]
-        .iter()
-        .map(|&e| (e.to_string(), e, None))
-        .collect();
-    for workers in [1usize, 4] {
-        v.push((
-            format!("parallel x{workers}"),
-            EngineKind::Parallel,
-            Some(workers),
-        ));
-    }
-    v
-}
-
-fn chip_cfg(cores: u32, engine: EngineKind, workers: Option<usize>) -> ChipConfig {
-    let cfg = ChipConfig::thunderx2(cores).with_engine(engine);
-    match workers {
-        Some(w) => cfg.with_parallel_workers(w),
-        None => cfg,
-    }
-}
-
 /// `Debug` output prints every field (f64s in shortest-round-trip form),
 /// so equal strings mean bit-identical run results.
-fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64) -> String {
+fn run_fingerprint(engine: EngineKind, policy_seed: u64) -> String {
     let names = [
         "mcf",
         "xalancbmk_r",
@@ -331,7 +281,7 @@ fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64)
         .collect();
     let solo = vec![1.0; 8];
     let cfg = ManagerConfig {
-        chip: chip_cfg(4, engine, workers),
+        chip: ChipConfig::thunderx2(4).with_engine(engine),
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
@@ -343,10 +293,10 @@ fn run_fingerprint(engine: EngineKind, workers: Option<usize>, policy_seed: u64)
 fn managed_workload_run_is_bit_identical() {
     // RandomPairing migrates threads every quantum, so this covers the
     // whole manager loop: sampling, placement changes, completions.
-    let reference = run_fingerprint(EngineKind::Reference, None, 7);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(reference, run_fingerprint(engine, workers, 7), "{label}");
-    }
+    assert_eq!(
+        run_fingerprint(EngineKind::Reference, 7),
+        run_fingerprint(EngineKind::PerCore, 7)
+    );
 }
 
 /// Fingerprint of a managed run with partial occupancy and/or staggered
@@ -354,7 +304,6 @@ fn managed_workload_run_is_bit_identical() {
 /// skips whole cores for long stretches).
 fn arrivals_fingerprint(
     engine: EngineKind,
-    workers: Option<usize>,
     names: &[&str],
     arrivals: &[u64],
     cores: u32,
@@ -366,7 +315,7 @@ fn arrivals_fingerprint(
         .collect();
     let solo = vec![1.0; apps.len()];
     let cfg = ManagerConfig {
-        chip: chip_cfg(cores, engine, workers),
+        chip: ChipConfig::thunderx2(cores).with_engine(engine),
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
@@ -379,14 +328,10 @@ fn partial_occupancy_managed_run_is_bit_identical() {
     // 4 apps on a 4-core/8-thread chip: half the cores are empty all run,
     // exactly where the per-core engine elides the most.
     let names = ["mcf", "gobmk", "hmmer", "astar"];
-    let reference = arrivals_fingerprint(EngineKind::Reference, None, &names, &[], 4, 3);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(
-            reference,
-            arrivals_fingerprint(engine, workers, &names, &[], 4, 3),
-            "{label}"
-        );
-    }
+    assert_eq!(
+        arrivals_fingerprint(EngineKind::Reference, &names, &[], 4, 3),
+        arrivals_fingerprint(EngineKind::PerCore, &names, &[], 4, 3)
+    );
 }
 
 #[test]
@@ -395,14 +340,10 @@ fn phase_shifted_managed_run_is_bit_identical() {
     // thread count changes mid-run (attach path under every engine).
     let names = ["mcf", "xalancbmk_r", "gobmk", "perlbench", "nab_r", "hmmer"];
     let arrivals = [0, 0, 20_000, 20_000, 45_000, 45_000];
-    let reference = arrivals_fingerprint(EngineKind::Reference, None, &names, &arrivals, 4, 9);
-    for (label, engine, workers) in fingerprint_variants() {
-        assert_eq!(
-            reference,
-            arrivals_fingerprint(engine, workers, &names, &arrivals, 4, 9),
-            "{label}"
-        );
-    }
+    assert_eq!(
+        arrivals_fingerprint(EngineKind::Reference, &names, &arrivals, 4, 9),
+        arrivals_fingerprint(EngineKind::PerCore, &names, &arrivals, 4, 9)
+    );
 }
 
 fn arb_phase() -> impl Strategy<Value = PhaseParams> {
@@ -457,24 +398,17 @@ proptest! {
         let names: Vec<&str> = (0..n).map(|k| pool[(app_pick + 3 * k) % pool.len()]).collect();
         // Waves of two apps each, `wave_gap` cycles apart.
         let arrivals: Vec<u64> = (0..n).map(|k| (k / 2) as u64 * wave_gap).collect();
-        let reference = arrivals_fingerprint(
-            EngineKind::Reference, None, &names, &arrivals, cores, policy_seed);
-        for (label, engine, workers) in fingerprint_variants() {
-            prop_assert_eq!(
-                &reference,
-                &arrivals_fingerprint(engine, workers, &names, &arrivals, cores, policy_seed),
-                "{}", label
-            );
-        }
+        prop_assert_eq!(
+            arrivals_fingerprint(EngineKind::Reference, &names, &arrivals, cores, policy_seed),
+            arrivals_fingerprint(EngineKind::PerCore, &names, &arrivals, cores, policy_seed)
+        );
     }
 }
 
 /// Compute-bound / private-cache-heavy demands: footprints that fit the
-/// private L1/L2, mostly-hot code, modest memory ratios. Long private
-/// phases with rare LLC touches are exactly what the burst engine runs
-/// decoupled from the global clock, so this family concentrates the
-/// differential pressure on the probe's park decisions (the generic
-/// `arb_phase` only rarely lands in this corner).
+/// private L1/L2, mostly-hot code, modest memory ratios: long private
+/// phases with rare LLC touches, a corner the generic `arb_phase` only
+/// rarely lands in.
 fn arb_private_phase() -> impl Strategy<Value = PhaseParams> {
     (
         0.0f64..0.35,  // mem_ratio
@@ -526,10 +460,9 @@ proptest! {
         );
     }
 
-    // The burst engine's best case, randomized: private-cache-heavy mixes
-    // with short launches, so bursts regularly park for completions and
-    // for the occasional cold-line LLC walk, across chip sizes and
-    // mid-run migrations.
+    // Private-cache-heavy mixes with short launches, so completions and
+    // the occasional cold-line LLC walk interrupt long private stretches,
+    // across chip sizes and mid-run migrations.
     #[test]
     fn engines_agree_on_private_heavy_workloads(
         phases in proptest::collection::vec(arb_private_phase(), 1..8),

@@ -1,6 +1,6 @@
 //! Property tests over the open-system scheduler service: random seeded
-//! arrival traces must yield deterministic metrics across every engine and
-//! worker count, the admission queue must drain with the trace, and no
+//! arrival traces must yield deterministic metrics across every engine,
+//! the admission queue must drain with the trace, and no
 //! completed app may report a turnaround below its solo lower bound.
 
 use proptest::prelude::*;
@@ -20,15 +20,10 @@ fn trace_profiles(trace: &ArrivalTrace) -> Vec<AppProfile> {
         .collect()
 }
 
-fn service_cfg(engine: EngineKind, workers: Option<usize>, queue_capacity: usize) -> ServiceConfig {
-    let chip = ChipConfig::thunderx2(2).with_engine(engine);
-    let chip = match workers {
-        Some(w) => chip.with_parallel_workers(w),
-        None => chip,
-    };
+fn service_cfg(engine: EngineKind, queue_capacity: usize) -> ServiceConfig {
     ServiceConfig {
         manager: ManagerConfig {
-            chip,
+            chip: ChipConfig::thunderx2(2).with_engine(engine),
             quantum_cycles: 10_000,
             max_quanta: 3_000,
             faults: None,
@@ -39,30 +34,13 @@ fn service_cfg(engine: EngineKind, workers: Option<usize>, queue_capacity: usize
     }
 }
 
-/// Every engine at its default, plus the parallel engine pinned to 1 and 4
-/// workers (worker count must be a pure wall-clock knob — pinning keeps
-/// the test deterministic whatever `SYNPA_THREADS` says).
-fn engine_variants() -> Vec<(String, EngineKind, Option<usize>)> {
-    let mut v: Vec<(String, EngineKind, Option<usize>)> = EngineKind::ALL
-        .iter()
-        .map(|&e| (e.to_string(), e, None))
-        .collect();
-    for workers in [1usize, 4] {
-        v.push((
-            format!("parallel x{workers}"),
-            EngineKind::Parallel,
-            Some(workers),
-        ));
-    }
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Same trace, same policy seed ⇒ byte-identical `ServiceResult` on
-    // every engine and worker count (`Debug` prints every field, so equal
-    // strings mean bit-identical metrics).
+    // every engine (`Debug` prints every field, so equal strings mean
+    // bit-identical metrics). The service runs on the calling thread, so
+    // no worker count can reach it.
     #[test]
     fn service_metrics_are_engine_and_worker_independent(
         seed in 0u64..500,
@@ -71,15 +49,14 @@ proptest! {
     ) {
         let trace = poisson_trace("prop", WorkloadKind::Mixed, 12, mean_gap, seed);
         let apps = trace_profiles(&trace);
-        let run = |engine, workers| {
+        let run = |engine| {
             let mut policy = RandomPairing::new(policy_seed);
-            let cfg = service_cfg(engine, workers, 6);
+            let cfg = service_cfg(engine, 6);
             format!("{:?}", run_service(&apps, &trace.arrivals, &mut policy, &cfg))
         };
-        let reference = run(EngineKind::Reference, None);
-        for (name, engine, workers) in engine_variants() {
-            let got = run(engine, workers);
-            prop_assert_eq!(&got, &reference, "{} diverged from reference", name);
+        let reference = run(EngineKind::Reference);
+        for engine in EngineKind::ALL {
+            prop_assert_eq!(&run(engine), &reference, "{} diverged from reference", engine);
         }
     }
 
@@ -95,7 +72,7 @@ proptest! {
         let trace = poisson_trace("prop", WorkloadKind::Mixed, 14, mean_gap, seed);
         let apps = trace_profiles(&trace);
         let mut policy = LinuxLike;
-        let cfg = service_cfg(EngineKind::Burst, None, queue_capacity);
+        let cfg = service_cfg(EngineKind::PerCore, queue_capacity);
         let r = run_service(&apps, &trace.arrivals, &mut policy, &cfg);
         prop_assert!(r.drained, "short traces must drain under the cap");
         prop_assert_eq!(*r.queue_depth.last().unwrap(), 0);
@@ -125,7 +102,7 @@ proptest! {
         let trace = poisson_trace("prop", WorkloadKind::Mixed, 14, mean_gap, seed);
         let apps = trace_profiles(&trace);
         let mut policy = RandomPairing::new(policy_seed);
-        let cfg = service_cfg(EngineKind::Burst, None, 0);
+        let cfg = service_cfg(EngineKind::PerCore, 0);
         let r = run_service(&apps, &trace.arrivals, &mut policy, &cfg);
         prop_assert!(r.drained, "short traces must drain under the cap");
         prop_assert!(r.queue_depth.iter().all(|&d| d == 0), "capacity 0 never queues");
@@ -162,7 +139,7 @@ proptest! {
         let trace = poisson_trace("prop", WorkloadKind::Mixed, 14, mean_gap, seed);
         let apps = trace_profiles(&trace);
         let mut policy = RandomPairing::new(policy_seed);
-        let cfg = service_cfg(EngineKind::Burst, None, 6);
+        let cfg = service_cfg(EngineKind::PerCore, 6);
         let r = run_service(&apps, &trace.arrivals, &mut policy, &cfg);
         let width = u64::from(cfg.manager.chip.core.dispatch_width);
         for a in &r.completed {
