@@ -32,8 +32,8 @@ use std::time::Instant;
 use synpa::metrics::{antt, fairness, stp, tt_speedup, workload_ipc};
 use synpa::prelude::*;
 use synpa_experiments::{
-    canned_model, cells_of, results_dir, run_suite_sharded, threads, trained_model, SuitePolicy,
-    SuiteSpec,
+    canned_model, cells_of, results_dir, run_suite_sharded, threads, trained_model, ScenarioArgs,
+    SuitePolicy, SuiteSpec,
 };
 
 /// Ratio metrics over the apps that made progress in the window. Under
@@ -66,63 +66,17 @@ fn usage(reason: &str) -> ! {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut n_workloads: Option<usize> = None;
-    let mut reps: Option<u32> = None;
-    let mut engine: Option<EngineKind> = None;
-    let mut faults: Option<FaultConfig> = None;
-    let mut chip_faults: Option<ChipFaultConfig> = None;
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            // Engines are bit-identical (same cells, same cache keys);
-            // `--engine reference` exists to time the retained oracle path.
-            // Unknown names are a hard error (never a silent default).
-            "--engine" => {
-                let name = it.next().unwrap_or_else(|| usage("--engine needs a value"));
-                engine = Some(EngineKind::parse(name).unwrap_or_else(|e| usage(&e)));
-            }
-            // Seeded counter-fault injection (chaos mode): uniform rate
-            // split across the six fault kinds, byte-replayable from the
-            // seed. Same determinism contract as the healthy table — CI
-            // byte-diffs a fixed seed:rate across engines and thread counts.
-            "--faults" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--faults needs seed:rate"));
-                faults = Some(FaultConfig::parse(v).unwrap_or_else(|e| usage(&e)));
-            }
-            // Seeded execution-fault injection (core offlining, transient
-            // outages, throttling, crashing and hung apps). Pure function
-            // of the seed, so the faulted table is byte-replayable — CI
-            // byte-diffs a fixed seed:rate across engines and thread
-            // counts, and checks seed:0 reproduces the healthy table.
-            "--chip-faults" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--chip-faults needs seed:rate"));
-                chip_faults = Some(ChipFaultConfig::parse(v).unwrap_or_else(|e| usage(&e)));
-            }
-            "--workloads" => {
-                n_workloads = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--workloads needs a positive count")),
-                )
-            }
-            "--reps" => {
-                reps = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .filter(|&r| r >= 1)
-                        .unwrap_or_else(|| usage("--reps needs a positive count")),
-                )
-            }
-            other => usage(&format!("unknown argument '{other}'")),
-        }
-    }
+    let args = ScenarioArgs::parse(&raw, &[("--workloads", 1), ("--reps", 1)])
+        .unwrap_or_else(|e| usage(&e));
+    let n_workloads = args.count("--workloads").map(|n| n as usize);
+    let reps = args.count("--reps");
+    let ScenarioArgs {
+        smoke,
+        engine,
+        faults,
+        chip_faults,
+        ..
+    } = args;
     let engine = engine.unwrap_or(ChipConfig::thunderx2_full().engine);
     let n_workloads = n_workloads.unwrap_or(if smoke { 1 } else { 3 });
     let reps = reps.unwrap_or(if smoke { 1 } else { 3 });
@@ -271,6 +225,16 @@ fn main() {
                 synpa.apps_evacuated,
                 linux.cores_offlined,
                 linux.apps_evacuated,
+            );
+        }
+        // A run cut off by the quanta cap reports censored TT and IPC for
+        // its unfinished apps; flag the row rather than let it read as
+        // measured. Uncapped rows print nothing, so healthy tables are
+        // unchanged.
+        if linux.censored_apps + synpa.censored_apps > 0 {
+            println!(
+                "{:<6} {:<8} censored: {} apps unfinished at the quanta cap (linux: {})",
+                "", "", synpa.censored_apps, linux.censored_apps,
             );
         }
     }

@@ -32,7 +32,7 @@ use std::time::Instant;
 use synpa::apps::workload::WorkloadKind;
 use synpa::metrics::percentile;
 use synpa::prelude::*;
-use synpa_experiments::{canned_model, threads, trained_model};
+use synpa_experiments::{canned_model, threads, trained_model, ScenarioArgs};
 
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
@@ -62,60 +62,20 @@ struct TraceRow {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut n_arrivals: Option<usize> = None;
-    let mut engine: Option<EngineKind> = None;
-    let mut faults: Option<FaultConfig> = None;
-    let mut chip_faults: Option<ChipFaultConfig> = None;
-    let mut queue_capacity: Option<usize> = None;
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--engine" => {
-                let name = it.next().unwrap_or_else(|| usage("--engine needs a value"));
-                engine = Some(EngineKind::parse(name).unwrap_or_else(|e| usage(&e)));
-            }
-            // Seeded counter-fault injection on the service path; same
-            // byte-replayable contract as `full_chip --faults`.
-            "--faults" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--faults needs seed:rate"));
-                faults = Some(FaultConfig::parse(v).unwrap_or_else(|e| usage(&e)));
-            }
-            // Seeded execution-fault injection: offline/transient/throttled
-            // cores plus crashing and hung apps, driven by a pure plan so
-            // the faulted table is byte-replayable from the seed (CI
-            // byte-diffs a fixed seed:rate across engines and thread
-            // counts, and checks seed:0 is the healthy table).
-            "--chip-faults" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--chip-faults needs seed:rate"));
-                chip_faults = Some(ChipFaultConfig::parse(v).unwrap_or_else(|e| usage(&e)));
-            }
-            "--arrivals" => {
-                n_arrivals = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--arrivals needs a positive count")),
-                )
-            }
-            // Overrides the documented default bound (one slot per hardware
-            // thread). 0 is legal and means no queueing at all: arrivals
-            // that cannot attach at the next boundary are shed.
-            "--queue-capacity" => {
-                queue_capacity = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or_else(|| usage("--queue-capacity needs a non-negative count")),
-                )
-            }
-            other => usage(&format!("unknown argument '{other}'")),
-        }
-    }
+    // `--queue-capacity` overrides the documented default bound (one slot
+    // per hardware thread). 0 is legal and means no queueing at all:
+    // arrivals that cannot attach at the next boundary are shed.
+    let args = ScenarioArgs::parse(&raw, &[("--arrivals", 1), ("--queue-capacity", 0)])
+        .unwrap_or_else(|e| usage(&e));
+    let n_arrivals = args.count("--arrivals").map(|n| n as usize);
+    let queue_capacity = args.count("--queue-capacity").map(|n| n as usize);
+    let ScenarioArgs {
+        smoke,
+        engine,
+        faults,
+        chip_faults,
+        ..
+    } = args;
     let engine = engine.unwrap_or(ChipConfig::thunderx2(4).engine);
     let count = n_arrivals.unwrap_or(if smoke { 36 } else { 200 });
 

@@ -7,6 +7,7 @@
 //! * a disk-cached trained model so binaries don't retrain redundantly,
 //! * the sharded, per-cell-cached 20-workload × {linux, synpa} evaluation
 //!   sweep shared by Figs. 5, 8 and 9 (see [`suite`]),
+//! * the command-line flags the scenario binaries share (see [`args`]),
 //! * small table-formatting helpers.
 //!
 //! All caches live under `results/`; delete the directory (or run with
@@ -17,8 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod suite;
 
+pub use args::ScenarioArgs;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 pub use suite::{

@@ -68,6 +68,10 @@ pub struct SuiteCell {
     pub cores_offlined: u64,
     /// Apps evacuated from failing cores in the exemplar repetition.
     pub apps_evacuated: u64,
+    /// Apps still unfinished when the quanta cap fired in the exemplar
+    /// repetition (their TT and IPC are censored observations, not
+    /// measurements). No serde default, same rule as the counters above.
+    pub censored_apps: u64,
 }
 
 impl SuiteCell {
@@ -92,6 +96,12 @@ impl SuiteCell {
             faults_injected: cell.exemplar.degraded.injected_total(),
             cores_offlined: cell.exemplar.chip_faults.cores_offlined,
             apps_evacuated: cell.exemplar.chip_faults.apps_evacuated,
+            censored_apps: cell
+                .exemplar
+                .per_app
+                .iter()
+                .filter(|a| !a.completed)
+                .count() as u64,
         }
     }
 }
@@ -657,6 +667,7 @@ mod tests {
             faults_injected: 0,
             cores_offlined: 0,
             apps_evacuated: 0,
+            censored_apps: 0,
         };
         store_cell(&dir, "right", &cell);
         std::fs::rename(dir.join("right.json"), dir.join("wrong.json")).unwrap();

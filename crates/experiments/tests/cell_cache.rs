@@ -62,6 +62,7 @@ fn sentinel() -> SuiteCell {
         faults_injected: 0,
         cores_offlined: 0,
         apps_evacuated: 0,
+        censored_apps: 0,
     }
 }
 
@@ -129,5 +130,39 @@ fn corrupted_cell_file_is_recomputed_not_trusted() {
         "the corrupted file is rewritten with the recomputed cell"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `censored_apps` has no serde default: a cell cached before the field
+/// existed must be recomputed, never loaded as "nothing censored".
+#[test]
+fn cell_cached_without_censored_apps_is_not_trusted() {
+    let dir = temp_dir("censored-legacy");
+    store_cell(&dir, "legacy", &sentinel());
+    let path = dir.join("legacy.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let legacy: String = text
+        .lines()
+        .filter(|l| !l.contains("censored_apps"))
+        .collect::<Vec<_>>()
+        .join("\n")
+        .replace("apps_evacuated\": 0,", "apps_evacuated\": 0");
+    assert_ne!(legacy, text, "the field was present and has been removed");
+    std::fs::write(&path, legacy).unwrap();
+    assert!(load_cell(&dir, "legacy").is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell whose run hit the quanta cap counts its unfinished apps; an
+/// uncapped cell reports zero.
+#[test]
+fn capped_cell_counts_its_censored_apps() {
+    let dir = temp_dir("censored-count");
+    let healthy = run_suite_sharded(&spec(&dir, mini_config()), model(), 1);
+    assert_eq!(healthy[0].censored_apps, 0);
+    let mut capped = mini_config();
+    capped.manager.max_quanta = 2;
+    let cut = run_suite_sharded(&spec(&dir, capped), model(), 1);
+    assert_eq!(cut[0].censored_apps, cut[0].app_names.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,10 +5,10 @@
 //! quantum boundary [`ChipFaultDriver::apply`] draws the per-core events,
 //! evacuates residents of failing cores, takes the cores out of service
 //! (and returns transients to it), and derates throttled cores. Which apps
-//! were stranded is returned to the caller — the closed-batch manager
-//! re-queues them for admission, the open-system service routes them
-//! through its capped-retry machinery. See `docs/robustness.md` for the
-//! full taxonomy and recovery rules.
+//! were stranded is returned to the quantum loop, which re-queues them
+//! (closed batch) or routes them through the capped-retry machinery (open
+//! system). See `docs/robustness.md` for the full taxonomy and recovery
+//! rules.
 
 use synpa_sim::{Chip, ChipFaultConfig, ChipFaultPlan, CoreFault};
 
@@ -68,8 +68,8 @@ pub(crate) struct ChipFaultDriver {
     down_until: Vec<u64>,
     /// Cores already derated (a core throttles at most once).
     throttled: Vec<bool>,
-    /// Core-side fault accounting (the app-side fields stay zero here;
-    /// the service merges its own recovery counters in).
+    /// Fault accounting: the driver counts the core side; the quantum
+    /// loop adds the open system's crash/hang/retry/failed counters.
     pub stats: ChipFaultStats,
 }
 
@@ -83,8 +83,8 @@ impl ChipFaultDriver {
         }
     }
 
-    /// The underlying pure plan (the service also draws per-app execution
-    /// faults from it).
+    /// The underlying pure plan (the open system also draws per-app
+    /// execution faults from it).
     pub fn plan(&self) -> &ChipFaultPlan {
         &self.plan
     }

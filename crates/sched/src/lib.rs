@@ -8,11 +8,13 @@
 //!   every pair → Blossom-optimal pairing;
 //! * [`LinuxLike`] — the arrival-order static baseline the paper compares
 //!   against, plus [`RandomPairing`] and [`OracleSynpa`] ablations;
-//! * [`run_workload`] — the quantum loop with the §V-B relaunch
-//!   methodology;
-//! * [`run_service`] — the open-system front end: streaming arrivals
-//!   through a bounded admission queue, detach on completion, re-pairing
-//!   under churn, turnaround/sojourn latencies (see `docs/service.md`);
+//! * [`run_workload`] — the closed-batch front end of the quantum loop,
+//!   with the §V-B relaunch methodology;
+//! * [`run_service`] — the open-system front end of the same loop:
+//!   streaming arrivals through a bounded admission queue, detach on
+//!   completion, re-pairing under churn, turnaround/sojourn latencies.
+//!   The two differ only in what a completion does, the admission bound
+//!   and how evicted apps recover (see `docs/service.md`);
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
 //!   experiment driver.
 

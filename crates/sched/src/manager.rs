@@ -1,20 +1,32 @@
 //! The quantum manager: the reproduction of the paper's user-level thread
-//! manager (§V-A).
+//! manager (§V-A), and the one per-quantum loop behind both front ends.
 //!
-//! Owns the chip, places the workload's applications, and at every quantum
-//! boundary reads the PMU deltas, logs the characterization (the raw
-//! material for Figs. 6/7 and Table V), asks the policy for a placement and
-//! applies it. The §V-B methodology is built in: each application runs to a
-//! target instruction count and is relaunched immediately so the machine
-//! load stays constant; the workload is finished when the slowest
-//! application completes its first launch.
+//! At every quantum boundary the loop applies the chip-fault plan, admits
+//! waiting apps onto free slots, advances the chip one quantum, handles
+//! first-launch completions, reads the PMU deltas through the
+//! fault/sanitize stack, logs the characterization (the raw material for
+//! Figs. 6/7 and Table V), asks the policy for a placement and applies it.
+//! Two front ends configure it:
+//!
+//! * [`run_workload`] / [`run_workload_with_arrivals`] — the closed batch
+//!   of the §V-B methodology: each application runs to a target
+//!   instruction count and is relaunched immediately so the machine load
+//!   stays constant; the workload is finished when the slowest application
+//!   completes its first launch;
+//! * [`crate::run_service`] — the open system: bounded admission with
+//!   shedding, detach on completion, self-healing retries.
+//!
+//! The front ends pass only their three differences — what a completion
+//! does, the admission-queue bound, and how an evicted app recovers; the
+//! table in `docs/service.md` lists them.
 
 use crate::chipfaults::{ChipFaultDriver, ChipFaultStats};
 use crate::policy::{Policy, QuantumView};
+use std::collections::VecDeque;
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultInjector, FaultKind, InjectedCounts, SanitizingSession};
 use synpa_model::Categories;
-use synpa_sim::{Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
+use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
 
 /// One application's per-quantum log row.
 #[derive(Debug, Clone, Copy)]
@@ -227,9 +239,8 @@ pub fn run_workload(
 /// placement (app *k* on ctx 0 of core *k*, app *k + n/2* on ctx 1 of core
 /// *k*); mid-run it is the "place on an idle core first" behaviour of a
 /// load-balancing OS. `None` means the chip is full — the caller keeps the
-/// app pending until a slot frees (the admission primitive shared by the
-/// closed-batch manager and the open-system [`crate::service`]). Cores out
-/// of service are skipped: a slot on an offlined core is not free capacity.
+/// app waiting until a slot frees. Cores out of service are skipped: a
+/// slot on an offlined core is not free capacity.
 pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
     let smt = chip.config().core.smt_ways as usize;
     let cores = chip.config().cores as usize;
@@ -249,119 +260,6 @@ pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
     None
 }
 
-/// Appends one [`QuantumRow`] per sampled app to `trace` (the Fig. 6/7 and
-/// Table V raw material). Shared by the closed-batch manager and any
-/// front end that wants the same per-quantum characterization log.
-pub(crate) fn log_quantum(
-    trace: &mut Vec<QuantumRow>,
-    quantum: u64,
-    samples: &[(usize, synpa_sim::PmuDelta)],
-    placement: &[(usize, Slot)],
-    smt: usize,
-    width: u32,
-) {
-    let co_runner_of = |app: usize| -> usize {
-        let slot = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
-        let core = slot.core(smt);
-        placement
-            .iter()
-            .find(|&&(a, s)| a != app && s.core(smt) == core)
-            .map(|&(a, _)| a)
-            .unwrap_or(app)
-    };
-    for &(app, ref delta) in samples {
-        trace.push(QuantumRow {
-            quantum,
-            app,
-            categories: Categories::from_delta(delta, width),
-            co_runner: co_runner_of(app),
-            retired: delta.inst_retired,
-            cycles: delta.cpu_cycles,
-        });
-    }
-}
-
-/// Builds the [`QuantumView`], asks `policy` for a placement, counts core
-/// changes into `migrations` and applies the decision. The per-quantum
-/// decision step shared by [`run_workload_with_arrivals`] and the
-/// open-system [`crate::service`].
-#[allow(clippy::too_many_arguments)] // the args are the QuantumView fields
-pub(crate) fn decide_and_apply(
-    chip: &mut Chip,
-    policy: &mut dyn Policy,
-    quantum: u64,
-    samples: &[(usize, synpa_sim::PmuDelta)],
-    degraded: &[usize],
-    placement: &[(usize, Slot)],
-    availability: &[bool],
-    evacuated: usize,
-    migrations: &mut u64,
-) {
-    let smt = chip.config().core.smt_ways as usize;
-    let view = QuantumView {
-        quantum,
-        samples,
-        placement,
-        smt_ways: smt,
-        dispatch_width: chip.config().core.dispatch_width,
-        degraded,
-        availability,
-        evacuated,
-    };
-    if let Some(new_placement) = policy.decide(&view) {
-        for &(app, new_slot) in &new_placement {
-            let old = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
-            if old.core(smt) != new_slot.core(smt) {
-                *migrations += 1;
-            }
-        }
-        chip.set_placement(&new_placement);
-    }
-}
-
-/// One quantum's sanitized sampling pass, optionally through the fault
-/// injector. Shared by the closed-batch manager and the open-system
-/// service so both read the chip through exactly the same fault/sanitize
-/// stack.
-pub(crate) fn sample_sanitized(
-    session: &mut SanitizingSession,
-    injector: Option<&mut FaultInjector>,
-    chip: &Chip,
-    ids: &[usize],
-    quantum: u64,
-) -> synpa_counters::SanitizedQuantum {
-    match injector {
-        Some(inj) => {
-            inj.begin_quantum(quantum);
-            let src = inj.wrap(chip);
-            session.sample(&src, ids, quantum)
-        }
-        None => session.sample(chip, ids, quantum),
-    }
-}
-
-/// Assembles the end-of-run [`DegradedStats`] from the sanitizer ledger,
-/// the injector counters and the policy guardrails.
-pub(crate) fn degraded_stats(
-    session: &SanitizingSession,
-    injector: Option<&FaultInjector>,
-    quanta_degraded: u64,
-    policy: &dyn Policy,
-) -> DegradedStats {
-    let totals = session.totals();
-    let guard = policy.guardrail_stats().unwrap_or_default();
-    DegradedStats {
-        samples_ok: totals.ok,
-        samples_clamped: totals.clamped,
-        samples_held: totals.held,
-        samples_missing: totals.missing,
-        quanta_degraded,
-        injected: injector.map(|i| i.injected()).unwrap_or_default(),
-        fallback_entries: guard.fallback_entries,
-        fallback_quanta: guard.fallback_quanta,
-    }
-}
-
 /// [`run_workload`] with per-app arrival cycles (`arrivals[k]` for app *k*;
 /// an empty slice means everyone arrives at cycle 0). Any other length
 /// mismatch panics — a truncated arrival list would otherwise silently run
@@ -377,7 +275,10 @@ pub(crate) fn degraded_stats(
 /// tail is flagged `completed: false` — it does not panic. Waves may be
 /// any size, including odd: a core then simply runs one thread, and the
 /// pairing policies place the unpaired app alone. Each app's turnaround
-/// time is measured from its own arrival.
+/// time is measured from its own arrival. Apps stranded by a core outage
+/// re-attach ahead of new arrivals as soon as a slot is free; the
+/// instructions their lost thread had retired are censored, never
+/// credited back.
 pub fn run_workload_with_arrivals(
     apps: &[AppProfile],
     solo_ipc: &[f64],
@@ -396,136 +297,42 @@ pub fn run_workload_with_arrivals(
          (pass one arrival cycle per app, or an empty slice for all-at-0)",
         arrivals.len()
     );
-    let arrival = |k: usize| arrivals.get(k).copied().unwrap_or(0);
-    let smt = cfg.chip.core.smt_ways as usize;
-    let width = cfg.chip.core.dispatch_width;
-
-    let mut chip = Chip::new(cfg.chip.clone());
-    // Pending arrivals in (cycle, index) order, consumed through a cursor —
-    // `remove(0)` would be O(n²) over a long arrival trace.
-    let mut pending: Vec<usize> = (0..n).collect();
-    pending.sort_by_key(|&k| (arrival(k), k));
-    let mut next_pending = 0usize;
-
-    let mut session = SanitizingSession::new().with_cycle_bound(cfg.quantum_cycles);
-    let mut injector = cfg.faults.as_ref().map(FaultInjector::new);
-    let mut chip_driver = cfg
-        .chip_faults
-        .as_ref()
-        .map(|fc| ChipFaultDriver::new(fc, cfg.chip.cores as usize));
-    // Apps stranded by a core outage, waiting to be re-placed. They keep
-    // their original arrival and attachment times; the instructions their
-    // lost thread had retired are censored, never credited back.
-    let mut evac_pending: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut trace = Vec::new();
-    let mut tt: Vec<Option<u64>> = vec![None; n];
-    let mut attached_at: Vec<Option<u64>> = vec![None; n];
-    let mut migrations = 0u64;
-    let mut quantum = 0u64;
-    let mut quanta_degraded = 0u64;
-
-    while quantum < cfg.max_quanta && tt.iter().any(|t| t.is_none()) {
-        // Execution faults first: the fault plan may take cores out of
-        // service at this boundary, stranding their residents. Evacuees
-        // re-enter placement ahead of new arrivals (they are older).
-        let mut evacuated_now = 0usize;
-        if let Some(drv) = chip_driver.as_mut() {
-            for app in drv.apply(&mut chip, quantum) {
-                session.forget(app);
-                evac_pending.push_back(app);
-                evacuated_now += 1;
-            }
-        }
-        while let Some(&k) = evac_pending.front() {
-            let Some(slot) = first_free_slot(&chip) else {
-                break;
-            };
-            evac_pending.pop_front();
-            chip.attach(slot, k, Box::new(apps[k].clone()));
-        }
-        // Attach every due app there is room for (at cycle 0 this is the
-        // whole workload in the classic methodology). A due app that finds
-        // the chip full stays pending; admission is strictly FIFO, so apps
-        // behind it wait too.
-        while next_pending < n {
-            let k = pending[next_pending];
-            if arrival(k) > chip.cycle() {
-                break;
-            }
-            let Some(slot) = first_free_slot(&chip) else {
-                break;
-            };
-            chip.attach(slot, k, Box::new(apps[k].clone()));
-            attached_at[k] = Some(chip.cycle());
-            next_pending += 1;
-        }
-        // Absolute quantum boundaries: the engine (reference or percore,
-        // per `cfg.chip.engine`) advances to exactly this cycle.
-        let events = chip.run_until((quantum + 1) * cfg.quantum_cycles);
-        for ev in events {
-            if ev.launch == 0 && tt[ev.app_id].is_none() {
-                tt[ev.app_id] = Some(ev.cycle - arrival(ev.app_id));
-            }
-        }
-        // Sample only the apps actually on the chip, in ascending-id order
-        // (the same rows the plain session produced by skipping unplaced
-        // ids). Unplaced apps must never reach the sanitizer: a held-over
-        // row for an app with no slot would poison the characterization
-        // log and the policy view.
-        let placement = chip.placement();
-        let mut ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
-        ids.sort_unstable();
-        let sanitized = sample_sanitized(&mut session, injector.as_mut(), &chip, &ids, quantum);
-        if !sanitized.is_clean() {
-            quanta_degraded += 1;
-        }
-        log_quantum(
-            &mut trace,
-            quantum,
-            &sanitized.samples,
-            &placement,
-            smt,
-            width,
-        );
-        // An empty availability mask is the healthy fast path (policies
-        // treat it as all-available); only faulted runs pay for the mask.
-        let availability = if chip_driver.is_some() {
-            chip.availability()
-        } else {
-            Vec::new()
-        };
-        decide_and_apply(
-            &mut chip,
-            policy,
-            quantum,
-            &sanitized.samples,
-            &sanitized.degraded,
-            &placement,
-            &availability,
-            evacuated_now,
-            &mut migrations,
-        );
-        quantum += 1;
-    }
+    let arrivals = if arrivals.is_empty() {
+        vec![0; n]
+    } else {
+        arrivals.to_vec()
+    };
+    let mut run = QuantumLoop::new(
+        apps,
+        &arrivals,
+        cfg,
+        OnCompletion::Relaunch,
+        usize::MAX,
+        Recovery::Requeue,
+    );
+    run.run(policy);
 
     // End-of-run accounting. An app the cap cut off mid-flight reports its
-    // censored elapsed time and its *measured* partial-launch IPC; an app
-    // that never reached the chip (arrived after the cap, or kept pending
-    // by a full chip) reports zeroes. Both are flagged `completed: false` —
-    // the old behaviour fabricated `ipc = length / clamp(TT, 1)`, which
-    // rewarded exactly the apps that did the least work.
-    let end_cycle = chip.cycle();
+    // censored elapsed time and its *measured* partial-launch IPC (retired
+    // instructions of its current thread over the cycles since that thread
+    // attached); an app that never reached the chip (arrived after the
+    // cap, or kept pending by a full chip) reports zeroes. Both are flagged
+    // `completed: false` — never an IPC fabricated from a clamped TT.
+    let end_cycle = run.chip.cycle();
     let per_app = apps
         .iter()
         .enumerate()
         .map(|(k, app)| {
-            let (tt_cycles, ipc, completed) = match (tt[k], attached_at[k]) {
-                (Some(t), _) => (t, app.length() as f64 / t.max(1) as f64, true),
+            let (tt_cycles, ipc, completed) = match (run.completed_at[k], run.attached_at[k]) {
+                (Some(done), _) => {
+                    let t = done - arrivals[k];
+                    (t, app.length() as f64 / t.max(1) as f64, true)
+                }
                 (None, Some(at)) => {
-                    let retired = chip.pmu_of(k).map(|p| p.inst_retired).unwrap_or(0);
+                    let retired = run.chip.pmu_of(k).map(|p| p.inst_retired).unwrap_or(0);
                     let on_chip = end_cycle.saturating_sub(at).max(1);
                     (
-                        end_cycle.saturating_sub(arrival(k)),
+                        end_cycle.saturating_sub(arrivals[k]),
                         retired as f64 / on_chip as f64,
                         false,
                     )
@@ -548,12 +355,475 @@ pub fn run_workload_with_arrivals(
         tt_cycles: per_app.iter().map(|a| a.tt_cycles).max().unwrap_or(0),
         capped: per_app.iter().any(|a| !a.completed),
         per_app,
-        trace,
-        quanta: quantum,
-        migrations,
+        quanta: run.quantum,
+        migrations: run.migrations,
         matcher: policy.matcher_stats(),
-        degraded: degraded_stats(&session, injector.as_ref(), quanta_degraded, policy),
-        chip_faults: chip_driver.map(|d| d.stats).unwrap_or_default(),
+        degraded: run.degraded_stats(policy),
+        chip_faults: run.chip_fault_stats(),
+        trace: run.trace,
+    }
+}
+
+/// What a first-launch completion does (the first of the front ends'
+/// three differences).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OnCompletion {
+    /// Closed batch (§V-B): record it; the chip relaunches the app in
+    /// place. The run stops before the boundary at which every app has
+    /// completed (or the cap is reached); every quantum samples in
+    /// ascending app-id order and consults the policy, even on an empty
+    /// chip.
+    Relaunch,
+    /// Open system: detach the app at the boundary. The run stops after
+    /// admission once the trace is drained (or the cap is reached),
+    /// records queue depth and occupancy at every boundary, samples in
+    /// slot order and skips the policy on an empty chip.
+    Detach,
+}
+
+/// What happens to an app that lost its thread (the third difference).
+#[derive(Clone, Copy)]
+pub(crate) enum Recovery {
+    /// Closed batch: evacuees re-attach ahead of any arrival, from the same
+    /// boundary on. No planned crash/hang, no watchdog, no budget.
+    Requeue,
+    /// Open system: planned crash/hang faults, the watchdog, and a capped
+    /// retry budget with backoff (see `ServiceConfig`).
+    Retry {
+        watchdog_quanta: u64,
+        max_retries: u32,
+        backoff_quanta: u64,
+    },
+}
+
+/// Evictions and app faults only happen under a chip-fault plan.
+const EVICTIONS: &str = "evictions come from the chip-fault plan";
+
+/// The one quantum loop and the state it carries between boundaries.
+pub(crate) struct QuantumLoop<'a> {
+    apps: &'a [AppProfile],
+    arrivals: &'a [u64],
+    cfg: &'a ManagerConfig,
+    on_completion: OnCompletion,
+    /// Admission-queue bound (the second difference): a full queue sheds
+    /// the newest arrival; `usize::MAX` (closed batch) admits every due
+    /// app.
+    queue_capacity: usize,
+    recovery: Recovery,
+    pub(crate) chip: Chip,
+    session: SanitizingSession,
+    injector: Option<FaultInjector>,
+    driver: Option<ChipFaultDriver>,
+    /// App ids in (arrival, id) order, consumed through a cursor.
+    order: Vec<usize>,
+    pub(crate) next_arrival: usize,
+    /// Due apps waiting for a free slot, FIFO.
+    pub(crate) queue: VecDeque<usize>,
+    /// Evicted apps waiting to re-enter, as `(due_quantum, app)`: under
+    /// `Requeue` due at once and attached ahead of the queue, under
+    /// `Retry` due after the (constant) backoff and appended to the queue.
+    /// Due quanta are nondecreasing in push order.
+    pub(crate) backlog: VecDeque<(u64, usize)>,
+    /// Arrivals refused at the door (queue full), in arrival order.
+    pub(crate) shed: Vec<usize>,
+    /// Apps that exhausted their retry budget, in event order.
+    pub(crate) failed: Vec<usize>,
+    /// `Retry` state per app: retries granted, and the watchdog's last
+    /// observed retired-instruction counter, consecutive zero-progress
+    /// quanta and whether the planned hang already fired.
+    retries: Vec<u32>,
+    last_retired: Vec<u64>,
+    stalled: Vec<u64>,
+    hang_applied: Vec<bool>,
+    /// Cycle of each app's latest attach. A re-attached app runs on a new
+    /// thread whose PMU starts from zero, so every attach updates it.
+    pub(crate) attached_at: Vec<Option<u64>>,
+    /// First-launch completion cycle per app, and the completion order.
+    pub(crate) completed_at: Vec<Option<u64>>,
+    pub(crate) completed: Vec<usize>,
+    /// Queue depth and occupancy after admission at each boundary
+    /// ([`OnCompletion::Detach`] only).
+    pub(crate) queue_depth: Vec<usize>,
+    pub(crate) occupancy: Vec<usize>,
+    pub(crate) trace: Vec<QuantumRow>,
+    pub(crate) quantum: u64,
+    pub(crate) migrations: u64,
+    quanta_degraded: u64,
+    /// Stopped because the trace, the queue, the backlog and the chip
+    /// were all empty ([`OnCompletion::Detach`] only).
+    pub(crate) drained: bool,
+}
+
+impl<'a> QuantumLoop<'a> {
+    /// A loop over `apps` arriving at `arrivals[k]` (one per app).
+    pub(crate) fn new(
+        apps: &'a [AppProfile],
+        arrivals: &'a [u64],
+        cfg: &'a ManagerConfig,
+        on_completion: OnCompletion,
+        queue_capacity: usize,
+        recovery: Recovery,
+    ) -> Self {
+        let n = apps.len();
+        let driver = cfg
+            .chip_faults
+            .as_ref()
+            .map(|fc| ChipFaultDriver::new(fc, cfg.chip.cores as usize));
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&k| (arrivals[k], k));
+        QuantumLoop {
+            apps,
+            arrivals,
+            cfg,
+            on_completion,
+            queue_capacity,
+            recovery,
+            chip: Chip::new(cfg.chip.clone()),
+            session: SanitizingSession::new().with_cycle_bound(cfg.quantum_cycles),
+            injector: cfg.faults.as_ref().map(FaultInjector::new),
+            driver,
+            order,
+            next_arrival: 0,
+            queue: VecDeque::new(),
+            backlog: VecDeque::new(),
+            shed: Vec::new(),
+            failed: Vec::new(),
+            retries: vec![0; n],
+            last_retired: vec![0; n],
+            stalled: vec![0; n],
+            hang_applied: vec![false; n],
+            attached_at: vec![None; n],
+            completed_at: vec![None; n],
+            completed: Vec::new(),
+            queue_depth: Vec::new(),
+            occupancy: Vec::new(),
+            trace: Vec::new(),
+            quantum: 0,
+            migrations: 0,
+            quanta_degraded: 0,
+            drained: false,
+        }
+    }
+
+    /// Runs quanta until the front end's stop condition or the cap.
+    pub(crate) fn run(&mut self, policy: &mut dyn Policy) {
+        let closed = self.on_completion == OnCompletion::Relaunch;
+        let n = self.apps.len();
+        let smt = self.cfg.chip.core.smt_ways as usize;
+        let width = self.cfg.chip.core.dispatch_width;
+        loop {
+            if closed && (self.quantum >= self.cfg.max_quanta || self.completed.len() == n) {
+                break;
+            }
+            // 1. Execution faults: the plan may take cores out of service
+            //    at this boundary, stranding their residents. Their threads
+            //    are gone (progress censored) and recovery decides whether
+            //    and when they run again.
+            let mut evacuated = 0;
+            if let Some(drv) = self.driver.as_mut() {
+                let stranded = drv.apply(&mut self.chip, self.quantum);
+                evacuated = stranded.len();
+                for app in stranded {
+                    self.evict(app);
+                }
+            }
+            // 2. Admission.
+            self.admit();
+            if !closed {
+                let occupied = self.chip.placement().len();
+                self.queue_depth.push(self.queue.len());
+                self.occupancy.push(occupied);
+                if self.next_arrival == n
+                    && self.queue.is_empty()
+                    && self.backlog.is_empty()
+                    && occupied == 0
+                {
+                    self.drained = true;
+                    break;
+                }
+                if self.quantum >= self.cfg.max_quanta {
+                    break;
+                }
+            }
+            // 3. One quantum, to the absolute boundary (an empty chip still
+            //    advances through idle gaps). Turnaround uses the exact
+            //    completion cycle, not the boundary.
+            let events = self
+                .chip
+                .run_until((self.quantum + 1) * self.cfg.quantum_cycles);
+            for ev in &events {
+                if ev.launch == 0 && self.completed_at[ev.app_id].is_none() {
+                    self.complete(ev.app_id, ev.cycle);
+                }
+            }
+            // 4. Planned app faults and the watchdog.
+            self.recover();
+            // 5. Sample the apps on the chip (unplaced apps must never
+            //    reach the sanitizer: a held-over row for an app with no
+            //    slot would poison the log and the policy view), log the
+            //    characterization, and let the policy re-pair them.
+            let placement = self.chip.placement();
+            if closed || !placement.is_empty() {
+                let mut ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
+                if closed {
+                    ids.sort_unstable();
+                }
+                let q = self.quantum;
+                let sanitized = match self.injector.as_mut() {
+                    Some(inj) => {
+                        inj.begin_quantum(q);
+                        self.session.sample(&inj.wrap(&self.chip), &ids, q)
+                    }
+                    None => self.session.sample(&self.chip, &ids, q),
+                };
+                if !sanitized.is_clean() {
+                    self.quanta_degraded += 1;
+                }
+                let slot_of = |app: usize| {
+                    let placed = placement.iter().find(|&&(a, _)| a == app);
+                    placed.expect("only placed apps are sampled or moved").1
+                };
+                for &(app, ref delta) in &sanitized.samples {
+                    let core = slot_of(app).core(smt);
+                    let co_runner = placement
+                        .iter()
+                        .find(|&&(a, s)| a != app && s.core(smt) == core)
+                        .map_or(app, |&(a, _)| a);
+                    self.trace.push(QuantumRow {
+                        quantum: q,
+                        app,
+                        categories: Categories::from_delta(delta, width),
+                        co_runner,
+                        retired: delta.inst_retired,
+                        cycles: delta.cpu_cycles,
+                    });
+                }
+                // An empty availability mask is the healthy fast path
+                // (policies treat it as all-available).
+                let availability = if self.driver.is_some() {
+                    self.chip.availability()
+                } else {
+                    Vec::new()
+                };
+                let view = QuantumView {
+                    quantum: q,
+                    samples: &sanitized.samples,
+                    placement: &placement,
+                    smt_ways: smt,
+                    dispatch_width: width,
+                    degraded: &sanitized.degraded,
+                    availability: &availability,
+                    evacuated,
+                };
+                if let Some(new_placement) = policy.decide(&view) {
+                    for &(app, new_slot) in &new_placement {
+                        if slot_of(app).core(smt) != new_slot.core(smt) {
+                            self.migrations += 1;
+                        }
+                    }
+                    self.chip.set_placement(&new_placement);
+                }
+            }
+            self.quantum += 1;
+        }
+    }
+
+    /// Due evictions re-enter first: evacuees (closed batch) attach ahead
+    /// of the queue; retries (open system) rejoin it, bypassing the
+    /// capacity check — an admitted app is never shed. Then every arrival
+    /// due by now streams through admission in arrival order. The queue is
+    /// drained onto free slots before each capacity check, so an arrival is
+    /// shed only against the true backlog (drop-newest: a full queue
+    /// refuses the arrival at the door; queued apps are never evicted).
+    fn admit(&mut self) {
+        while let Some(&(due, app)) = self.backlog.front() {
+            if due > self.quantum {
+                break;
+            }
+            if let Recovery::Requeue = self.recovery {
+                let Some(slot) = first_free_slot(&self.chip) else {
+                    break;
+                };
+                self.attach(slot, app);
+            } else {
+                self.queue.push_back(app);
+            }
+            self.backlog.pop_front();
+        }
+        let now = self.chip.cycle();
+        while let Some(&k) = self.order.get(self.next_arrival) {
+            if self.arrivals[k] > now {
+                break;
+            }
+            self.drain_queue();
+            if self.queue.len() < self.queue_capacity {
+                self.queue.push_back(k);
+            } else if self.queue.is_empty() {
+                // Capacity 0: no waiting room, but an arrival that can
+                // attach right now still runs.
+                match first_free_slot(&self.chip) {
+                    Some(slot) => self.attach(slot, k),
+                    None => self.shed.push(k),
+                }
+            } else {
+                self.shed.push(k);
+            }
+            self.next_arrival += 1;
+        }
+        self.drain_queue();
+    }
+
+    /// FIFO: a blocked head of line blocks everyone behind it.
+    fn drain_queue(&mut self) {
+        while let Some(&k) = self.queue.front() {
+            let Some(slot) = first_free_slot(&self.chip) else {
+                break;
+            };
+            self.queue.pop_front();
+            self.attach(slot, k);
+        }
+    }
+
+    fn attach(&mut self, slot: Slot, app: usize) {
+        self.chip
+            .attach(slot, app, Box::new(self.apps[app].clone()));
+        self.attached_at[app] = Some(self.chip.cycle());
+    }
+
+    fn detach(&mut self, app: usize) {
+        let slot = self.chip.slot_of(app).expect("placed app has a slot");
+        self.chip.detach(slot);
+    }
+
+    fn complete(&mut self, app: usize, cycle: u64) {
+        self.completed_at[app] = Some(cycle);
+        self.completed.push(app);
+        if self.on_completion == OnCompletion::Detach {
+            // The chip relaunched it at completion; that partial second
+            // launch is discarded — the open system runs each app once.
+            self.detach(app);
+            self.session.forget(app);
+        }
+    }
+
+    /// `app` lost its thread (core outage, crash, hang). Under `Requeue`
+    /// it waits to re-attach; under `Retry` it gets a backed-off retry
+    /// while its budget lasts and is reported failed after. Progress is
+    /// censored either way: the next attach restarts the launch.
+    fn evict(&mut self, app: usize) {
+        self.session.forget(app);
+        let Recovery::Retry {
+            max_retries,
+            backoff_quanta,
+            ..
+        } = self.recovery
+        else {
+            self.backlog.push_back((self.quantum, app));
+            return;
+        };
+        self.last_retired[app] = 0;
+        self.stalled[app] = 0;
+        self.hang_applied[app] = false;
+        let stats = &mut self.driver.as_mut().expect(EVICTIONS).stats;
+        if self.retries[app] >= max_retries {
+            self.failed.push(app);
+            stats.failed += 1;
+        } else {
+            self.retries[app] += 1;
+            stats.retries += 1;
+            self.backlog
+                .push_back((self.quantum + 1 + backoff_quanta, app));
+        }
+    }
+
+    /// Open system under a chip-fault plan: planned execution faults
+    /// (drawn from the pure plan) on the survivors, then the watchdog.
+    /// Completion wins a same-quantum tie
+    /// (its detach already ran). Crashes detach immediately; hangs wedge
+    /// the thread in place and are caught by the watchdog like any other
+    /// app with zero retirement for `watchdog_quanta` consecutive quanta —
+    /// it reads only the public PMU, never the fault plan.
+    fn recover(&mut self) {
+        let Recovery::Retry {
+            watchdog_quanta, ..
+        } = self.recovery
+        else {
+            return;
+        };
+        if self.driver.is_none() {
+            return;
+        }
+        for app in self.placed_ids() {
+            let (crash, frac) = match self.driver.as_ref().and_then(|d| d.plan().app_fault(app)) {
+                Some(AppFault::Crash { frac }) => (true, frac),
+                Some(AppFault::Hang { frac }) => (false, frac),
+                None => continue,
+            };
+            // A fraction of the launch target: it always fires before a
+            // healthy completion.
+            if self.retired(app) < (frac * self.apps[app].length() as f64) as u64 {
+                continue;
+            }
+            if crash {
+                self.detach(app);
+                self.fault_stats().apps_crashed += 1;
+                self.evict(app);
+            } else if !self.hang_applied[app] {
+                self.chip.hang_app(app);
+                self.hang_applied[app] = true;
+                self.fault_stats().apps_hung += 1;
+            }
+        }
+        for app in self.placed_ids() {
+            let retired = self.retired(app);
+            if retired == self.last_retired[app] {
+                self.stalled[app] += 1;
+            } else {
+                self.stalled[app] = 0;
+                self.last_retired[app] = retired;
+            }
+            if self.stalled[app] >= watchdog_quanta {
+                self.detach(app);
+                self.evict(app);
+            }
+        }
+    }
+
+    fn placed_ids(&self) -> Vec<usize> {
+        self.chip.placement().iter().map(|&(a, _)| a).collect()
+    }
+
+    fn retired(&self, app: usize) -> u64 {
+        self.chip.pmu_of(app).map_or(0, |p| p.inst_retired)
+    }
+
+    fn fault_stats(&mut self) -> &mut ChipFaultStats {
+        &mut self.driver.as_mut().expect(EVICTIONS).stats
+    }
+
+    /// Sample-health and fault accounting: the sanitizer ledger, the
+    /// injector counters and the policy guardrails.
+    pub(crate) fn degraded_stats(&self, policy: &dyn Policy) -> DegradedStats {
+        let totals = self.session.totals();
+        let guard = policy.guardrail_stats().unwrap_or_default();
+        DegradedStats {
+            samples_ok: totals.ok,
+            samples_clamped: totals.clamped,
+            samples_held: totals.held,
+            samples_missing: totals.missing,
+            quanta_degraded: self.quanta_degraded,
+            injected: self
+                .injector
+                .as_ref()
+                .map(|i| i.injected())
+                .unwrap_or_default(),
+            fallback_entries: guard.fallback_entries,
+            fallback_quanta: guard.fallback_quanta,
+        }
+    }
+
+    pub(crate) fn chip_fault_stats(&self) -> ChipFaultStats {
+        self.driver.as_ref().map(|d| d.stats).unwrap_or_default()
     }
 }
 
@@ -866,6 +1136,57 @@ mod tests {
                 assert!(a.tt_cycles > 0);
             }
         }
+    }
+
+    /// Regression (censored IPC after a re-attach): an evacuee re-attaches
+    /// as a new thread whose PMU starts from zero, but only the first
+    /// attach cycle used to be recorded, so a capped evacuee reported the
+    /// instructions retired since the re-attach over the cycles since the
+    /// first attach. Its IPC must be that of its current thread: the
+    /// trace rows since the re-attach, summed.
+    #[test]
+    fn capped_evacuee_reports_ipc_since_its_reattach() {
+        let names = ["mcf", "gobmk", "hmmer", "astar"];
+        let apps: Vec<AppProfile> = names
+            .iter()
+            .map(|n| spec::by_name(n).unwrap().with_length(10_000_000))
+            .collect();
+        let cfg = ManagerConfig {
+            chip: ChipConfig::thunderx2(2), // 4 slots: evacuees must wait
+            chip_faults: Some(synpa_sim::ChipFaultConfig::uniform(1, 1.0)),
+            max_quanta: 200,
+            ..Default::default()
+        };
+        let result = run_workload(&apps, &[1.0; 4], &mut LinuxLike, &cfg);
+        assert!(result.capped && result.chip_faults.apps_evacuated > 0);
+        let last = result.quanta - 1;
+        let mut checked = 0;
+        for a in result.per_app.iter().filter(|a| !a.completed) {
+            let rows: Vec<&QuantumRow> = result.trace.iter().filter(|r| r.app == a.app).collect();
+            // The current thread's rows: the unbroken run ending at the cap.
+            let run = rows
+                .iter()
+                .rev()
+                .zip((0..=last).rev())
+                .take_while(|(r, q)| r.quantum == *q)
+                .count();
+            if run == 0 || run == rows.len() {
+                continue; // not on chip at the cap, or never off it
+            }
+            let current = &rows[rows.len() - run..];
+            let retired: u64 = current.iter().map(|r| r.retired).sum();
+            let cycles: u64 = current.iter().map(|r| r.cycles).sum();
+            assert_eq!(cycles, run as u64 * cfg.quantum_cycles);
+            let want = retired as f64 / cycles as f64;
+            assert!(
+                (a.ipc - want).abs() < 1e-12,
+                "app {}: ipc {} but its current thread ran at {want}",
+                a.app,
+                a.ipc
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no capped app re-attached after a wait");
     }
 
     #[test]

@@ -155,3 +155,27 @@ proptest! {
         }
     }
 }
+
+// Both front ends drive the same per-quantum step: with every app arriving
+// at cycle 0 onto a chip with room for all of them, the closed batch and
+// the service admit the same apps onto the same slots and step the same
+// chip, so their states are identical until the first detach — and the
+// earliest first-launch completion lands on the same cycle, on every
+// engine.
+#[test]
+fn batch_and_service_share_the_step_until_the_first_completion() {
+    let apps: Vec<AppProfile> = ["nab_r", "hmmer", "leela_r"]
+        .iter()
+        .map(|n| spec::by_name(n).unwrap().with_length(LAUNCH))
+        .collect();
+    let arrivals = vec![0; apps.len()];
+    for engine in EngineKind::ALL {
+        let cfg = service_cfg(engine, 6);
+        assert!(apps.len() <= cfg.manager.chip.hw_threads());
+        let batch = run_workload(&apps, &[1.0; 3], &mut LinuxLike, &cfg.manager);
+        let service = run_service(&apps, &arrivals, &mut LinuxLike, &cfg);
+        let first_batch = batch.per_app.iter().map(|a| a.tt_cycles).min().unwrap();
+        let first_service = service.completed.iter().map(|a| a.completed).min().unwrap();
+        assert_eq!(first_batch, first_service, "{engine}");
+    }
+}
