@@ -1,14 +1,16 @@
 //! §IV-B step 3: pair selection cost. The paper adopts Blossom because
 //! enumerating combinations "quickly explodes with the number of cores" —
 //! these benches reproduce that scaling argument (exhaustive is capped at
-//! n = 16; Blossom keeps going to full-chip sizes).
+//! n = 16; Blossom keeps going to full-chip sizes). The `bound` rows time
+//! the fractional-matching lower bound the SYNPA policy asks before it
+//! solves (docs/matching.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use synpa::matching::{
-    exhaustive_min_pairing, greedy_min_pairing, min_cost_pairing, IncrementalMatcher,
+    exhaustive_min_pairing, greedy_min_pairing, min_cost_lower_bound, min_cost_pairing,
 };
-use synpa_bench::{st_drift_trace, synthetic_costs};
+use synpa_bench::synthetic_costs;
 
 fn pairing_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairing");
@@ -31,76 +33,14 @@ fn pairing_algorithms(c: &mut Criterion) {
             b.iter(|| black_box(min_cost_pairing(black_box(costs))))
         });
     }
-    group.finish();
-}
-
-/// The incremental-matcher hot paths at full-chip size, against the cold
-/// `pairing/blossom/56` row above (see docs/matching.md for the targets).
-fn incremental_pairing(c: &mut Criterion) {
-    let n = 56usize;
-    let mut group = c.benchmark_group("pairing");
-
-    // Certificate fast-path: the matrix is unchanged since the retained
-    // solve, so every call is an O(n²) accept. This is the steady state
-    // the scheduler's epsilon gate produces on most quanta.
-    let costs = synthetic_costs(n);
-    let mut matcher = IncrementalMatcher::new();
-    matcher.pairing(&costs); // retain a solved state outside the timer
-    group.bench_with_input(BenchmarkId::new("certificate", n), &costs, |b, costs| {
-        b.iter(|| black_box(matcher.pairing(black_box(costs))))
-    });
-    assert!(matcher.stats().certificate_hits > 0);
-
-    // Certificate-reject path: alternate two matrices that differ in a
-    // handful of rows, so every call rejects the certificate and
-    // re-solves (warm-started when any retained pair survives the
-    // violation scan, cold fallback otherwise). Each iteration times two
-    // such re-solves — the incremental matcher's worst case.
-    let base = synthetic_costs(n);
-    let mut spiked = base.clone();
-    for a in [3usize, 17, 29, 41] {
-        for v in (0..n).filter(|&v| v != a) {
-            spiked[a][v] *= 1.3;
-            spiked[v][a] *= 1.3;
-        }
+    for n in [8usize, 56] {
+        let costs = synthetic_costs(n);
+        group.bench_with_input(BenchmarkId::new("bound", n), &costs, |b, costs| {
+            b.iter(|| black_box(min_cost_lower_bound(black_box(costs))))
+        });
     }
-    let mut matcher = IncrementalMatcher::new();
-    matcher.pairing(&base);
-    group.bench_function(BenchmarkId::new("blossom_warm", n), |b| {
-        b.iter(|| {
-            black_box(matcher.pairing(black_box(&spiked)));
-            black_box(matcher.pairing(black_box(&base)));
-        })
-    });
-    let reject_stats = matcher.stats();
-    assert!(reject_stats.solves() > 1, "every alternation must re-solve");
-    assert_eq!(
-        reject_stats.calls,
-        reject_stats.certificate_hits + reject_stats.solves()
-    );
-
-    // Steady-state headline: replay a 64-quantum epsilon-gated drift
-    // trace through one persistent matcher (the per-quantum cost is the
-    // measured time divided by 64). `drift_trace_fresh` replays the same
-    // trace through cold solves for the apples-to-apples baseline.
-    let trace = st_drift_trace(n, 64, 0.02, 0xD81F7);
-    group.bench_function(BenchmarkId::new("drift_trace", n), |b| {
-        b.iter(|| {
-            let mut m = IncrementalMatcher::new();
-            for costs in &trace {
-                black_box(m.pairing(black_box(costs)));
-            }
-        })
-    });
-    group.bench_function(BenchmarkId::new("drift_trace_fresh", n), |b| {
-        b.iter(|| {
-            for costs in &trace {
-                black_box(min_cost_pairing(black_box(costs)));
-            }
-        })
-    });
     group.finish();
 }
 
-criterion_group!(benches, pairing_algorithms, incremental_pairing);
+criterion_group!(benches, pairing_algorithms);
 criterion_main!(benches);

@@ -55,11 +55,8 @@ pub fn synthetic_categories(n: usize) -> Vec<Categories> {
 
 /// Symmetric cost matrix derived from the bench model over `n` apps.
 pub fn synthetic_costs(n: usize) -> Vec<Vec<f64>> {
-    costs_of(&bench_model(), &synthetic_categories(n))
-}
-
-fn costs_of(model: &SynpaModel, st: &[Categories]) -> Vec<Vec<f64>> {
-    let n = st.len();
+    let model = bench_model();
+    let st = synthetic_categories(n);
     (0..n)
         .map(|i| {
             (0..n)
@@ -73,42 +70,4 @@ fn costs_of(model: &SynpaModel, st: &[Categories]) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
-}
-
-/// A per-quantum cost-matrix trace replaying ST drift the way the
-/// scheduler's epsilon-gated cost cache produces it: most quanta only a
-/// few apps move past the re-prediction threshold (their row/column
-/// changes, the rest of the matrix is byte-identical), and many quanta
-/// nothing moves at all. Each returned matrix is what `Synpa::decide`
-/// would hand the matcher on that quantum.
-///
-/// `step` is the relative drift magnitude per moving app; the xorshift
-/// `seed` makes the trace reproducible across runs and machines.
-pub fn st_drift_trace(n: usize, quanta: usize, step: f64, seed: u64) -> Vec<Vec<Vec<f64>>> {
-    let model = bench_model();
-    let mut st = synthetic_categories(n);
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut trace = Vec::with_capacity(quanta);
-    for _ in 0..quanta {
-        // The settled regime: on most quanta no estimate crosses the
-        // re-prediction threshold, so the matrix replays byte-identical;
-        // roughly one quantum in eight, one app's phase moves and its
-        // whole row/column re-dirties.
-        if next() % 8 == 0 {
-            let a = (next() % n as u64) as usize;
-            let wobble = |x: f64, r: u64| {
-                (x * (1.0 + ((r % 2_001) as f64 / 1_000.0 - 1.0) * step)).max(0.01)
-            };
-            st[a].frontend = wobble(st[a].frontend, next());
-            st[a].backend = wobble(st[a].backend, next());
-        }
-        trace.push(costs_of(&model, &st));
-    }
-    trace
 }

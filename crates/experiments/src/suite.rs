@@ -47,12 +47,10 @@ pub struct SuiteCell {
     /// counters must invalidate previously cached cells rather than load
     /// them with fabricated zeros.
     pub matcher_quanta: u64,
-    /// Certificate fast-path accepts among those calls (O(n²), no solve).
-    pub matcher_fast_path: u64,
-    /// Warm-started blossom solves among those calls.
-    pub matcher_warm: u64,
-    /// Cold blossom solves among those calls.
-    pub matcher_cold: u64,
+    /// Calls the lower bound answered (no blossom solve).
+    pub matcher_bound: u64,
+    /// Blossom solves among those calls.
+    pub matcher_solves: u64,
     /// Quanta with at least one degraded sample in the exemplar repetition
     /// (0 on healthy sources). Like the matcher counters above, deliberately
     /// no serde default: robustness accounting must invalidate stale cells.
@@ -89,9 +87,8 @@ impl SuiteCell {
             app_speedup: cell.app_speedup.clone(),
             migrations: cell.exemplar.migrations,
             matcher_quanta: cell.exemplar.matcher.map_or(0, |m| m.calls),
-            matcher_fast_path: cell.exemplar.matcher.map_or(0, |m| m.certificate_hits),
-            matcher_warm: cell.exemplar.matcher.map_or(0, |m| m.warm_solves),
-            matcher_cold: cell.exemplar.matcher.map_or(0, |m| m.cold_solves),
+            matcher_bound: cell.exemplar.matcher.map_or(0, |m| m.certificate_hits),
+            matcher_solves: cell.exemplar.matcher.map_or(0, |m| m.cold_solves),
             degraded_quanta: cell.exemplar.degraded.quanta_degraded,
             faults_injected: cell.exemplar.degraded.injected_total(),
             cores_offlined: cell.exemplar.chip_faults.cores_offlined,
@@ -660,9 +657,8 @@ mod tests {
             app_speedup: vec![],
             migrations: 0,
             matcher_quanta: 0,
-            matcher_fast_path: 0,
-            matcher_warm: 0,
-            matcher_cold: 0,
+            matcher_bound: 0,
+            matcher_solves: 0,
             degraded_quanta: 0,
             faults_injected: 0,
             cores_offlined: 0,

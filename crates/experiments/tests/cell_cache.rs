@@ -55,9 +55,8 @@ fn sentinel() -> SuiteCell {
         app_speedup: vec![1.0],
         migrations: 77,
         matcher_quanta: 0,
-        matcher_fast_path: 0,
-        matcher_warm: 0,
-        matcher_cold: 0,
+        matcher_bound: 0,
+        matcher_solves: 0,
         degraded_quanta: 0,
         faults_injected: 0,
         cores_offlined: 0,

@@ -16,13 +16,15 @@
 //! The solver runs entirely inside a reusable [`Workspace`]: the adjacency
 //! and blossom-membership matrices are flat row-major arrays sized
 //! `(2n+2)²`, and every per-solve buffer is reset in place rather than
-//! reallocated. The scheduler calls this once per quantum on dense n = 56
+//! reallocated. The scheduler may call this every quantum on dense n = 56
 //! graphs, so the steady state must not allocate — use
 //! [`max_weight_matching_in`] with a long-lived workspace (the convenience
 //! entry point [`max_weight_matching`] reuses a thread-local one).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+
+use crate::assignment::AssignmentScratch;
 
 /// Edge record: `u`/`v` remember the *base-graph* endpoints an edge between
 /// (possibly contracted) nodes refers to; `w` is its weight.
@@ -58,8 +60,8 @@ pub struct Workspace {
     q: VecDeque<usize>,
     /// Integer-weight scratch for the pairing layer (`min_cost_pairing_in`).
     pub(crate) int_weights: Vec<Vec<i64>>,
-    /// Vertex count of the most recent solve (for [`Workspace::vertex_duals`]).
-    solved_n: usize,
+    /// Scratch for the assignment lower bound (`min_cost_lower_bound`).
+    pub(crate) assignment: AssignmentScratch,
 }
 
 impl Workspace {
@@ -102,22 +104,6 @@ impl Workspace {
             f.clear();
         }
         self.q.clear();
-    }
-
-    /// Vertex dual potentials left behind by the most recent solve in this
-    /// workspace, in "lab units": `lab[u] + lab[v] - 2*w(u,v)` is the slack
-    /// of edge `(u, v)` (0-indexed here; empty before the first solve).
-    ///
-    /// These are what the incremental layer retains between quanta: a
-    /// matching plus feasible duals with tight matched edges is a
-    /// certificate of optimality under *any* weight matrix that preserves
-    /// those two properties.
-    pub fn vertex_duals(&self) -> &[i64] {
-        if self.solved_n == 0 {
-            &[]
-        } else {
-            &self.lab[1..=self.solved_n]
-        }
     }
 }
 
@@ -475,23 +461,19 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Identity-initializes the blossom-membership map for the base
-    /// vertices (no live blossoms yet).
-    fn init_flowers(&mut self) {
+    fn solve(&mut self) -> i64 {
         let stride = self.ws.stride;
+        let w_max = (1..=self.n)
+            .flat_map(|u| (1..=self.n).map(move |v| (u, v)))
+            .map(|(u, v)| self.g(u, v).w)
+            .max()
+            .unwrap_or(0);
         for u in 1..=self.n {
+            self.ws.lab[u] = w_max;
             for v in 1..=self.n {
                 self.ws.flower_from[u * stride + v] = if u == v { u } else { 0 };
             }
         }
-    }
-
-    /// Runs phases to completion from the current `lab`/`matched` state and
-    /// totals the matched edge weights. Callers must have established the
-    /// primal-dual invariants first (see [`max_weight_matching_warm_in`]
-    /// for the warm-start contract; the cold path's uniform `w_max` labels
-    /// satisfy them trivially).
-    fn run(&mut self) -> i64 {
         while self.matching_phase() {}
         let mut total = 0;
         for u in 1..=self.n {
@@ -500,19 +482,6 @@ impl<'a> Solver<'a> {
             }
         }
         total
-    }
-
-    fn solve(&mut self) -> i64 {
-        let w_max = (1..=self.n)
-            .flat_map(|u| (1..=self.n).map(move |v| (u, v)))
-            .map(|(u, v)| self.g(u, v).w)
-            .max()
-            .unwrap_or(0);
-        for u in 1..=self.n {
-            self.ws.lab[u] = w_max;
-        }
-        self.init_flowers();
-        self.run()
     }
 }
 
@@ -527,100 +496,6 @@ pub fn max_weight_matching_in(
     ws: &mut Workspace,
     weights: &[Vec<i64>],
 ) -> (i64, Vec<Option<usize>>) {
-    let n = validate_weights(weights);
-    if n == 0 {
-        ws.solved_n = 0;
-        return (0, Vec::new());
-    }
-    let mut solver = Solver::new(ws, weights);
-    let total = solver.solve();
-    ws.solved_n = n;
-    (total, extract_mate(ws, n))
-}
-
-/// Warm-started variant of [`max_weight_matching_in`]: resumes the
-/// primal-dual search from a partial matching plus vertex dual labels
-/// (in lab units, i.e. twice the classical `y_u`) instead of the cold
-/// uniform-`w_max` initialization.
-///
-/// The caller must hand over a state satisfying the solver's phase
-/// invariants — they are what makes the cold path's termination argument
-/// (the `lab[u] <= d` check ending the search) carry over to a warm start:
-///
-/// 1. `init_mate` is an involution and `init_lab` are non-negative;
-/// 2. every matched edge is tight: `lab[u] + lab[v] == 2*w[u][v]`;
-/// 3. every edge is feasible: `lab[u] + lab[v] >= 2*w[u][v]`;
-/// 4. all *free* vertices carry one common label `L`, and every matched
-///    vertex's label is `>= L` (free vertices are the S-roots; a uniform
-///    free level is what the cold init provides and what keeps the
-///    "some S-vertex hit zero" termination test sound).
-///
-/// The incremental layer ([`crate::IncrementalMatcher`]) constructs such a
-/// state by repairing the previous quantum's duals and dissolving pairs
-/// around violations; see `incremental.rs`. All four conditions are
-/// asserted here in O(n²) — cheap next to even a single O(n²) phase.
-pub fn max_weight_matching_warm_in(
-    ws: &mut Workspace,
-    weights: &[Vec<i64>],
-    init_mate: &[Option<usize>],
-    init_lab: &[i64],
-) -> (i64, Vec<Option<usize>>) {
-    let n = validate_weights(weights);
-    assert_eq!(init_mate.len(), n, "init_mate must cover every vertex");
-    assert_eq!(init_lab.len(), n, "init_lab must cover every vertex");
-    if n == 0 {
-        ws.solved_n = 0;
-        return (0, Vec::new());
-    }
-    let mut free_level: Option<i64> = None;
-    let mut min_matched = i64::MAX;
-    for u in 0..n {
-        assert!(init_lab[u] >= 0, "duals must be non-negative");
-        match init_mate[u] {
-            Some(v) => {
-                assert!(
-                    v < n && v != u && init_mate[v] == Some(u),
-                    "mate involution"
-                );
-                assert_eq!(
-                    init_lab[u] + init_lab[v],
-                    2 * weights[u][v],
-                    "matched edges must be tight"
-                );
-                min_matched = min_matched.min(init_lab[u]);
-            }
-            None => match free_level {
-                Some(l) => assert_eq!(init_lab[u], l, "free labels must be uniform"),
-                None => free_level = Some(init_lab[u]),
-            },
-        }
-        for v in u + 1..n {
-            assert!(
-                init_lab[u] + init_lab[v] >= 2 * weights[u][v],
-                "duals must be feasible"
-            );
-        }
-    }
-    if let Some(l) = free_level {
-        assert!(
-            min_matched >= l,
-            "matched labels must dominate the free level"
-        );
-    }
-    let mut solver = Solver::new(ws, weights);
-    for u in 1..=n {
-        solver.ws.lab[u] = init_lab[u - 1];
-        if let Some(v) = init_mate[u - 1] {
-            solver.ws.matched[u] = v + 1;
-        }
-    }
-    solver.init_flowers();
-    let total = solver.run();
-    ws.solved_n = n;
-    (total, extract_mate(ws, n))
-}
-
-fn validate_weights(weights: &[Vec<i64>]) -> usize {
     let n = weights.len();
     assert!(weights.iter().all(|row| row.len() == n), "square matrix");
     for (u, row) in weights.iter().enumerate() {
@@ -629,14 +504,16 @@ fn validate_weights(weights: &[Vec<i64>]) -> usize {
             assert_eq!(w, weights[v][u], "weights must be symmetric");
         }
     }
-    n
-}
-
-fn extract_mate(ws: &Workspace, n: usize) -> Vec<Option<usize>> {
-    ws.matched[1..=n]
+    if n == 0 {
+        return (0, Vec::new());
+    }
+    let mut solver = Solver::new(ws, weights);
+    let total = solver.solve();
+    let mate = ws.matched[1..=n]
         .iter()
         .map(|&m| if m == 0 { None } else { Some(m - 1) })
-        .collect()
+        .collect();
+    (total, mate)
 }
 
 /// Runs `f` with the thread-local shared workspace, falling back to a

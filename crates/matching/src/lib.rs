@@ -9,10 +9,10 @@
 //! * [`max_weight_matching`] — the O(n³) blossom engine on integer weights.
 //! * [`min_cost_pairing`] — minimum-total-cost perfect pairing on real
 //!   costs (what the SYNPA policy calls).
-//! * [`IncrementalMatcher`] — persistent pairing solver for drifting cost
-//!   sequences: O(n²) dual-certificate fast path, warm-started blossom on
-//!   reject, exactly equal `total_cost` to a fresh solve every call (see
-//!   `docs/matching.md`).
+//! * [`min_cost_lower_bound`] — exact lower bound on that pairing's cost
+//!   from the fractional-matching relaxation (an O(n³) integer assignment),
+//!   which lets the policy prove "no pairing beats the current one" without
+//!   solving (see `docs/matching.md`).
 //! * [`exhaustive_min_pairing`] — exact O(2ⁿ·n) oracle for verification and
 //!   the "evaluate every combination" baseline.
 //! * [`greedy_min_pairing`] — cheapest-edge-first heuristic baseline.
@@ -39,14 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod assignment;
 mod blossom;
-mod incremental;
 mod pairing;
 
-pub use blossom::{
-    max_weight_matching, max_weight_matching_in, max_weight_matching_warm_in, Workspace,
-};
-pub use incremental::{IncrementalMatcher, MatcherStats};
+pub use blossom::{max_weight_matching, max_weight_matching_in, Workspace};
 pub use pairing::{
-    exhaustive_min_pairing, greedy_min_pairing, min_cost_pairing, min_cost_pairing_in, Pairing,
+    exhaustive_min_pairing, greedy_min_pairing, min_cost_lower_bound, min_cost_pairing,
+    min_cost_pairing_in, MatcherStats, Pairing,
 };

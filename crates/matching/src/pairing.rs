@@ -6,6 +6,7 @@
 //! real-valued; [`min_cost_pairing`] converts them to the non-negative
 //! integer maximization problem the blossom solver expects.
 
+use crate::assignment::max_weight_assignment;
 use crate::blossom::{max_weight_matching_in, with_shared_workspace, Workspace};
 
 /// A perfect pairing of `2k` items.
@@ -66,7 +67,7 @@ pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
             total_cost: 0.0,
         };
     }
-    let weights = fill_int_weights(ws, costs);
+    let (weights, _) = fill_int_weights(ws, costs);
     let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
     ws.int_weights = weights;
     pairing_from_mate(costs, &mate)
@@ -75,17 +76,18 @@ pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
 /// Converts a real-valued cost matrix into the non-negative integer
 /// maximization weights the blossom solver expects, filling the
 /// workspace's scratch matrix (taken out and returned; the caller puts it
-/// back after the solve).
+/// back after the solve), together with `max_c`, the largest off-diagonal
+/// symmetrized cost the transform is anchored at.
 ///
 /// Maximize (max_c - cost): all transformed weights >= 1 so the maximum
 /// weight matching on the complete graph is perfect, and maximizing the
 /// transform minimizes total cost (the pair count is fixed at n/2).
 ///
-/// This is the *single* cost→weight transform in the crate: the fresh path
-/// (`min_cost_pairing_in`) and the incremental path
-/// (`crate::IncrementalMatcher`) both go through it, so their integer
-/// problems — and therefore their optima — are bit-identical.
-pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> Vec<Vec<i64>> {
+/// This is the *single* cost→weight transform in the crate: the solve
+/// (`min_cost_pairing_in`) and the lower bound (`min_cost_lower_bound`)
+/// both go through it, so the bound is computed on exactly the integer
+/// problem the blossom solves.
+pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> (Vec<Vec<i64>>, f64) {
     let n = costs.len();
     let sym = |u: usize, v: usize| 0.5 * (costs[u][v] + costs[v][u]);
     let mut max_c = f64::MIN;
@@ -110,7 +112,68 @@ pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> Vec<Ve
             }
         }));
     }
-    weights
+    (weights, max_c)
+}
+
+/// Relative margin [`min_cost_lower_bound`] gives away to floating
+/// point: the bound is lowered by this fraction of the problem's scale
+/// (`n/2` pairs at the largest pair cost), far above the ~1e-15 relative
+/// error of the `f64` arithmetic on either side of the comparison.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// An exact lower bound on [`min_cost_pairing_in`]'s `total_cost`,
+/// computed without running the blossom.
+///
+/// It solves the fractional relaxation of the perfect-matching problem —
+/// an integer max-weight assignment (Hungarian, O(n³), `i64`-exact) on the
+/// same integer weights the blossom solves, diagonal excluded — and
+/// converts back to costs. For weights `w = 1 + round((max_c − sym)·S)`,
+/// rounding moves each weight by at most ½, so every perfect matching `M`
+/// has `S·Σ_M sym ≥ (n/2)(1 + max_c·S) − (n/2)·½ − W(M)`; and
+/// `W(M) ≤ W_assign/2` because `M` read in both directions is an
+/// assignment. The result is further lowered by a relative margin of
+/// 1e-9 of the problem scale, so it stays below the blossom's reported
+/// cost despite floating-point rounding on either side.
+///
+/// When the relaxation has an integral optimum (measured: every n = 56
+/// SYNPA cost matrix tried, see `docs/matching.md`) the bound is within
+/// `n/2·1e-6` of the optimum; with odd cycles cheaper than any pairing
+/// (two cheap triangles) it is strictly below it. Same input contract as
+/// [`min_cost_pairing_in`]. Runs in the shared thread-local workspace, so
+/// repeated calls allocate nothing.
+pub fn min_cost_lower_bound(costs: &[Vec<f64>]) -> f64 {
+    let n = check_square_even(costs);
+    if n == 0 {
+        return 0.0;
+    }
+    with_shared_workspace(|ws| {
+        let (weights, max_c) = fill_int_weights(ws, costs);
+        let w_assign = max_weight_assignment(&mut ws.assignment, &weights, n);
+        ws.int_weights = weights;
+        let pairs = (n / 2) as f64;
+        let bound = (pairs * (1.0 + max_c * SCALE) - pairs * 0.5 - w_assign as f64 / 2.0) / SCALE;
+        bound - BOUND_MARGIN * pairs * (max_c.abs() + 1.0)
+    })
+}
+
+/// How the SYNPA policy's pairing quanta were answered.
+///
+/// Every quantum that reaches pair selection first asks
+/// [`min_cost_lower_bound`] whether *any* pairing could clear the
+/// policy's hysteresis threshold; only when it might does the blossom
+/// run. `calls == certificate_hits + cold_solves`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatcherStats {
+    /// Pairing quanta (decisions that reached pair selection).
+    pub calls: u64,
+    /// Quanta the lower bound answered: no pairing can beat the current
+    /// one by the hysteresis margin, so the blossom was skipped.
+    pub certificate_hits: u64,
+    /// Always 0: nothing warm-starts the blossom. Kept because the
+    /// benchmark's report reads it (`matching.warm`).
+    pub warm_solves: u64,
+    /// Blossom solves run.
+    pub cold_solves: u64,
 }
 
 /// [`min_cost_pairing_in`] through the shared thread-local workspace:

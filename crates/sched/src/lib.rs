@@ -33,8 +33,8 @@ pub use manager::{
     ManagerConfig, QuantumRow, RunResult,
 };
 pub use policy::{
-    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, MatcherKind,
-    OracleSynpa, Policy, QuantumView, RandomPairing, StaticPairs, Synpa,
+    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy,
+    QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
     cv, discard_outliers, parallel_map, prepare_workload, run_cell, CellOutcome, ExperimentConfig,

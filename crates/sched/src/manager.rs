@@ -110,8 +110,8 @@ pub struct RunResult {
     /// unfinished (its [`AppResult::completed`] is `false`); the workload
     /// TT is then a lower bound, not a measurement.
     pub capped: bool,
-    /// Matching-layer counters (certificate fast-path / warm / cold solve
-    /// counts), if the policy drives a pairing matcher. Engine- and
+    /// Matching-layer counters (quanta answered by the lower bound /
+    /// blossom solves), if the policy drives a pairing matcher. Engine- and
     /// thread-count-independent, like every other field here.
     pub matcher: Option<synpa_matching::MatcherStats>,
     /// Sample-health and fault accounting for the run. All-zero (with
@@ -126,8 +126,8 @@ pub struct RunResult {
 
 /// Fault-tolerance accounting for one run: what the sanitizer classified,
 /// what the injector injected, and how the policy guardrails reacted.
-/// Derived entirely from deterministic state, so it is engine-,
-/// thread-count- and matcher-independent like every other result field.
+/// Derived entirely from deterministic state, so it is engine- and
+/// thread-count-independent like every other result field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradedStats {
     /// Samples classified Ok.

@@ -8,70 +8,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_matching::{min_cost_pairing, IncrementalMatcher, MatcherStats};
+use std::borrow::Cow;
+use synpa_matching::{min_cost_lower_bound, min_cost_pairing, MatcherStats, Pairing};
 use synpa_model::{invert, Categories, SynpaModel};
 use synpa_sim::{PmuDelta, Slot};
-
-/// Which pairing solver the SYNPA policy runs per quantum.
-///
-/// Both are exact — they return identically-costed pairings on every
-/// matrix (CI byte-diffs whole experiment tables under each to enforce
-/// it); they differ only in how much work a low-drift quantum costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatcherKind {
-    /// Cold blossom solve every quantum (`min_cost_pairing`), the
-    /// pre-incremental behaviour and the differential baseline.
-    Fresh,
-    /// Persistent [`IncrementalMatcher`]: O(n²) dual-certificate fast
-    /// path, warm-started blossom on reject (see `docs/matching.md`).
-    Incremental,
-}
-
-impl MatcherKind {
-    /// Every matcher, in documentation order.
-    pub const ALL: [MatcherKind; 2] = [MatcherKind::Fresh, MatcherKind::Incremental];
-
-    /// Stable lowercase name (accepted by [`MatcherKind::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            MatcherKind::Fresh => "fresh",
-            MatcherKind::Incremental => "incremental",
-        }
-    }
-
-    /// Parses a matcher name as accepted by the `SYNPA_MATCHER` override.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "fresh" => Ok(MatcherKind::Fresh),
-            "incremental" => Ok(MatcherKind::Incremental),
-            other => Err(format!(
-                "unknown matcher '{other}' (valid: fresh, incremental)"
-            )),
-        }
-    }
-
-    /// The `SYNPA_MATCHER` environment override, if set. Whitespace is
-    /// trimmed and an empty value means "no override"; an unknown name
-    /// aborts with the valid list — an explicit pin must never fall back
-    /// silently (mirrors `SYNPA_ENGINE`).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SYNPA_MATCHER").ok()?;
-        let name = raw.trim();
-        if name.is_empty() {
-            return None;
-        }
-        match Self::parse(name) {
-            Ok(kind) => Some(kind),
-            Err(e) => panic!("SYNPA_MATCHER: {e}"),
-        }
-    }
-}
-
-impl std::fmt::Display for MatcherKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Everything a policy may observe at a quantum boundary.
 #[derive(Debug)]
@@ -180,8 +120,8 @@ pub trait Policy: Send {
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>>;
 
     /// Matching-layer counters, if this policy drives a pairing matcher
-    /// whose per-quantum work is worth reporting (certificate fast-path
-    /// rate etc.). Baselines return `None`.
+    /// whose per-quantum work is worth reporting (how many quanta the
+    /// lower bound answered, how many solved). Baselines return `None`.
     fn matcher_stats(&self) -> Option<MatcherStats> {
         None
     }
@@ -310,25 +250,37 @@ pub fn units_to_slots(
 fn paired_assignment(
     costs: &[Vec<f64>],
     pad_cost: f64,
-    mut matcher: impl FnMut(&[Vec<f64>]) -> synpa_matching::Pairing,
+    matcher: impl FnOnce(&[Vec<f64>]) -> Pairing,
 ) -> (Vec<(usize, usize)>, Vec<usize>) {
+    split_virtual(matcher(&even_costs(costs, pad_cost)), costs.len())
+}
+
+/// `costs` as the matcher sees it: unchanged for an even count, padded
+/// with a virtual app (every edge `pad_cost`) for an odd one.
+fn even_costs(costs: &[Vec<f64>], pad_cost: f64) -> Cow<'_, [Vec<f64>]> {
     let n = costs.len();
     if n % 2 == 0 {
-        return (matcher(costs).pairs, Vec::new());
+        return Cow::Borrowed(costs);
     }
-    let padded: Vec<Vec<f64>> = costs
-        .iter()
-        .map(|row| {
-            let mut row = row.clone();
-            row.push(pad_cost);
-            row
-        })
-        .chain(std::iter::once(vec![pad_cost; n + 1]))
-        .collect();
-    let pairing = matcher(&padded);
+    Cow::Owned(
+        costs
+            .iter()
+            .map(|row| {
+                let mut row = row.clone();
+                row.push(pad_cost);
+                row
+            })
+            .chain(std::iter::once(vec![pad_cost; n + 1]))
+            .collect(),
+    )
+}
+
+/// Splits a pairing over [`even_costs`] of `n` apps into real pairs and
+/// the apps paired with the virtual app (which run alone).
+fn split_virtual(pairing: Pairing, n: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
     let mut pairs = Vec::with_capacity(n / 2);
     let mut singles = Vec::new();
-    for &(a, b) in &pairing.pairs {
+    for (a, b) in pairing.pairs {
         if b == n {
             singles.push(a);
         } else {
@@ -419,8 +371,7 @@ pub struct Synpa {
     /// Minimum per-component ST-estimate change (vs. the snapshot the
     /// cost cache was computed from) that re-dirties an app's cost
     /// row/column. Smoothing deltas at or below this are absorbed without
-    /// re-predicting — and without invalidating the incremental matcher's
-    /// certificate. `0.0` disables the gate (every exact change
+    /// re-predicting. `0.0` disables the gate (every exact change
     /// re-predicts, bit-equal to a full rebuild).
     pub repredict_epsilon: f64,
     /// Guardrail K: consecutive severely-degraded quanta (at least half
@@ -437,14 +388,8 @@ pub struct Synpa {
     fallback_entries: u64,
     fallback_quanta: u64,
     last_migration: Option<u64>,
-    /// Which pairing solver runs per quantum (see [`MatcherKind`]).
-    matcher_kind: MatcherKind,
-    /// Persistent incremental matcher (only consulted under
-    /// [`MatcherKind::Incremental`]); reset on app churn.
-    matcher: IncrementalMatcher,
-    /// Counters for the fresh path, so both kinds report comparable
-    /// [`MatcherStats`] (every fresh call is one cold solve).
-    fresh_stats: MatcherStats,
+    /// How the pairing quanta were answered (lower bound or solve).
+    matcher_stats: MatcherStats,
     /// ST snapshot each app's cost row/column was last predicted from.
     predicted_st: std::collections::HashMap<usize, Categories>,
     /// Canonical (id-sorted) app list the cost cache is indexed by.
@@ -457,19 +402,8 @@ pub struct Synpa {
 }
 
 impl Synpa {
-    /// Builds the policy around trained model coefficients. The pairing
-    /// solver defaults to [`MatcherKind::Incremental`], overridable via
-    /// the `SYNPA_MATCHER` environment variable.
+    /// Builds the policy around trained model coefficients.
     pub fn new(model: SynpaModel) -> Self {
-        Self::with_matcher(
-            model,
-            MatcherKind::from_env().unwrap_or(MatcherKind::Incremental),
-        )
-    }
-
-    /// Builds the policy with an explicit pairing solver, ignoring the
-    /// environment (differential tests pin both sides with this).
-    pub fn with_matcher(model: SynpaModel, matcher_kind: MatcherKind) -> Self {
         Self {
             model,
             st_estimates: std::collections::HashMap::new(),
@@ -485,19 +419,12 @@ impl Synpa {
             fallback_entries: 0,
             fallback_quanta: 0,
             last_migration: None,
-            matcher_kind,
-            matcher: IncrementalMatcher::new(),
-            fresh_stats: MatcherStats::default(),
+            matcher_stats: MatcherStats::default(),
             predicted_st: std::collections::HashMap::new(),
             cached_apps: Vec::new(),
             cost_cache: Vec::new(),
             dirty: Vec::new(),
         }
-    }
-
-    /// The pairing solver this policy was built with.
-    pub fn matcher_kind(&self) -> MatcherKind {
-        self.matcher_kind
     }
 
     /// Disables smoothing and hysteresis (decisions from the latest quantum
@@ -625,8 +552,8 @@ impl Policy for Synpa {
 
         // Until every app has an estimate, keep the current placement.
         // Apps are canonicalized to sorted-id order so cost-matrix index i
-        // means the same app across quanta — what lets the cost cache and
-        // the incremental matcher carry state between calls.
+        // means the same app across quanta — what lets the cost cache
+        // carry state between calls.
         let mut apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
         apps.sort_unstable();
         if apps.is_empty() || !apps.iter().all(|a| self.st_estimates.contains_key(a)) {
@@ -651,14 +578,13 @@ impl Policy for Synpa {
         // app is dirty when its damped ST estimate moved more than
         // `repredict_epsilon` (any component) from the snapshot its cached
         // costs were predicted from; only dirty rows/columns are
-        // re-predicted. App churn (set change) rebuilds everything and
-        // resets the incremental matcher: index identity is gone.
+        // re-predicted. App churn (set change) rebuilds everything: index
+        // identity is gone.
         let n = apps.len();
         if apps != self.cached_apps {
             self.cached_apps.clear();
             self.cached_apps.extend_from_slice(&apps);
             self.predicted_st.clear();
-            self.matcher.reset();
             self.cost_cache.clear();
             self.cost_cache.resize(n, Vec::new());
             for row in &mut self.cost_cache {
@@ -692,30 +618,10 @@ impl Policy for Synpa {
             }
         }
 
-        // Step 3: optimal pairing (odd counts leave one app single via
-        // the zero-cost virtual node), then place with minimal moves.
-        // Both matchers solve the same cached matrix and are exact, so the
-        // choice never changes a decision — only its cost.
+        // Hysteresis: migrate only for a material predicted gain over the
+        // current pairing. Singles contribute no SMT interference on either
+        // side, so only full pairs enter the sums.
         let costs = &self.cost_cache;
-        let (idx_pairs, idx_singles) = match self.matcher_kind {
-            MatcherKind::Fresh => {
-                self.fresh_stats.calls += 1;
-                self.fresh_stats.cold_solves += 1;
-                paired_assignment(costs, 0.0, min_cost_pairing)
-            }
-            MatcherKind::Incremental => {
-                let matcher = &mut self.matcher;
-                paired_assignment(costs, 0.0, |c| matcher.pairing(c))
-            }
-        };
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-
-        // Hysteresis: compare against the predicted cost of keeping the
-        // current pairing; migrate only for a material predicted gain.
-        // Singles contribute no SMT interference on either side, so only
-        // full pairs enter both sums.
         let idx_of: std::collections::HashMap<usize, usize> =
             apps.iter().enumerate().map(|(i, &a)| (a, i)).collect();
         let current_cost: f64 = view
@@ -723,13 +629,38 @@ impl Policy for Synpa {
             .iter()
             .map(|&(a, b)| costs[idx_of[&a]][idx_of[&b]] + costs[idx_of[&b]][idx_of[&a]])
             .sum();
+        let threshold = current_cost * (1.0 - self.hysteresis);
+
+        // Step 3: optimal pairing (odd counts leave one app single via
+        // the zero-cost virtual node), then place with minimal moves.
+        // Bound first: when the fractional-matching lower bound on the
+        // optimum (a `total_cost`, so 2x in pair-cost units) already
+        // reaches the threshold, hysteresis would reject whatever the
+        // blossom returned, so it does not run. Decisions are identical to
+        // always solving (docs/matching.md).
+        self.matcher_stats.calls += 1;
+        let padded = even_costs(costs, 0.0);
+        let bound = 2.0 * min_cost_lower_bound(&padded);
+        if bound >= threshold {
+            self.matcher_stats.certificate_hits += 1;
+            return None;
+        }
+        self.matcher_stats.cold_solves += 1;
+        let (idx_pairs, idx_singles) = split_virtual(min_cost_pairing(&padded), n);
         let optimal_cost: f64 = idx_pairs
             .iter()
             .map(|&(i, j)| costs[i][j] + costs[j][i])
             .sum();
-        if optimal_cost >= current_cost * (1.0 - self.hysteresis) {
+        debug_assert!(
+            bound <= optimal_cost,
+            "lower bound {bound} above the solved cost {optimal_cost}"
+        );
+        if optimal_cost >= threshold {
             return None;
         }
+        let pairs: Vec<(usize, usize)> =
+            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
+        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
         self.last_migration = Some(view.quantum);
         Some(units_to_slots(
             &pairs,
@@ -741,10 +672,7 @@ impl Policy for Synpa {
     }
 
     fn matcher_stats(&self) -> Option<MatcherStats> {
-        Some(match self.matcher_kind {
-            MatcherKind::Fresh => self.fresh_stats,
-            MatcherKind::Incremental => self.matcher.stats(),
-        })
+        Some(self.matcher_stats)
     }
 
     fn guardrail_stats(&self) -> Option<GuardrailStats> {
@@ -1512,5 +1440,93 @@ mod tests {
                 .collect();
             assert!((on_core[0] < 4) != (on_core[1] < 4));
         }
+    }
+
+    /// What `Synpa::decide` returned before the lower bound existed:
+    /// always solve over the policy's cost cache, then apply hysteresis.
+    fn always_solve(p: &Synpa, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
+        let (apps, costs) = (&p.cached_apps, &p.cost_cache);
+        let idx = |a: usize| apps.iter().position(|&x| x == a).unwrap();
+        let current: f64 = view
+            .pairs()
+            .iter()
+            .map(|&(a, b)| costs[idx(a)][idx(b)] + costs[idx(b)][idx(a)])
+            .sum();
+        let (pairs, singles) = paired_assignment(costs, 0.0, min_cost_pairing);
+        let optimal: f64 = pairs.iter().map(|&(i, j)| costs[i][j] + costs[j][i]).sum();
+        if optimal >= current * (1.0 - p.hysteresis) {
+            return None;
+        }
+        let pairs: Vec<(usize, usize)> = pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
+        let singles: Vec<usize> = singles.iter().map(|&i| apps[i]).collect();
+        Some(units_to_slots(
+            &pairs,
+            &singles,
+            view.placement,
+            view.smt_ways,
+            view.availability,
+        ))
+    }
+
+    #[test]
+    fn bound_gated_decisions_equal_always_solve_decisions() {
+        // 56 apps on 28 cores with drifting stall mixes and one phase
+        // change; app 55 detaches at q = 90, so the tail runs an odd count
+        // through the zero-cost virtual node. Every pairing quantum is
+        // checked against a solve over the same cost cache (and `decide`
+        // debug-asserts that the bound never exceeds the cost it solved).
+        let mut policy = Synpa::new(model());
+        let mut placement: Vec<(usize, Slot)> = (0..28usize)
+            .flat_map(|k| [(k, Slot(2 * k)), (k + 28, Slot(2 * k + 1))])
+            .collect();
+        let (mut migrations, mut checked) = (0, 0);
+        for q in 0..140u64 {
+            if q == 90 {
+                placement.retain(|&(a, _)| a != 55);
+            }
+            let samples: Vec<(usize, PmuDelta)> = placement
+                .iter()
+                .map(|&(a, _)| {
+                    let a = a as u64;
+                    let wobble = (a * 7 + q * 13) % 17;
+                    // Core k starts with two apps of the same class; at
+                    // q = 60 half the apps switch class (a phase change).
+                    if (a % 28 % 2 == 0) ^ (q >= 60 && a % 4 < 2) {
+                        (a as usize, delta(30 + wobble, 700 - 2 * wobble))
+                    } else {
+                        (a as usize, delta(600 + 2 * wobble, 30 + wobble))
+                    }
+                })
+                .collect();
+            let view = QuantumView {
+                quantum: q,
+                samples: &samples,
+                placement: &placement,
+                smt_ways: 2,
+                dispatch_width: 4,
+                degraded: &[],
+                availability: &[],
+                evacuated: 0,
+            };
+            let calls = policy.matcher_stats.calls;
+            let got = policy.decide(&view);
+            if policy.matcher_stats.calls > calls {
+                checked += 1;
+                assert_eq!(got, always_solve(&policy, &view), "quantum {q}");
+            }
+            if let Some(p) = got {
+                migrations += 1;
+                placement = p;
+                placement.sort_unstable();
+            }
+        }
+        let stats = policy.matcher_stats;
+        assert!(checked >= 100, "only {checked} pairing quanta: {stats:?}");
+        assert!(migrations > 0, "the sequence must exercise migrations");
+        assert_eq!(stats.calls, stats.certificate_hits + stats.cold_solves);
+        assert!(
+            stats.certificate_hits * 2 > stats.calls,
+            "the bound must answer most quanta: {stats:?}"
+        );
     }
 }

@@ -131,9 +131,8 @@ pub struct ServiceResult {
     /// both the queue and the chip were empty; `false` when the quanta cap
     /// cut it off with work still in flight (overload).
     pub drained: bool,
-    /// Matching-layer counters (certificate fast-path / warm / cold solve
-    /// counts), if the policy drives a pairing matcher. The open system is
-    /// the matcher's hardest regime: every detach/admission is churn.
+    /// Matching-layer counters (quanta answered by the lower bound /
+    /// blossom solves), if the policy drives a pairing matcher.
     pub matcher: Option<synpa_matching::MatcherStats>,
     /// Sample-health and fault accounting (same schema as the closed
     /// batch). All-zero on a healthy source without fault injection.

@@ -9,11 +9,11 @@
 //! decision trace (FNV-1a over the Debug rendering) and migration count
 //! captured from the pre-hoist implementation.
 //!
-//! Pinned with `repredict_epsilon = 0` and the fresh matcher: zero epsilon
-//! makes the incremental cost cache bit-equal to a full rebuild, isolating
-//! the gate reordering from the (intentional, sub-epsilon) gating effects.
+//! Pinned with `repredict_epsilon = 0`: zero epsilon makes the incremental
+//! cost cache bit-equal to a full rebuild, isolating the gate reordering
+//! from the (intentional, sub-epsilon) gating effects.
 
-use synpa_sched::{MatcherKind, Policy, QuantumView, Synpa};
+use synpa_sched::{Policy, QuantumView, Synpa};
 use synpa_sim::{PmuCounters, PmuDelta, Slot};
 
 fn model() -> synpa_model::SynpaModel {
@@ -62,14 +62,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn hoisted_cooldown_gate_preserves_every_decision() {
-    let mut policy = Synpa::with_matcher(model(), MatcherKind::Fresh);
+    let mut policy = Synpa::new(model());
     // Zero hysteresis: every eligible quantum wants to migrate, so the
     // cooldown gate is what actually spaces migrations out — the
     // interaction the hoist could have broken.
     policy.hysteresis = 0.0;
     // Zero epsilon makes the dirty-row cost cache bit-equal to a full
-    // rebuild, and the fresh matcher solves exactly like the pre-change
-    // code, isolating the gate reordering under test.
+    // rebuild, isolating the gate reordering under test.
     policy.repredict_epsilon = 0.0;
     let mut placement: Vec<(usize, Slot)> = (0..4usize)
         .flat_map(|k| [(k, Slot(2 * k)), (k + 4, Slot(2 * k + 1))])

@@ -3,8 +3,7 @@
 //!
 //! 1. **No panics, deterministic**: a managed run under any seeded fault
 //!    plan completes without panicking and is bit-identical across cycle
-//!    engines and pairing matchers (matcher overhead counters excluded —
-//!    they are the one documented difference).
+//!    engines, matcher counters included.
 //! 2. **Zero faults = today**: fault injection at rate 0 produces a
 //!    `RunResult` bit-identical to running with no injector at all.
 //! 3. **Injected = observed**: the injector's per-kind counters match an
@@ -17,7 +16,7 @@
 use proptest::prelude::*;
 use synpa::counters::{FaultConfig, FaultKind, FaultPlan, InjectedCounts};
 use synpa::prelude::*;
-use synpa::sched::{run_workload, MatcherKind, RunResult};
+use synpa::sched::{run_workload, RunResult};
 use synpa::sim::EngineKind;
 use synpa_experiments::canned_model;
 
@@ -53,61 +52,38 @@ fn mgr_cfg(engine: EngineKind, faults: Option<FaultConfig>) -> ManagerConfig {
     }
 }
 
-/// Fingerprint of everything except the matcher overhead counters (the
-/// only field allowed to differ between the fresh and incremental
-/// matchers). `Debug` prints every remaining field exactly.
-fn no_matcher_fingerprint(r: &RunResult) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        r.tt_cycles, r.per_app, r.trace, r.quanta, r.migrations, r.capped, r.degraded
-    )
-}
-
-fn faulted_run(engine: EngineKind, matcher: MatcherKind, faults: Option<FaultConfig>) -> RunResult {
+fn faulted_run(engine: EngineKind, faults: Option<FaultConfig>) -> RunResult {
     let (apps, solo) = chip_filling_apps();
-    let mut policy = Synpa::with_matcher(canned_model(), matcher);
+    let mut policy = Synpa::new(canned_model());
     run_workload(&apps, &solo, &mut policy, &mgr_cfg(engine, faults))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Contract 1: no panic, and bit-identical results across engines and
-    // matchers for any (seed, rate) — the fault stream is part of the
-    // deterministic state, not a source of divergence.
+    // Contract 1: no panic, and bit-identical results across engines for
+    // any (seed, rate) — the fault stream is part of the deterministic
+    // state, not a source of divergence. `Debug` prints every field
+    // exactly, the matcher counters included.
     #[test]
-    fn faulted_runs_are_deterministic_across_engines_and_matchers(
+    fn faulted_runs_are_deterministic_across_engines(
         seed in 0u64..u64::MAX,
         rate in 0.0f64..0.5,
     ) {
         let faults = Some(FaultConfig::uniform(seed, rate));
-        let reference = no_matcher_fingerprint(&faulted_run(
-            EngineKind::Reference,
-            MatcherKind::Incremental,
-            faults,
-        ));
+        let reference = format!("{:?}", faulted_run(EngineKind::Reference, faults));
         for engine in EngineKind::ALL {
-            let got = no_matcher_fingerprint(&faulted_run(engine, MatcherKind::Incremental, faults));
+            let got = format!("{:?}", faulted_run(engine, faults));
             prop_assert_eq!(&reference, &got, "engine {}", engine);
         }
-        let fresh = no_matcher_fingerprint(&faulted_run(
-            EngineKind::PerCore,
-            MatcherKind::Fresh,
-            faults,
-        ));
-        prop_assert_eq!(&reference, &fresh, "fresh matcher");
     }
 
     // Contract 2: a rate-0 fault plan is indistinguishable — bit for bit,
     // matcher stats included — from no fault plan at all.
     #[test]
     fn zero_rate_faults_equal_no_faults(seed in 0u64..u64::MAX) {
-        let with = faulted_run(
-            EngineKind::PerCore,
-            MatcherKind::Incremental,
-            Some(FaultConfig::uniform(seed, 0.0)),
-        );
-        let without = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, None);
+        let with = faulted_run(EngineKind::PerCore, Some(FaultConfig::uniform(seed, 0.0)));
+        let without = faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(with.degraded.injected_total(), 0);
         prop_assert_eq!(with.degraded.samples_degraded(), 0);
@@ -123,7 +99,7 @@ proptest! {
         rate in 0.0f64..0.5,
     ) {
         let cfg = FaultConfig::uniform(seed, rate);
-        let result = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, Some(cfg));
+        let result = faulted_run(EngineKind::PerCore, Some(cfg));
         let plan = FaultPlan::new(&cfg);
         let mut expected: InjectedCounts = Default::default();
         for q in 0..result.quanta {
@@ -156,7 +132,7 @@ proptest! {
 fn low_rate_faults_cause_bounded_degradation() {
     for seed in [1u64, 2, 3, 0xD15EA5E] {
         let cfg = FaultConfig::uniform(seed, 0.05);
-        let r = faulted_run(EngineKind::PerCore, MatcherKind::Incremental, Some(cfg));
+        let r = faulted_run(EngineKind::PerCore, Some(cfg));
         let d = r.degraded;
         let total = d.samples_ok + d.samples_degraded();
         assert!(

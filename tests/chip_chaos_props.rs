@@ -4,8 +4,7 @@
 //!
 //! 1. **No panics, deterministic**: a closed-batch run under any seeded
 //!    chip-fault plan completes without panicking and is bit-identical
-//!    across cycle engines and pairing matchers (matcher overhead
-//!    counters excluded — the one documented difference).
+//!    across cycle engines, matcher counters included.
 //! 2. **Zero faults = today**: chip-fault injection at rate 0 produces a
 //!    `RunResult` bit-identical to running with no fault plan at all.
 //! 3. **Conservation**: the self-healing service loop partitions every
@@ -19,7 +18,7 @@
 use proptest::prelude::*;
 use synpa::apps::workload::{poisson_trace, ArrivalTrace, WorkloadKind};
 use synpa::prelude::*;
-use synpa::sched::{run_service, run_workload, MatcherKind, RunResult, ServiceConfig};
+use synpa::sched::{run_service, run_workload, RunResult, ServiceConfig};
 use synpa::sim::EngineKind;
 use synpa_experiments::canned_model;
 
@@ -55,31 +54,9 @@ fn mgr_cfg(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -> ManagerC
     }
 }
 
-/// Fingerprint of everything except the matcher overhead counters (the
-/// only field allowed to differ between the fresh and incremental
-/// matchers). `Debug` prints every remaining field exactly, the
-/// chip-fault stats included.
-fn no_matcher_fingerprint(r: &RunResult) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        r.tt_cycles,
-        r.per_app,
-        r.trace,
-        r.quanta,
-        r.migrations,
-        r.capped,
-        r.degraded,
-        r.chip_faults
-    )
-}
-
-fn chip_faulted_run(
-    engine: EngineKind,
-    matcher: MatcherKind,
-    chip_faults: Option<ChipFaultConfig>,
-) -> RunResult {
+fn chip_faulted_run(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -> RunResult {
     let (apps, solo) = chip_filling_apps();
-    let mut policy = Synpa::with_matcher(canned_model(), matcher);
+    let mut policy = Synpa::new(canned_model());
     run_workload(&apps, &solo, &mut policy, &mgr_cfg(engine, chip_faults))
 }
 
@@ -141,31 +118,21 @@ fn assert_conserved(r: &synpa::sched::ServiceResult, n: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Contract 1: no panic, and bit-identical results across engines and
-    // matchers for any (seed, rate) — the
-    // execution-fault stream is part of the deterministic state, not a
-    // source of divergence.
+    // Contract 1: no panic, and bit-identical results across engines for
+    // any (seed, rate) — the execution-fault stream is part of the
+    // deterministic state, not a source of divergence. `Debug` prints
+    // every field exactly, the matcher and chip-fault counters included.
     #[test]
-    fn chip_faulted_runs_are_deterministic_across_engines_and_matchers(
+    fn chip_faulted_runs_are_deterministic_across_engines(
         seed in 0u64..u64::MAX,
         rate in 0.0f64..0.5,
     ) {
         let cf = Some(ChipFaultConfig::uniform(seed, rate));
-        let reference = no_matcher_fingerprint(&chip_faulted_run(
-            EngineKind::Reference,
-            MatcherKind::Incremental,
-            cf,
-        ));
+        let reference = format!("{:?}", chip_faulted_run(EngineKind::Reference, cf));
         for engine in EngineKind::ALL {
-            let got = no_matcher_fingerprint(&chip_faulted_run(engine, MatcherKind::Incremental, cf));
+            let got = format!("{:?}", chip_faulted_run(engine, cf));
             prop_assert_eq!(&reference, &got, "engine {}", engine);
         }
-        let fresh = no_matcher_fingerprint(&chip_faulted_run(
-            EngineKind::PerCore,
-            MatcherKind::Fresh,
-            cf,
-        ));
-        prop_assert_eq!(&reference, &fresh, "fresh matcher");
     }
 
     // Contract 2: a rate-0 chip-fault plan is indistinguishable — bit for
@@ -173,12 +140,8 @@ proptest! {
     // what lets `--chip-faults seed:0` reproduce the healthy tables.
     #[test]
     fn zero_rate_chip_faults_equal_no_chip_faults(seed in 0u64..u64::MAX) {
-        let with = chip_faulted_run(
-            EngineKind::PerCore,
-            MatcherKind::Incremental,
-            Some(ChipFaultConfig::uniform(seed, 0.0)),
-        );
-        let without = chip_faulted_run(EngineKind::PerCore, MatcherKind::Incremental, None);
+        let with = chip_faulted_run(EngineKind::PerCore, Some(ChipFaultConfig::uniform(seed, 0.0)));
+        let without = chip_faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(with.chip_faults, ChipFaultStats::default());
     }
