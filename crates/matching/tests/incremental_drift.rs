@@ -231,10 +231,9 @@ proptest! {
 /// — otherwise the O(n³) assignment is dead weight on the hot path ahead
 /// of every blossom solve.
 ///
-/// "Low drift" here is what the scheduler's `repredict_epsilon` gate
-/// actually hands the policy: most quanta the cached matrix is untouched
-/// (sub-epsilon smoothing deltas were absorbed), and occasionally a couple
-/// of apps move enough to re-dirty their row/column.
+/// "Low drift" here means a settled workload: most quanta the matrix is
+/// unchanged, and occasionally a couple of apps' damped estimates move
+/// enough to re-price their row/column.
 #[test]
 fn certificate_fires_on_low_drift_full_chip_scale() {
     let n = 56;
@@ -245,7 +244,7 @@ fn certificate_fires_on_low_drift_full_chip_scale() {
     let mut unchanged_quanta = 0u64;
     for q in 0..32 {
         if q % 4 == 0 {
-            // A couple of apps re-dirtied: their whole row/column moves.
+            // A couple of apps re-estimated: their whole row/column moves.
             for _ in 0..2 {
                 let a = (rng.next() % n as u64) as usize;
                 for v in (0..n).filter(|&v| v != a) {

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use synpa_matching::{min_cost_lower_bound, min_cost_pairing, MatcherStats, Pairing};
 use synpa_model::{invert, Categories, SynpaModel};
 use synpa_sim::{PmuDelta, Slot};
@@ -294,6 +295,61 @@ fn split_virtual(pairing: Pairing, n: usize) -> (Vec<(usize, usize)>, Vec<usize>
 /// slowdown, so the dummy edge sorts last and the single is the leftover.
 const GREEDY_PAD: f64 = 1e30;
 
+/// The placed apps in id order, or `None` while nothing is placed or any
+/// placed app lacks an ST value in `st`. Id order makes cost-matrix index
+/// `i` name the same app whatever order the view lists the placement in,
+/// so a SYNPA-family decision never depends on that order and ties break
+/// the same way every quantum.
+fn estimated_apps(view: &QuantumView<'_>, st: &HashMap<usize, Categories>) -> Option<Vec<usize>> {
+    let mut apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
+    apps.sort_unstable();
+    (!apps.is_empty() && apps.iter().all(|a| st.contains_key(a))).then_some(apps)
+}
+
+/// The SYNPA cost matrix over `apps`: `costs[i][j]` is the model's
+/// predicted slowdown of `apps[i]` when co-running with `apps[j]`, from
+/// their ST values in `st`; the diagonal is zero. Every SYNPA-family
+/// policy prices pairings through this one function.
+fn slowdown_costs(
+    model: &SynpaModel,
+    apps: &[usize],
+    st: &HashMap<usize, Categories>,
+) -> Vec<Vec<f64>> {
+    let st: Vec<&Categories> = apps.iter().map(|a| &st[a]).collect();
+    (0..apps.len())
+        .map(|i| {
+            (0..apps.len())
+                .map(|j| {
+                    if i == j {
+                        0.0
+                    } else {
+                        model.predict_slowdown(st[i], st[j])
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Places a pairing over cost-matrix indices (pairs plus singles, as
+/// [`split_virtual`] returns it) by mapping each index back to its app in
+/// `apps` and handing the units to [`units_to_slots`].
+fn place(
+    apps: &[usize],
+    (idx_pairs, idx_singles): (Vec<(usize, usize)>, Vec<usize>),
+    view: &QuantumView<'_>,
+) -> Vec<(usize, Slot)> {
+    let pairs: Vec<(usize, usize)> = idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
+    let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
+    units_to_slots(
+        &pairs,
+        &singles,
+        view.placement,
+        view.smt_ways,
+        view.availability,
+    )
+}
+
 /// The Linux-CFS-like baseline of the paper (§VI-C): applications are
 /// paired by arrival order (app *k* with app *k + n/2*) and never migrate —
 /// "once allocated, an application remains in the core until its execution
@@ -356,7 +412,7 @@ pub struct Synpa {
     model: SynpaModel,
     /// Latest ST estimate per app id (kept across quanta so estimates
     /// survive short sampling hiccups).
-    st_estimates: std::collections::HashMap<usize, Categories>,
+    st_estimates: HashMap<usize, Categories>,
     /// Exponential smoothing factor for ST estimates across quanta
     /// (1.0 = use only the latest quantum; lower values damp sampling noise
     /// so near-tie pairings don't flip every quantum).
@@ -368,12 +424,6 @@ pub struct Synpa {
     /// Minimum quanta between migrations (cold caches need time to
     /// re-warm before the next decision is trustworthy).
     pub cooldown: u64,
-    /// Minimum per-component ST-estimate change (vs. the snapshot the
-    /// cost cache was computed from) that re-dirties an app's cost
-    /// row/column. Smoothing deltas at or below this are absorbed without
-    /// re-predicting. `0.0` disables the gate (every exact change
-    /// re-predicts, bit-equal to a full rebuild).
-    pub repredict_epsilon: f64,
     /// Guardrail K: consecutive severely-degraded quanta (at least half
     /// the placed rows degraded) before entering fallback — hold the
     /// current pairing, no migrations, LinuxLike-equivalent behaviour.
@@ -390,15 +440,6 @@ pub struct Synpa {
     last_migration: Option<u64>,
     /// How the pairing quanta were answered (lower bound or solve).
     matcher_stats: MatcherStats,
-    /// ST snapshot each app's cost row/column was last predicted from.
-    predicted_st: std::collections::HashMap<usize, Categories>,
-    /// Canonical (id-sorted) app list the cost cache is indexed by.
-    cached_apps: Vec<usize>,
-    /// Persistent cost matrix over `cached_apps`; only dirty rows/columns
-    /// are re-predicted each quantum.
-    cost_cache: Vec<Vec<f64>>,
-    /// Per-app dirty flags, scratch reused across quanta.
-    dirty: Vec<bool>,
 }
 
 impl Synpa {
@@ -406,11 +447,10 @@ impl Synpa {
     pub fn new(model: SynpaModel) -> Self {
         Self {
             model,
-            st_estimates: std::collections::HashMap::new(),
+            st_estimates: HashMap::new(),
             smoothing: 0.6,
             hysteresis: 0.02,
             cooldown: 3,
-            repredict_epsilon: 1e-4,
             fallback_after: 4,
             recover_after: 4,
             degraded_streak: 0,
@@ -420,10 +460,6 @@ impl Synpa {
             fallback_quanta: 0,
             last_migration: None,
             matcher_stats: MatcherStats::default(),
-            predicted_st: std::collections::HashMap::new(),
-            cached_apps: Vec::new(),
-            cost_cache: Vec::new(),
-            dirty: Vec::new(),
         }
     }
 
@@ -451,11 +487,6 @@ impl Synpa {
     /// Current ST estimate of an app (for diagnostics).
     pub fn st_estimate(&self, app: usize) -> Option<&Categories> {
         self.st_estimates.get(&app)
-    }
-
-    /// The model the policy predicts with.
-    pub fn model(&self) -> &SynpaModel {
-        &self.model
     }
 
     /// Whether the guardrails currently hold the policy in fallback.
@@ -551,14 +582,7 @@ impl Policy for Synpa {
         }
 
         // Until every app has an estimate, keep the current placement.
-        // Apps are canonicalized to sorted-id order so cost-matrix index i
-        // means the same app across quanta — what lets the cost cache
-        // carry state between calls.
-        let mut apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
-        apps.sort_unstable();
-        if apps.is_empty() || !apps.iter().all(|a| self.st_estimates.contains_key(a)) {
-            return None;
-        }
+        let apps = estimated_apps(view, &self.st_estimates)?;
 
         // Cooldown early-out, hoisted above the cost matrix and the
         // matching: a cooled-down quantum returns None regardless of what
@@ -574,56 +598,13 @@ impl Policy for Synpa {
             }
         }
 
-        // Step 2: predict the slowdown of every pair — incrementally. An
-        // app is dirty when its damped ST estimate moved more than
-        // `repredict_epsilon` (any component) from the snapshot its cached
-        // costs were predicted from; only dirty rows/columns are
-        // re-predicted. App churn (set change) rebuilds everything: index
-        // identity is gone.
-        let n = apps.len();
-        if apps != self.cached_apps {
-            self.cached_apps.clear();
-            self.cached_apps.extend_from_slice(&apps);
-            self.predicted_st.clear();
-            self.cost_cache.clear();
-            self.cost_cache.resize(n, Vec::new());
-            for row in &mut self.cost_cache {
-                row.clear();
-                row.resize(n, 0.0);
-            }
-        }
-        self.dirty.clear();
-        self.dirty.resize(n, false);
-        for (i, &a) in apps.iter().enumerate() {
-            let est = self.st_estimates[&a];
-            let stale = match self.predicted_st.get(&a) {
-                Some(snap) => {
-                    let (e, s) = (est.as_array(), snap.as_array());
-                    (0..3).any(|k| (e[k] - s[k]).abs() > self.repredict_epsilon)
-                }
-                None => true,
-            };
-            if stale {
-                self.predicted_st.insert(a, est);
-            }
-            self.dirty[i] = stale;
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && (self.dirty[i] || self.dirty[j]) {
-                    let st_i = &self.predicted_st[&apps[i]];
-                    let st_j = &self.predicted_st[&apps[j]];
-                    self.cost_cache[i][j] = self.model.predict_slowdown(st_i, st_j);
-                }
-            }
-        }
+        // Step 2: predict the slowdown of every pair.
+        let costs = slowdown_costs(&self.model, &apps, &self.st_estimates);
 
         // Hysteresis: migrate only for a material predicted gain over the
         // current pairing. Singles contribute no SMT interference on either
         // side, so only full pairs enter the sums.
-        let costs = &self.cost_cache;
-        let idx_of: std::collections::HashMap<usize, usize> =
-            apps.iter().enumerate().map(|(i, &a)| (a, i)).collect();
+        let idx_of: HashMap<usize, usize> = apps.iter().enumerate().map(|(i, &a)| (a, i)).collect();
         let current_cost: f64 = view
             .pairs()
             .iter()
@@ -639,15 +620,16 @@ impl Policy for Synpa {
         // blossom returned, so it does not run. Decisions are identical to
         // always solving (docs/matching.md).
         self.matcher_stats.calls += 1;
-        let padded = even_costs(costs, 0.0);
+        let padded = even_costs(&costs, 0.0);
         let bound = 2.0 * min_cost_lower_bound(&padded);
         if bound >= threshold {
             self.matcher_stats.certificate_hits += 1;
             return None;
         }
         self.matcher_stats.cold_solves += 1;
-        let (idx_pairs, idx_singles) = split_virtual(min_cost_pairing(&padded), n);
-        let optimal_cost: f64 = idx_pairs
+        let units = split_virtual(min_cost_pairing(&padded), apps.len());
+        let optimal_cost: f64 = units
+            .0
             .iter()
             .map(|&(i, j)| costs[i][j] + costs[j][i])
             .sum();
@@ -658,17 +640,8 @@ impl Policy for Synpa {
         if optimal_cost >= threshold {
             return None;
         }
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
         self.last_migration = Some(view.quantum);
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        Some(place(&apps, units, view))
     }
 
     fn matcher_stats(&self) -> Option<MatcherStats> {
@@ -743,37 +716,14 @@ impl Policy for GreedySynpa {
     }
 
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
-        // Reuse SYNPA's estimation machinery, then re-pair greedily over the
-        // same predicted costs.
-        let blossom_decision = self.inner.decide(view)?;
-        let apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
-        let n = apps.len();
-        let mut costs = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let (Some(si), Some(sj)) = (
-                        self.inner.st_estimate(apps[i]),
-                        self.inner.st_estimate(apps[j]),
-                    ) else {
-                        return Some(blossom_decision);
-                    };
-                    costs[i][j] = self.inner.model().predict_slowdown(si, sj);
-                }
-            }
-        }
-        let (idx_pairs, idx_singles) =
-            paired_assignment(&costs, GREEDY_PAD, synpa_matching::greedy_min_pairing);
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        // SYNPA's estimation and gates decide *whether* to migrate (a
+        // decision implies every app has an estimate); the pairing is then
+        // re-chosen greedily over the same predicted costs.
+        self.inner.decide(view)?;
+        let apps = estimated_apps(view, &self.inner.st_estimates)?;
+        let costs = slowdown_costs(&self.inner.model, &apps, &self.inner.st_estimates);
+        let units = paired_assignment(&costs, GREEDY_PAD, synpa_matching::greedy_min_pairing);
+        Some(place(&apps, units, view))
     }
 
     fn guardrail_stats(&self) -> Option<GuardrailStats> {
@@ -787,7 +737,7 @@ impl Policy for GreedySynpa {
 pub struct OracleSynpa {
     model: SynpaModel,
     /// True ST categories per app id.
-    st_true: std::collections::HashMap<usize, Categories>,
+    st_true: HashMap<usize, Categories>,
 }
 
 impl OracleSynpa {
@@ -806,32 +756,10 @@ impl Policy for OracleSynpa {
     }
 
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
-        let apps: Vec<usize> = view.placement.iter().map(|&(a, _)| a).collect();
-        if !apps.iter().all(|a| self.st_true.contains_key(a)) {
-            return None;
-        }
-        let n = apps.len();
-        let mut costs = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    costs[i][j] = self
-                        .model
-                        .predict_slowdown(&self.st_true[&apps[i]], &self.st_true[&apps[j]]);
-                }
-            }
-        }
-        let (idx_pairs, idx_singles) = paired_assignment(&costs, 0.0, min_cost_pairing);
-        let pairs: Vec<(usize, usize)> =
-            idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        let apps = estimated_apps(view, &self.st_true)?;
+        let costs = slowdown_costs(&self.model, &apps, &self.st_true);
+        let units = paired_assignment(&costs, 0.0, min_cost_pairing);
+        Some(place(&apps, units, view))
     }
 }
 
@@ -1442,30 +1370,82 @@ mod tests {
         }
     }
 
+    /// A workload repeats benchmarks, so the oracle's true ST values tie
+    /// and several pairings are equally optimal. Fed the chip's
+    /// slot-sorted placement every quantum, the oracle must settle after
+    /// its first decision instead of hopping between tied pairings.
+    #[test]
+    fn oracle_does_not_churn_on_repeated_apps() {
+        let kinds = [
+            Categories {
+                full_dispatch: 0.25,
+                frontend: 0.05,
+                backend: 2.0,
+            },
+            Categories {
+                full_dispatch: 0.25,
+                frontend: 0.8,
+                backend: 0.1,
+            },
+            Categories {
+                full_dispatch: 0.6,
+                frontend: 0.3,
+                backend: 0.6,
+            },
+        ];
+        // 12 apps, four copies of each kind, starting segregated.
+        let st: Vec<(usize, Categories)> = (0..12).map(|a| (a, kinds[a % 3])).collect();
+        let mut policy = OracleSynpa::new(model(), st);
+        let mut placement: Vec<(usize, Slot)> = (0..12usize).map(|a| (a, Slot(a))).collect();
+        for q in 0..8u64 {
+            let view = QuantumView {
+                quantum: q,
+                samples: &[],
+                placement: &placement,
+                smt_ways: 2,
+                dispatch_width: 4,
+                degraded: &[],
+                availability: &[],
+                evacuated: 0,
+            };
+            let mut next = policy.decide(&view).expect("every app has a true ST");
+            let core_of = |p: &[(usize, Slot)], app: usize| {
+                p.iter().find(|&&(a, _)| a == app).unwrap().1.core(2)
+            };
+            let moved = (0..12)
+                .filter(|&a| core_of(&placement, a) != core_of(&next, a))
+                .count();
+            if q == 0 {
+                assert!(moved > 0, "the segregated start must be re-paired");
+            } else {
+                assert_eq!(moved, 0, "quantum {q}: tied pairings churned");
+            }
+            next.sort_unstable_by_key(|&(_, s)| s);
+            placement = next;
+        }
+    }
+
     /// What `Synpa::decide` returned before the lower bound existed:
-    /// always solve over the policy's cost cache, then apply hysteresis.
+    /// always solve over the policy's cost matrix, then apply hysteresis.
     fn always_solve(p: &Synpa, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
-        let (apps, costs) = (&p.cached_apps, &p.cost_cache);
+        let apps = estimated_apps(view, &p.st_estimates).unwrap();
+        let costs = slowdown_costs(&p.model, &apps, &p.st_estimates);
         let idx = |a: usize| apps.iter().position(|&x| x == a).unwrap();
         let current: f64 = view
             .pairs()
             .iter()
             .map(|&(a, b)| costs[idx(a)][idx(b)] + costs[idx(b)][idx(a)])
             .sum();
-        let (pairs, singles) = paired_assignment(costs, 0.0, min_cost_pairing);
-        let optimal: f64 = pairs.iter().map(|&(i, j)| costs[i][j] + costs[j][i]).sum();
+        let units = paired_assignment(&costs, 0.0, min_cost_pairing);
+        let optimal: f64 = units
+            .0
+            .iter()
+            .map(|&(i, j)| costs[i][j] + costs[j][i])
+            .sum();
         if optimal >= current * (1.0 - p.hysteresis) {
             return None;
         }
-        let pairs: Vec<(usize, usize)> = pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
-        let singles: Vec<usize> = singles.iter().map(|&i| apps[i]).collect();
-        Some(units_to_slots(
-            &pairs,
-            &singles,
-            view.placement,
-            view.smt_ways,
-            view.availability,
-        ))
+        Some(place(&apps, units, view))
     }
 
     #[test]
@@ -1473,7 +1453,7 @@ mod tests {
         // 56 apps on 28 cores with drifting stall mixes and one phase
         // change; app 55 detaches at q = 90, so the tail runs an odd count
         // through the zero-cost virtual node. Every pairing quantum is
-        // checked against a solve over the same cost cache (and `decide`
+        // checked against a solve over the same cost matrix (and `decide`
         // debug-asserts that the bound never exceeds the cost it solved).
         let mut policy = Synpa::new(model());
         let mut placement: Vec<(usize, Slot)> = (0..28usize)

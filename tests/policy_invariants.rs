@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use synpa::model::{Categories, CategoryCoeffs, SynpaModel};
 use synpa::prelude::*;
-use synpa::sched::{pairs_to_slots, QuantumView};
+use synpa::sched::{pairs_to_slots, GreedySynpa, QuantumView};
 use synpa::sim::PmuCounters;
 
 fn test_model() -> SynpaModel {
@@ -171,6 +171,47 @@ proptest! {
         for &(a, b) in &pairs {
             let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core(2);
             prop_assert_eq!(core(a), core(b), "pair ({}, {}) split", a, b);
+        }
+    }
+
+    // The order the view lists the placement in is an artifact of the
+    // caller (the chip reports it slot-sorted), not an input: no
+    // SYNPA-family policy may decide differently when it is shuffled.
+    #[test]
+    fn synpa_family_decisions_ignore_placement_order(
+        deltas in proptest::collection::vec(arb_delta(), 8),
+        n in 7usize..9,
+        perm in Just((0..8usize).collect::<Vec<_>>()).prop_shuffle(),
+    ) {
+        let samples: Vec<(usize, PmuCounters)> =
+            deltas.into_iter().take(n).enumerate().collect();
+        let st: Vec<(usize, Categories)> = samples
+            .iter()
+            .map(|(a, d)| (*a, Categories::from_delta(d, 4)))
+            .collect();
+        let sorted: Vec<(usize, Slot)> = (0..n).map(|a| (a, Slot(a))).collect();
+        let shuffled: Vec<(usize, Slot)> =
+            perm.into_iter().filter(|&a| a < n).map(|a| (a, Slot(a))).collect();
+        let policies: [&dyn Fn() -> Box<dyn Policy>; 3] = [
+            &|| Box::new(Synpa::new(test_model())),
+            &|| Box::new(GreedySynpa::new(test_model())),
+            &|| Box::new(OracleSynpa::new(test_model(), st.clone())),
+        ];
+        for make in policies {
+            let decide = |placement: &[(usize, Slot)]| {
+                make().decide(&QuantumView {
+                    quantum: 0,
+                    samples: &samples,
+                    placement,
+                    smt_ways: 2,
+                    dispatch_width: 4,
+                    degraded: &[],
+                    availability: &[],
+                    evacuated: 0,
+                })
+            };
+            let name = make().name();
+            prop_assert_eq!(decide(&sorted), decide(&shuffled), "{}", name);
         }
     }
 
