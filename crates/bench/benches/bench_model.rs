@@ -1,7 +1,8 @@
 //! §II overhead claim: estimating all pairs with the 3-equation SYNPA model
 //! vs the 5-equation IBM-style model. The paper credits the smaller model
 //! with ~40 % lower estimation overhead; the ratio of these two benches is
-//! the reproduced number (see EXPERIMENTS.md).
+//! the reproduced number (`overhead_comparison` prints it; see
+//! `docs/simulation.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -2,33 +2,36 @@
 //! split by stall cause) and found it *worse* than the 3-category model.
 //! Reproduces that comparison on held-out CPI prediction error.
 
-use synpa::model::ablation::{collect_ten_samples, fit_ten, TEN_NAMES};
-use synpa::model::training::{collect_all_samples, fit_from_samples, TrainingConfig};
+use synpa::model::ablation::{fit_ten, ten_samples, TEN_NAMES};
+use synpa::model::mse;
+use synpa::model::training::{fit_from_samples, record, HoldoutSplit, TrainingConfig};
 use synpa_experiments::{threads, training_split};
 
 fn main() {
     let (train_apps, _) = training_split();
     let cfg = TrainingConfig::default();
 
-    println!("collecting 3-category training data...");
-    let samples3 = collect_all_samples(&train_apps, &cfg, threads());
+    println!("recording the training runs...");
+    let recording = record(&train_apps, &cfg, threads());
+    let samples3 = recording.samples(cfg.categories());
     let report3 = fit_from_samples(&samples3, &cfg).expect("collected samples fit");
-    // Held-out MSE of the predicted total CPI under the 3-category model.
-    let split = (samples3.len() as f64 * cfg.train_fraction) as usize;
-    let holdout = &samples3[split..];
-    let cpi3: f64 = holdout
+    // Held-out MSE of the predicted total CPI under the 3-category model,
+    // on the same shuffled hold-out quanta `fit_ten` scores the 10-category
+    // model on.
+    let holdout = HoldoutSplit::new(&samples3, &cfg);
+    let (pred, obs): (Vec<f64>, Vec<f64>) = holdout
+        .eval()
         .iter()
         .map(|s| {
-            let pred = report3.model.predict(&s.st_i, &s.st_j).cpi();
-            let obs = s.smt_ij.cpi();
-            (pred - obs) * (pred - obs)
+            (
+                report3.model.predict(&s.st_i, &s.st_j).cpi(),
+                s.smt_ij.cpi(),
+            )
         })
-        .sum::<f64>()
-        / holdout.len().max(1) as f64;
+        .unzip();
+    let cpi3 = mse(&pred, &obs);
 
-    println!("collecting 10-category training data...");
-    let samples10 = collect_ten_samples(&train_apps, &cfg, threads());
-    let report10 = fit_ten(&samples10, &cfg);
+    let report10 = fit_ten(&ten_samples(&recording, &cfg), &cfg);
 
     println!("\n§VI-A — 3-category vs 10-category model (held-out CPI prediction)");
     println!("  3-category  total-CPI MSE: {cpi3:.4}");

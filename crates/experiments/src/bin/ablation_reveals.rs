@@ -2,12 +2,15 @@
 //! entirely to the backend, having also evaluated equal and proportional
 //! splits. Trains a model under each choice and compares held-out error.
 
-use synpa::model::training::{collect_all_samples, fit_from_samples, TrainingConfig};
-use synpa::model::RevealsSplit;
+use synpa::model::training::{fit_from_samples, record, HoldoutSplit, TrainingConfig};
+use synpa::model::{mse, RevealsSplit};
 use synpa_experiments::{threads, training_split};
 
 fn main() {
     let (train_apps, _) = training_split();
+    // The split only changes how counters become categories, so one
+    // recording serves all three designs.
+    let recording = record(&train_apps, &TrainingConfig::default(), threads());
     println!("§III-B — where should the revealed stalls go?");
     println!(
         "{:<16} {:>12} {:>12} {:>12} {:>14}",
@@ -22,20 +25,19 @@ fn main() {
             split,
             ..Default::default()
         };
-        let samples = collect_all_samples(&train_apps, &cfg, threads());
+        let samples = recording.samples(cfg.categories());
         let report = fit_from_samples(&samples, &cfg).expect("collected samples fit");
-        // Held-out slowdown error (what pair selection actually consumes).
-        let at = (samples.len() as f64 * cfg.train_fraction) as usize;
-        let holdout = &samples[at..];
-        let slowdown_mse: f64 = holdout
+        // Held-out slowdown error (what pair selection actually consumes),
+        // on the hold-out the per-category MSEs come from.
+        let (pred, obs): (Vec<f64>, Vec<f64>) = HoldoutSplit::new(&samples, &cfg)
+            .eval()
             .iter()
             .map(|s| {
                 let pred = report.model.predict_slowdown(&s.st_i, &s.st_j);
-                let obs = s.smt_ij.cpi() / s.st_i.cpi().max(1e-9);
-                (pred - obs) * (pred - obs)
+                (pred, s.smt_ij.cpi() / s.st_i.cpi().max(1e-9))
             })
-            .sum::<f64>()
-            / holdout.len().max(1) as f64;
+            .unzip();
+        let slowdown_mse = mse(&pred, &obs);
         println!(
             "{name:<16} {:>12.4} {:>12.4} {:>12.4} {:>14.4}",
             report.mse[0], report.mse[1], report.mse[2], slowdown_mse
@@ -46,5 +48,5 @@ fn main() {
     println!("frees whole groups at retirement) and INST_SPEC includes wrong-path µops,");
     println!("so the revealed horizontal waste is ~0 and the three designs coincide —");
     println!("the mechanism is implemented and exercised, but this machine gives it no");
-    println!("signal to distribute. See EXPERIMENTS.md.");
+    println!("signal to distribute. See docs/simulation.md.");
 }

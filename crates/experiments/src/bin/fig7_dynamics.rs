@@ -63,5 +63,5 @@ fn main() {
     println!("\npaper shape: under SYNPA leela_r's turnaround shortens and its backend share");
     println!("drops relative to Linux (Fig. 7a vs 7b). In this reproduction fb2's Linux");
     println!("arrival order is already cross-paired, so the contrast is milder than the");
-    println!("paper's; see EXPERIMENTS.md for the per-workload discussion.");
+    println!("paper's; see docs/simulation.md for the per-workload discussion.");
 }

@@ -14,13 +14,8 @@
 
 use crate::categories::Categories;
 use crate::regression::CategoryCoeffs;
-use crate::training::{run_parallel, TrainingConfig};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use synpa_apps::AppProfile;
-use synpa_counters::SamplingSession;
-use synpa_sim::{Chip, PmuDelta, Slot};
+use crate::training::{HoldoutSplit, Recording, Sample, TrainingConfig};
+use synpa_sim::PmuDelta;
 
 /// Number of categories in the fine-grained ablation model.
 pub const TEN: usize = 10;
@@ -94,96 +89,13 @@ impl TenCategoryModel {
 }
 
 /// One ten-category training observation.
-#[derive(Debug, Clone, Copy)]
-pub struct TenSample {
-    /// ST components of the target application.
-    pub st_i: [f64; TEN],
-    /// ST components of the co-runner.
-    pub st_j: [f64; TEN],
-    /// Observed SMT components of the target.
-    pub smt_ij: [f64; TEN],
-}
+pub type TenSample = Sample<[f64; TEN]>;
 
-/// Ten-category analogue of the ST profile.
-fn ten_profile(app: &AppProfile, cfg: &TrainingConfig) -> Vec<(u64, [f64; TEN])> {
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let width = chip_cfg.core.dispatch_width;
-    let mut chip = Chip::new(chip_cfg);
-    chip.attach(Slot(0), 0, Box::new(app.clone().with_length(u64::MAX)));
-    chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0]);
-    let mut out = Vec::with_capacity(cfg.st_quanta);
-    let mut cum = 0u64;
-    for _ in 0..cfg.st_quanta {
-        chip.run_cycles(cfg.quantum);
-        let (_, d) = session.sample(&chip, &[0]).pop().unwrap();
-        cum += d.inst_retired;
-        out.push((cum, ten_categories(&d, width)));
-    }
-    out
-}
-
-fn ten_lookup(profile: &[(u64, [f64; TEN])], inst: u64) -> [f64; TEN] {
-    let total = profile.last().map(|&(e, _)| e).unwrap_or(0);
-    if total == 0 {
-        return [0.0; TEN];
-    }
-    let pos = inst % total;
-    let idx = profile.partition_point(|&(end, _)| end <= pos);
-    profile[idx.min(profile.len() - 1)].1
-}
-
-/// Collects ten-category training samples for every pair of `apps`.
-pub fn collect_ten_samples(
-    apps: &[AppProfile],
-    cfg: &TrainingConfig,
-    threads: usize,
-) -> Vec<TenSample> {
-    let profiles: Vec<_> = run_parallel(apps.len(), threads, |i| ten_profile(&apps[i], cfg));
-    let mut pairs = Vec::new();
-    for i in 0..apps.len() {
-        for j in i..apps.len() {
-            pairs.push((i, j));
-        }
-    }
-    let results: Vec<Vec<TenSample>> = run_parallel(pairs.len(), threads, |k| {
-        let (i, j) = pairs[k];
-        let mut chip_cfg = cfg.chip.clone();
-        chip_cfg.cores = 1;
-        let width = chip_cfg.core.dispatch_width;
-        let mut chip = Chip::new(chip_cfg);
-        chip.attach(Slot(0), 0, Box::new(apps[i].clone().with_length(u64::MAX)));
-        chip.attach(Slot(1), 1, Box::new(apps[j].clone().with_length(u64::MAX)));
-        chip.run_cycles(cfg.warmup);
-        let mut session = SamplingSession::new();
-        session.sample(&chip, &[0, 1]);
-        let (mut cum_i, mut cum_j) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(cfg.smt_quanta * 2);
-        for _ in 0..cfg.smt_quanta {
-            chip.run_cycles(cfg.quantum);
-            let s = session.sample(&chip, &[0, 1]);
-            let d_i = s.iter().find(|(id, _)| *id == 0).unwrap().1;
-            let d_j = s.iter().find(|(id, _)| *id == 1).unwrap().1;
-            let st_i = ten_lookup(&profiles[i], cum_i + d_i.inst_retired / 2);
-            let st_j = ten_lookup(&profiles[j], cum_j + d_j.inst_retired / 2);
-            cum_i += d_i.inst_retired;
-            cum_j += d_j.inst_retired;
-            out.push(TenSample {
-                st_i,
-                st_j,
-                smt_ij: ten_categories(&d_i, width),
-            });
-            out.push(TenSample {
-                st_i: st_j,
-                st_j: st_i,
-                smt_ij: ten_categories(&d_j, width),
-            });
-        }
-        out
-    });
-    results.into_iter().flatten().collect()
+/// Derives the ten-category samples of a recording — the same quanta, in
+/// the same order, as its three-category samples.
+pub fn ten_samples(recording: &Recording, cfg: &TrainingConfig) -> Vec<TenSample> {
+    let width = cfg.chip.core.dispatch_width;
+    recording.samples(|d| ten_categories(d, width))
 }
 
 /// Fit report for the ten-category model.
@@ -199,19 +111,11 @@ pub struct TenFitReport {
     pub cpi_mse: f64,
 }
 
-/// Fits the ten-category model and evaluates held-out error.
+/// Fits the ten-category model and evaluates it on the shared
+/// [`HoldoutSplit`].
 pub fn fit_ten(samples: &[TenSample], cfg: &TrainingConfig) -> TenFitReport {
-    let mut shuffled: Vec<&TenSample> = samples.iter().collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    shuffled.shuffle(&mut rng);
-    let split = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
-    let split = split.clamp(4.min(shuffled.len()), shuffled.len());
-    let (train_set, test_set) = shuffled.split_at(split);
-    let test_set = if test_set.is_empty() {
-        train_set
-    } else {
-        test_set
-    };
+    let split = HoldoutSplit::new(samples, cfg);
+    let (train_set, test_set) = (&split.train, split.eval());
 
     let mut coeffs = Vec::with_capacity(TEN);
     let mut mse = Vec::with_capacity(TEN);
@@ -354,6 +258,36 @@ mod tests {
         };
         let st = [0.1; TEN];
         assert!((m.predict_cpi(&st, &st) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ten_and_three_category_samples_share_one_recording() {
+        let cfg = TrainingConfig {
+            warmup: 20_000,
+            quantum: 4_000,
+            st_quanta: 10,
+            smt_quanta: 6,
+            ..Default::default()
+        };
+        let apps: Vec<_> = ["mcf", "nab_r", "gobmk"]
+            .iter()
+            .map(|n| synpa_apps::spec::by_name(n).unwrap())
+            .collect();
+        let recording = crate::training::record(&apps, &cfg, 2);
+        let three = recording.samples(cfg.categories());
+        let ten = ten_samples(&recording, &cfg);
+        // 6 pairs (with self-pairs) × 6 quanta × 2 threads.
+        assert_eq!(three.len(), 72);
+        assert_eq!(ten.len(), three.len());
+        for (t, s) in ten.iter().zip(&three) {
+            assert_eq!((t.app_i, t.app_j), (s.app_i, s.app_j));
+            // The ten components partition the same quantum's CPI, and the
+            // solo values come from the same profile positions.
+            for (t, s) in [(t.smt_ij, s.smt_ij), (t.st_i, s.st_i), (t.st_j, s.st_j)] {
+                let gap = (t.iter().sum::<f64>() - s.cpi()).abs();
+                assert!(gap < 1e-9, "ten-category sum off by {gap}");
+            }
+        }
     }
 
     #[test]

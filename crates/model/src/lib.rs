@@ -10,10 +10,14 @@
 //!   Table IV);
 //! * [`invert`] — Feliu-style model inversion recovering ST values from
 //!   SMT observations at runtime (§IV-B step 1);
-//! * [`training`] — the §IV-C pipeline: isolated profiles, all-pairs SMT
-//!   runs, instruction-count alignment, least-squares fit, held-out MSE;
-//! * [`ablation`] — the 10-category model the paper rejected and the
-//!   IBM-style 5-equation model used for the overhead comparison.
+//! * [`training`] — the §IV-C pipeline, "record once, derive many": every
+//!   isolated and all-pairs SMT profiling run is simulated once and kept as
+//!   raw per-quantum counter deltas; profiles, instruction-aligned pair
+//!   samples and the shuffled hold-out split are derived from them under
+//!   any category extractor, then fitted by least squares;
+//! * [`ablation`] — the 10-category model the paper rejected (derived
+//!   from the same recording as the 3-category model) and the IBM-style
+//!   5-equation model used for the overhead comparison.
 //!
 //! ```no_run
 //! use synpa_apps::spec;

@@ -1,17 +1,29 @@
-//! The model-training pipeline of §IV-C.
+//! The model-training pipeline of §IV-C: record once, derive many.
 //!
-//! 1. Run each training application in isolation and record a per-quantum
-//!    profile of its three category values (CPI components), indexed by
-//!    cumulative retired instructions.
-//! 2. Run every pair of training applications (including two instances of
-//!    the same application) together on one SMT2 core and record both
-//!    threads' per-quantum SMT category values.
-//! 3. Use the committed-instruction counts to map each SMT quantum back to
-//!    the position in the isolated profile that covers the same work
-//!    (the paper's alignment trick), producing `(C_st_i, C_st_j, C_smt_ij)`
-//!    samples.
-//! 4. Randomly subsample quanta, fit each category's Equation-1
-//!    coefficients by least squares, and report held-out MSE.
+//! **Record.** A profiling run is one application alone, or two sharing
+//! one SMT2 core, warmed up for `cfg.warmup` cycles and then sampled once
+//! per quantum ([`record_run`]). [`record`] performs every solo and pair
+//! run of a training set in one parallel step and keeps only the raw
+//! per-quantum counter deltas (a [`Recording`]). A counter trace captured
+//! elsewhere — on real hardware with `perf`, say — reads back into the
+//! same shape through [`run_from_trace`].
+//!
+//! **Derive.** Everything a fit consumes is a pure function of those
+//! deltas and a category extractor `Fn(&PmuDelta) -> V`: the three
+//! [`Categories`] at any [`RevealsSplit`] ([`TrainingConfig::categories`])
+//! or the ablation's ten components. Deriving never re-simulates, so one
+//! recording serves every extractor.
+//! 1. [`Profile`]: each application's solo quanta, indexed by cumulative
+//!    retired instructions.
+//! 2. [`pair_samples`]: each co-run quantum is mapped back to the solo
+//!    position that covers the same work (the paper's alignment by
+//!    committed instructions, at the quantum's midpoint), giving one
+//!    mirrored `(st_i, st_j, smt_ij)` sample per thread.
+//!
+//! **Fit.** [`HoldoutSplit`] shuffles the samples and holds out the last
+//! `1 − train_fraction`; [`fit_from_samples`] fits each category's
+//! Equation-1 coefficients on the rest and reports held-out MSE. Every fit
+//! and every ablation score uses that one split.
 
 use crate::categories::{Categories, RevealsSplit};
 use crate::regression::{CategoryCoeffs, SynpaModel};
@@ -19,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use synpa_apps::AppProfile;
-use synpa_counters::SamplingSession;
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
+use synpa_counters::{QuantumRecord, SamplingSession, TraceReplay};
+use synpa_sim::{parallel_map, Chip, ChipConfig, PmuDelta, Slot};
 
 /// Training hyper-parameters and simulation windows.
 #[derive(Debug, Clone)]
@@ -66,32 +78,167 @@ impl Default for TrainingConfig {
     }
 }
 
-/// The isolated-execution profile of one application.
+impl TrainingConfig {
+    /// The three-category extractor: the profiling chip's dispatch width
+    /// and this configuration's step-3 `split`.
+    pub fn categories(&self) -> impl Fn(&PmuDelta) -> Categories {
+        let (width, split) = (self.chip.core.dispatch_width, self.split);
+        move |d| Categories::from_delta_with(d, width, split)
+    }
+}
+
+/// One profiling run's per-quantum counter deltas: one sequence per thread,
+/// in the order the applications were given.
+pub type Run = Vec<Vec<PmuDelta>>;
+
+/// Simulates one profiling run: `apps` (one alone, or two sharing one SMT2
+/// core) run for `cfg.warmup` cycles, then for `cfg.st_quanta` (solo) or
+/// `cfg.smt_quanta` (pair) quanta of `cfg.quantum` cycles each.
+pub fn record_run(apps: &[&AppProfile], cfg: &TrainingConfig) -> Run {
+    assert!(
+        matches!(apps.len(), 1 | 2),
+        "a profiling run holds one application or one SMT2 pair"
+    );
+    let mut chip_cfg = cfg.chip.clone();
+    chip_cfg.cores = 1;
+    let mut chip = Chip::new(chip_cfg);
+    let ids: Vec<usize> = (0..apps.len()).collect();
+    for (&id, app) in ids.iter().zip(apps) {
+        chip.attach(Slot(id), id, Box::new((*app).clone().with_length(u64::MAX)));
+    }
+    chip.run_cycles(cfg.warmup);
+    let mut session = SamplingSession::new();
+    session.sample(&chip, &ids);
+    let quanta = if apps.len() == 1 {
+        cfg.st_quanta
+    } else {
+        cfg.smt_quanta
+    };
+    let mut run = vec![Vec::with_capacity(quanta); apps.len()];
+    for _ in 0..quanta {
+        chip.run_cycles(cfg.quantum);
+        push_quantum(&mut run, &ids, &session.sample(&chip, &ids));
+    }
+    run
+}
+
+/// A profiling run read back from a recorded counter trace: the deltas of
+/// the apps with ids `apps`, in quantum order, keeping only the quanta that
+/// hold a record for every one of them. This is the offline path: on real
+/// hardware the same JSON-lines trace would be captured with `perf` and the
+/// model fitted without re-running the applications.
+pub fn run_from_trace(records: &[QuantumRecord], apps: &[usize]) -> Run {
+    let mut replay = TraceReplay::new(records.to_vec());
+    let mut run = vec![Vec::new(); apps.len()];
+    while let Some(quantum) = replay.next_quantum() {
+        push_quantum(&mut run, apps, &quantum);
+    }
+    run
+}
+
+/// Appends one quantum's deltas of `ids` to `run`, unless one is missing.
+fn push_quantum(run: &mut Run, ids: &[usize], quantum: &[(usize, PmuDelta)]) {
+    let deltas: Option<Vec<PmuDelta>> = ids
+        .iter()
+        .map(|id| quantum.iter().find(|(app, _)| app == id).map(|&(_, d)| d))
+        .collect();
+    for (seq, d) in run.iter_mut().zip(deltas.into_iter().flatten()) {
+        seq.push(d);
+    }
+}
+
+/// Every profiling run of one training set, as recorded.
 #[derive(Debug, Clone)]
-pub struct StProfile {
-    /// Application name.
-    pub name: String,
+pub struct Recording {
+    /// Each application's solo run, in training-set order.
+    pub solo: Vec<Vec<PmuDelta>>,
+    /// The co-run of every unordered pair `(i, j)`, `i <= j` (two instances
+    /// of one application included), in row-major order.
+    pub pairs: Vec<((usize, usize), Run)>,
+}
+
+/// Records every solo and pair run of `apps` on up to `threads` workers
+/// (§IV-C: each application in isolation, then every pair on one core).
+pub fn record(apps: &[AppProfile], cfg: &TrainingConfig, threads: usize) -> Recording {
+    let n = apps.len();
+    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+    let runs: Vec<Vec<&AppProfile>> = (0..n)
+        .map(|i| vec![&apps[i]])
+        .chain(pairs.iter().map(|&(i, j)| vec![&apps[i], &apps[j]]))
+        .collect();
+    let mut recorded = parallel_map(&runs, threads, |run| record_run(run, cfg)).into_iter();
+    let solo = recorded
+        .by_ref()
+        .take(n)
+        .map(|mut run| run.remove(0))
+        .collect();
+    Recording {
+        solo,
+        pairs: pairs.into_iter().zip(recorded).collect(),
+    }
+}
+
+impl Recording {
+    /// Derives every training sample under `extract`: the solo profiles,
+    /// then the mirrored samples of each co-run, pairs in recording order.
+    pub fn samples<V: Copy + Default>(&self, extract: impl Fn(&PmuDelta) -> V) -> Vec<Sample<V>> {
+        let profiles: Vec<Profile<V>> = self
+            .solo
+            .iter()
+            .map(|deltas| Profile::from_deltas(deltas, &extract))
+            .collect();
+        self.pairs
+            .iter()
+            .flat_map(|((i, j), run)| {
+                pair_samples([*i, *j], run, [&profiles[*i], &profiles[*j]], &extract)
+            })
+            .collect()
+    }
+}
+
+/// The isolated-execution profile of one application: per-quantum values
+/// indexed by cumulative retired instructions.
+#[derive(Debug, Clone)]
+pub struct Profile<V> {
     /// Per-quantum entries: cumulative retired instructions at quantum end,
-    /// and the quantum's categories.
-    pub quanta: Vec<(u64, Categories)>,
+    /// and the quantum's value.
+    pub quanta: Vec<(u64, V)>,
+}
+
+/// The three-category profile the model trains on.
+pub type StProfile = Profile<Categories>;
+
+impl<V: Copy + Default> Profile<V> {
+    /// Builds a profile from a solo run's deltas (§IV-C: "the value of the
+    /// different categories and the number of committed instructions for
+    /// each quantum").
+    pub fn from_deltas(deltas: &[PmuDelta], extract: impl Fn(&PmuDelta) -> V) -> Self {
+        let mut cum = 0u64;
+        let quanta = deltas
+            .iter()
+            .map(|d| {
+                cum += d.inst_retired;
+                (cum, extract(d))
+            })
+            .collect();
+        Self { quanta }
+    }
+
+    /// Value of the quantum covering cumulative instruction `inst`.
+    /// Positions beyond the profiled span wrap around (application phases
+    /// are cyclic).
+    pub fn at(&self, inst: u64) -> V {
+        let total = self.quanta.last().map_or(0, |&(end, _)| end);
+        if total == 0 {
+            return V::default();
+        }
+        let pos = inst % total;
+        // `pos < total`, so some quantum ends after it.
+        self.quanta[self.quanta.partition_point(|&(end, _)| end <= pos)].1
+    }
 }
 
 impl StProfile {
-    /// Categories of the quantum covering cumulative instruction `inst`.
-    /// Positions beyond the profiled span wrap around (application phases
-    /// are cyclic).
-    pub fn at(&self, inst: u64) -> Categories {
-        let total = self.quanta.last().map(|&(e, _)| e).unwrap_or(0);
-        if total == 0 {
-            return Categories::default();
-        }
-        let pos = inst % total;
-        match self.quanta.binary_search_by(|&(end, _)| end.cmp(&pos)) {
-            Ok(i) => self.quanta[(i + 1).min(self.quanta.len() - 1)].1,
-            Err(i) => self.quanta[i.min(self.quanta.len() - 1)].1,
-        }
-    }
-
     /// Average categories over the whole profile.
     pub fn mean(&self) -> Categories {
         if self.quanta.is_empty() {
@@ -106,118 +253,103 @@ impl StProfile {
     }
 }
 
-/// Records the isolated profile of `app` (§IV-C: "run in isolation and
-/// create a profile with the value of the different categories and the
-/// number of committed instructions for each quantum").
+/// Records the three-category isolated profile of `app`.
 pub fn st_profile(app: &AppProfile, cfg: &TrainingConfig) -> StProfile {
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let width = chip_cfg.core.dispatch_width;
-    let mut chip = Chip::new(chip_cfg);
-    chip.attach(Slot(0), 0, Box::new(app.clone().with_length(u64::MAX)));
-    chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0]);
-    let mut quanta = Vec::with_capacity(cfg.st_quanta);
-    let mut cum_inst = 0u64;
-    for _ in 0..cfg.st_quanta {
-        chip.run_cycles(cfg.quantum);
-        let (_, delta) = session.sample(&chip, &[0]).pop().expect("app placed");
-        cum_inst += delta.inst_retired;
-        quanta.push((
-            cum_inst,
-            Categories::from_delta_with(&delta, width, cfg.split),
-        ));
-    }
-    StProfile {
-        name: app.name().to_string(),
-        quanta,
-    }
+    Profile::from_deltas(&record_run(&[app], cfg)[0], cfg.categories())
 }
 
-/// One training observation: the two ST vectors and the observed SMT vector
+/// One training observation: the two ST values and the observed SMT value
 /// of the *first* application (the second produces its own sample with the
 /// roles swapped).
 #[derive(Debug, Clone, Copy)]
-pub struct PairSample {
+pub struct Sample<V> {
     /// Training-set index of the target application.
     pub app_i: usize,
     /// Training-set index of the co-runner.
     pub app_j: usize,
-    /// ST categories of the target application at the matching profile
+    /// ST value of the target application at the matching profile
     /// position.
-    pub st_i: Categories,
-    /// ST categories of the co-runner.
-    pub st_j: Categories,
-    /// Observed SMT categories of the target application.
-    pub smt_ij: Categories,
+    pub st_i: V,
+    /// ST value of the co-runner.
+    pub st_j: V,
+    /// Observed SMT value of the target application.
+    pub smt_ij: V,
 }
 
-/// Runs `app_i` and `app_j` together on one SMT2 core and collects one
-/// sample per thread per quantum, aligned to the ST profiles by committed
-/// instructions.
-pub fn collect_pair_samples(
-    app_i: &AppProfile,
-    app_j: &AppProfile,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
-    cfg: &TrainingConfig,
-) -> Vec<PairSample> {
-    collect_pair_samples_ids(app_i, app_j, prof_i, prof_j, cfg, 0, 1)
-}
+/// The three-category training observation the model fits on.
+pub type PairSample = Sample<Categories>;
 
-/// [`collect_pair_samples`] with explicit training-set indices recorded in
-/// the samples (used by the within-app model selection).
-#[allow(clippy::too_many_arguments)]
-pub fn collect_pair_samples_ids(
-    app_i: &AppProfile,
-    app_j: &AppProfile,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
-    cfg: &TrainingConfig,
-    id_i: usize,
-    id_j: usize,
-) -> Vec<PairSample> {
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let width = chip_cfg.core.dispatch_width;
-    let mut chip = Chip::new(chip_cfg);
-    chip.attach(Slot(0), 0, Box::new(app_i.clone().with_length(u64::MAX)));
-    chip.attach(Slot(1), 1, Box::new(app_j.clone().with_length(u64::MAX)));
-    chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0, 1]);
-    let mut out = Vec::with_capacity(cfg.smt_quanta * 2);
+/// Turns the co-run `run` of applications `ids` into two samples per
+/// quantum, one per thread, each aligned to its solo profile at the
+/// quantum's instruction midpoint.
+pub fn pair_samples<V: Copy + Default>(
+    ids: [usize; 2],
+    run: &[Vec<PmuDelta>],
+    profiles: [&Profile<V>; 2],
+    extract: impl Fn(&PmuDelta) -> V,
+) -> Vec<Sample<V>> {
+    let [i, j] = ids;
     let (mut cum_i, mut cum_j) = (0u64, 0u64);
-    for _ in 0..cfg.smt_quanta {
-        chip.run_cycles(cfg.quantum);
-        let samples = session.sample(&chip, &[0, 1]);
-        let d_i = samples.iter().find(|(id, _)| *id == 0).unwrap().1;
-        let d_j = samples.iter().find(|(id, _)| *id == 1).unwrap().1;
-        let mid_i = cum_i + d_i.inst_retired / 2;
-        let mid_j = cum_j + d_j.inst_retired / 2;
+    let mut out = Vec::with_capacity(2 * run[0].len());
+    for (d_i, d_j) in run[0].iter().zip(&run[1]) {
+        let st_i = profiles[0].at(cum_i + d_i.inst_retired / 2);
+        let st_j = profiles[1].at(cum_j + d_j.inst_retired / 2);
         cum_i += d_i.inst_retired;
         cum_j += d_j.inst_retired;
-        let st_i = prof_i.at(mid_i);
-        let st_j = prof_j.at(mid_j);
-        let smt_i = Categories::from_delta_with(&d_i, width, cfg.split);
-        let smt_j = Categories::from_delta_with(&d_j, width, cfg.split);
-        out.push(PairSample {
-            app_i: id_i,
-            app_j: id_j,
+        out.push(Sample {
+            app_i: i,
+            app_j: j,
             st_i,
             st_j,
-            smt_ij: smt_i,
+            smt_ij: extract(d_i),
         });
-        out.push(PairSample {
-            app_i: id_j,
-            app_j: id_i,
+        out.push(Sample {
+            app_i: j,
+            app_j: i,
             st_i: st_j,
             st_j: st_i,
-            smt_ij: smt_j,
+            smt_ij: extract(d_j),
         });
     }
     out
+}
+
+/// The one train/hold-out split: the samples shuffled with `cfg.seed`, the
+/// first `train_fraction` of them (at least four) to fit on, the rest held
+/// out. Equal-length sample sets split at the same positions, so samples
+/// derived from one recording under different extractors are scored on the
+/// same quanta.
+#[derive(Debug)]
+pub struct HoldoutSplit<'a, T> {
+    /// Samples to fit on.
+    pub train: Vec<&'a T>,
+    /// Held-out samples (empty when every sample trains).
+    pub test: Vec<&'a T>,
+}
+
+impl<'a, T> HoldoutSplit<'a, T> {
+    /// Shuffles and splits `samples`.
+    pub fn new(samples: &'a [T], cfg: &TrainingConfig) -> Self {
+        let mut shuffled: Vec<&T> = samples.iter().collect();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+        let at = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
+        let at = at.clamp(4.min(shuffled.len()), shuffled.len());
+        let test = shuffled.split_off(at);
+        Self {
+            train: shuffled,
+            test,
+        }
+    }
+
+    /// The samples scores are measured on: the hold-out, or the training
+    /// set when nothing is held out.
+    pub fn eval(&self) -> &[&'a T] {
+        if self.test.is_empty() {
+            &self.train
+        } else {
+            &self.test
+        }
+    }
 }
 
 /// The result of a training run.
@@ -268,42 +400,20 @@ impl std::fmt::Display for TrainingError {
 
 impl std::error::Error for TrainingError {}
 
-/// Trains the SYNPA model on the given applications (§IV-C end to end).
-///
-/// Pair runs are independent, so they execute on `threads` worker threads.
+/// Trains the SYNPA model on the given applications (§IV-C end to end):
+/// records every profiling run on `threads` workers, derives the
+/// three-category samples and fits them.
 pub fn train(
     apps: &[AppProfile],
     cfg: &TrainingConfig,
     threads: usize,
 ) -> Result<FitReport, TrainingError> {
-    let samples = collect_all_samples(apps, cfg, threads);
+    let samples = record(apps, cfg, threads).samples(cfg.categories());
     fit_from_samples(&samples, cfg)
 }
 
-/// Collects ST profiles and all pair samples (parallel across pairs).
-pub fn collect_all_samples(
-    apps: &[AppProfile],
-    cfg: &TrainingConfig,
-    threads: usize,
-) -> Vec<PairSample> {
-    // Isolated profiles (parallel over apps).
-    let profiles: Vec<StProfile> = run_parallel(apps.len(), threads, |i| st_profile(&apps[i], cfg));
-    // All unordered pairs, including (i, i): two instances of one app.
-    let mut pairs = Vec::new();
-    for i in 0..apps.len() {
-        for j in i..apps.len() {
-            pairs.push((i, j));
-        }
-    }
-    let results: Vec<Vec<PairSample>> = run_parallel(pairs.len(), threads, |k| {
-        let (i, j) = pairs[k];
-        collect_pair_samples_ids(&apps[i], &apps[j], &profiles[i], &profiles[j], cfg, i, j)
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Fits the model from pre-collected samples: random shuffle, train/holdout
-/// split, per-category least squares, held-out MSE.
+/// Fits the model from derived samples: the shared [`HoldoutSplit`],
+/// per-category least squares, held-out MSE.
 pub fn fit_from_samples(
     samples: &[PairSample],
     cfg: &TrainingConfig,
@@ -311,12 +421,7 @@ pub fn fit_from_samples(
     if samples.is_empty() {
         return Err(TrainingError::NoSamples);
     }
-    let mut shuffled: Vec<&PairSample> = samples.iter().collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    shuffled.shuffle(&mut rng);
-    let split = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
-    let split = split.clamp(4.min(shuffled.len()), shuffled.len());
-    let (train_set, test_set) = shuffled.split_at(split);
+    let split = HoldoutSplit::new(samples, cfg);
 
     let extract = |set: &[&PairSample], idx: usize| -> Vec<(f64, f64, f64)> {
         set.iter()
@@ -332,7 +437,7 @@ pub fn fit_from_samples(
 
     // Fit every subset variant (γ/ρ forced to zero or kept) per category.
     let variants: Vec<Vec<CategoryCoeffs>> = (0..3)
-        .map(|idx| CategoryCoeffs::fit_variants(&extract(train_set, idx)))
+        .map(|idx| CategoryCoeffs::fit_variants(&extract(&split.train, idx)))
         .collect();
     if let Some(idx) = variants.iter().position(|v| v.is_empty()) {
         return Err(TrainingError::DegenerateCategory(idx));
@@ -344,11 +449,7 @@ pub fn fit_from_samples(
     // on the held-out set (§VI-A: the authors likewise chose the design
     // "showing the most accurate regression model" after evaluating
     // alternatives end to end).
-    let eval_set = if test_set.is_empty() {
-        train_set
-    } else {
-        test_set
-    };
+    let eval_set = split.eval();
     // The matcher consumes predicted *slowdowns* and trades them off across
     // applications, so the selection criterion is the held-out error of the
     // predicted slowdown (not per-category CPI error: that underweights
@@ -394,105 +495,9 @@ pub fn fit_from_samples(
     Ok(FitReport {
         model,
         mse,
-        train_samples: train_set.len(),
-        test_samples: test_set.len(),
+        train_samples: split.train.len(),
+        test_samples: split.test.len(),
     })
-}
-
-/// Builds an ST profile from a recorded isolated-execution counter trace
-/// (one app, one record per quantum). This is the offline path: on real
-/// hardware the same JSON-lines trace would be captured with `perf` and the
-/// model fitted without ever re-running the application.
-pub fn st_profile_from_trace(
-    name: &str,
-    records: &[synpa_counters::QuantumRecord],
-    dispatch_width: u32,
-    split: RevealsSplit,
-) -> StProfile {
-    let mut quanta = Vec::with_capacity(records.len());
-    let mut cum = 0u64;
-    let mut sorted: Vec<_> = records.iter().collect();
-    sorted.sort_by_key(|r| r.quantum);
-    for r in sorted {
-        let delta = r.to_delta();
-        cum += delta.inst_retired;
-        quanta.push((
-            cum,
-            Categories::from_delta_with(&delta, dispatch_width, split),
-        ));
-    }
-    StProfile {
-        name: name.to_string(),
-        quanta,
-    }
-}
-
-/// Builds pair samples from a recorded SMT co-run trace of two applications
-/// (`app_i`, `app_j` are the app ids used in the records) plus their
-/// isolated profiles — the offline equivalent of [`collect_pair_samples`].
-pub fn pair_samples_from_trace(
-    records: &[synpa_counters::QuantumRecord],
-    app_i: usize,
-    app_j: usize,
-    prof_i: &StProfile,
-    prof_j: &StProfile,
-    dispatch_width: u32,
-    split: RevealsSplit,
-) -> Vec<PairSample> {
-    let mut replay = synpa_counters::TraceReplay::new(records.to_vec());
-    let (mut cum_i, mut cum_j) = (0u64, 0u64);
-    let mut out = Vec::new();
-    while let Some(samples) = replay.next_quantum() {
-        let d_i = samples.iter().find(|(id, _)| *id == app_i).map(|(_, d)| *d);
-        let d_j = samples.iter().find(|(id, _)| *id == app_j).map(|(_, d)| *d);
-        let (Some(d_i), Some(d_j)) = (d_i, d_j) else {
-            continue;
-        };
-        let st_i = prof_i.at(cum_i + d_i.inst_retired / 2);
-        let st_j = prof_j.at(cum_j + d_j.inst_retired / 2);
-        cum_i += d_i.inst_retired;
-        cum_j += d_j.inst_retired;
-        out.push(PairSample {
-            app_i,
-            app_j,
-            st_i,
-            st_j,
-            smt_ij: Categories::from_delta_with(&d_i, dispatch_width, split),
-        });
-        out.push(PairSample {
-            app_i: app_j,
-            app_j: app_i,
-            st_i: st_j,
-            st_j: st_i,
-            smt_ij: Categories::from_delta_with(&d_j, dispatch_width, split),
-        });
-    }
-    out
-}
-
-/// Runs `n` independent jobs on up to `threads` workers, preserving order.
-pub(crate) fn run_parallel<T: Send>(
-    n: usize,
-    threads: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.max(1).min(n.max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots_ref = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let result = job(k);
-                slots_ref.lock().unwrap()[k] = Some(result);
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.unwrap()).collect()
 }
 
 #[cfg(test)]
@@ -537,7 +542,8 @@ mod tests {
         let b = spec::by_name("nab_r").unwrap();
         let pa = st_profile(&a, &cfg);
         let pb = st_profile(&b, &cfg);
-        let samples = collect_pair_samples(&a, &b, &pa, &pb, &cfg);
+        let run = record_run(&[&a, &b], &cfg);
+        let samples = pair_samples([0, 1], &run, [&pa, &pb], cfg.categories());
         assert_eq!(samples.len(), cfg.smt_quanta * 2);
         // SMT CPI of a memory-bound app should exceed its ST CPI: running
         // with a co-runner cannot speed it up.
@@ -576,46 +582,46 @@ mod tests {
         );
     }
 
+    /// Writes a recorded run out as a counter trace, one record per thread
+    /// per quantum, with app ids in run order.
+    fn to_trace(run: &Run) -> Vec<QuantumRecord> {
+        (0..run[0].len())
+            .flat_map(|q| {
+                run.iter()
+                    .enumerate()
+                    .map(move |(app, seq)| QuantumRecord::from_delta(q as u64, app, &seq[q]))
+            })
+            .collect()
+    }
+
     #[test]
     fn trace_based_training_matches_live_collection() {
-        use synpa_counters::{QuantumRecord, SamplingSession};
-        use synpa_sim::{Chip, Slot};
         let cfg = tiny_cfg();
         let a = spec::by_name("mcf").unwrap();
         let b = spec::by_name("nab_r").unwrap();
-        // Live path.
+        // Solo: a profile rebuilt from the trace equals the live profile.
         let pa = st_profile(&a, &cfg);
         let pb = st_profile(&b, &cfg);
-        let live = collect_pair_samples(&a, &b, &pa, &pb, &cfg);
-        // Offline path: record the same SMT co-run to a trace, then rebuild
-        // samples from the trace.
-        let mut chip_cfg = cfg.chip.clone();
-        chip_cfg.cores = 1;
-        let width = chip_cfg.core.dispatch_width;
-        let mut chip = Chip::new(chip_cfg);
-        chip.attach(Slot(0), 0, Box::new(a.clone().with_length(u64::MAX)));
-        chip.attach(Slot(1), 1, Box::new(b.clone().with_length(u64::MAX)));
-        chip.run_cycles(cfg.warmup);
-        let mut session = SamplingSession::new();
-        session.sample(&chip, &[0, 1]);
-        let mut records = Vec::new();
-        for q in 0..cfg.smt_quanta as u64 {
-            chip.run_cycles(cfg.quantum);
-            for (app, d) in session.sample(&chip, &[0, 1]) {
-                records.push(QuantumRecord::from_delta(q, app, &d));
-            }
-        }
-        let offline = pair_samples_from_trace(&records, 0, 1, &pa, &pb, width, cfg.split);
+        let solo = record_run(&[&a], &cfg);
+        let offline_pa =
+            Profile::from_deltas(&run_from_trace(&to_trace(&solo), &[0])[0], cfg.categories());
+        assert_eq!(offline_pa.quanta, pa.quanta);
+        // Pair: samples rebuilt from the co-run's trace equal the live ones.
+        let run = record_run(&[&a, &b], &cfg);
+        let live = pair_samples([0, 1], &run, [&pa, &pb], cfg.categories());
+        let replayed = run_from_trace(&to_trace(&run), &[0, 1]);
+        let offline = pair_samples([0, 1], &replayed, [&pa, &pb], cfg.categories());
         assert_eq!(offline.len(), live.len());
         for (x, y) in offline.iter().zip(&live) {
+            assert_eq!((x.app_i, x.app_j), (y.app_i, y.app_j));
             assert_eq!(x.smt_ij.as_array(), y.smt_ij.as_array());
             assert_eq!(x.st_i.as_array(), y.st_i.as_array());
+            assert_eq!(x.st_j.as_array(), y.st_j.as_array());
         }
     }
 
     #[test]
     fn st_profile_from_trace_accumulates() {
-        use synpa_counters::QuantumRecord;
         use synpa_sim::PmuCounters;
         let records: Vec<QuantumRecord> = (0..5)
             .map(|q| {
@@ -633,7 +639,8 @@ mod tests {
                 )
             })
             .collect();
-        let prof = st_profile_from_trace("x", &records, 4, RevealsSplit::AllToBackend);
+        let run = run_from_trace(&records, &[0]);
+        let prof = Profile::from_deltas(&run[0], |d| Categories::from_delta(d, 4));
         assert_eq!(prof.quanta.len(), 5);
         assert_eq!(prof.quanta.last().unwrap().0, 10_000);
     }
@@ -666,11 +673,5 @@ mod tests {
             "got {err:?}"
         );
         assert!(err.to_string().contains("degenerate training data"));
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let out = run_parallel(16, 4, |i| i * 2);
-        assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
     }
 }

@@ -1,7 +1,8 @@
 //! Exhaustive pairing ground truth: runs every one of the 105 possible
 //! static pairings of an 8-application workload and ranks them by measured
 //! turnaround time. Used to validate that the model's preferred pairing
-//! lands near the true optimum (see EXPERIMENTS.md).
+//! lands near the true optimum (see "Reading the results" in
+//! `docs/simulation.md`).
 //!
 //! ```text
 //! cargo run --release -p synpa-sched --example exhaustive_pairing -- fb7

@@ -37,8 +37,9 @@ pub use policy::{
     QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
-    cv, discard_outliers, parallel_map, prepare_workload, run_cell, CellOutcome, ExperimentConfig,
+    cv, discard_outliers, prepare_workload, run_cell, CellOutcome, ExperimentConfig,
     PreparedWorkload,
 };
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
 pub use synpa_matching::MatcherStats;
+pub use synpa_sim::parallel_map;

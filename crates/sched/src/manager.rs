@@ -22,6 +22,7 @@
 
 use crate::chipfaults::{ChipFaultDriver, ChipFaultStats};
 use crate::policy::{Policy, QuantumView};
+use crate::service::{MAX_RETRIES, RETRY_BACKOFF_QUANTA, WATCHDOG_QUANTA};
 use std::collections::VecDeque;
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultInjector, FaultKind, InjectedCounts, SanitizingSession};
@@ -382,18 +383,15 @@ pub(crate) enum OnCompletion {
 }
 
 /// What happens to an app that lost its thread (the third difference).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Recovery {
     /// Closed batch: evacuees re-attach ahead of any arrival, from the same
     /// boundary on. No planned crash/hang, no watchdog, no budget.
     Requeue,
     /// Open system: planned crash/hang faults, the watchdog, and a capped
-    /// retry budget with backoff (see `ServiceConfig`).
-    Retry {
-        watchdog_quanta: u64,
-        max_retries: u32,
-        backoff_quanta: u64,
-    },
+    /// retry budget with backoff ([`WATCHDOG_QUANTA`], [`MAX_RETRIES`],
+    /// [`RETRY_BACKOFF_QUANTA`]).
+    Retry,
 }
 
 /// Evictions and app faults only happen under a chip-fault plan.
@@ -712,27 +710,22 @@ impl<'a> QuantumLoop<'a> {
     /// censored either way: the next attach restarts the launch.
     fn evict(&mut self, app: usize) {
         self.session.forget(app);
-        let Recovery::Retry {
-            max_retries,
-            backoff_quanta,
-            ..
-        } = self.recovery
-        else {
+        if self.recovery == Recovery::Requeue {
             self.backlog.push_back((self.quantum, app));
             return;
-        };
+        }
         self.last_retired[app] = 0;
         self.stalled[app] = 0;
         self.hang_applied[app] = false;
         let stats = &mut self.driver.as_mut().expect(EVICTIONS).stats;
-        if self.retries[app] >= max_retries {
+        if self.retries[app] >= MAX_RETRIES {
             self.failed.push(app);
             stats.failed += 1;
         } else {
             self.retries[app] += 1;
             stats.retries += 1;
             self.backlog
-                .push_back((self.quantum + 1 + backoff_quanta, app));
+                .push_back((self.quantum + 1 + RETRY_BACKOFF_QUANTA, app));
         }
     }
 
@@ -741,16 +734,10 @@ impl<'a> QuantumLoop<'a> {
     /// Completion wins a same-quantum tie
     /// (its detach already ran). Crashes detach immediately; hangs wedge
     /// the thread in place and are caught by the watchdog like any other
-    /// app with zero retirement for `watchdog_quanta` consecutive quanta —
+    /// app with zero retirement for [`WATCHDOG_QUANTA`] consecutive quanta —
     /// it reads only the public PMU, never the fault plan.
     fn recover(&mut self) {
-        let Recovery::Retry {
-            watchdog_quanta, ..
-        } = self.recovery
-        else {
-            return;
-        };
-        if self.driver.is_none() {
+        if self.recovery == Recovery::Requeue || self.driver.is_none() {
             return;
         }
         for app in self.placed_ids() {
@@ -782,7 +769,7 @@ impl<'a> QuantumLoop<'a> {
                 self.stalled[app] = 0;
                 self.last_retired[app] = retired;
             }
-            if self.stalled[app] >= watchdog_quanta {
+            if self.stalled[app] >= WATCHDOG_QUANTA {
                 self.detach(app);
                 self.evict(app);
             }

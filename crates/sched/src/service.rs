@@ -35,29 +35,29 @@ pub struct ServiceConfig {
     /// already waiting is shed (drop-newest). Capacity 0 means no queueing
     /// at all: arrivals not immediately placeable are shed.
     pub queue_capacity: usize,
-    /// Watchdog horizon: an on-chip app that retires zero instructions for
-    /// this many consecutive quanta is declared hung and evicted. Catches
-    /// the planned `Hang` execution fault (and anything else that wedges)
-    /// without any privileged knowledge of the fault plan.
-    pub watchdog_quanta: u64,
-    /// Retry budget per app: an evicted app (core outage, crash, hang) is
-    /// re-queued at most this many times; the next eviction reports it
-    /// `failed`. Retries bypass the admission-capacity check — an admitted
-    /// app is never shed (the drop-newest rule holds at the door only).
-    pub max_retries: u32,
-    /// Quanta an evicted app waits before its retry re-enters the queue —
-    /// crash-looping apps must not hammer the admission path.
-    pub retry_backoff_quanta: u64,
 }
+
+/// Watchdog horizon: an on-chip app that retires zero instructions for
+/// this many consecutive quanta is declared hung and evicted. Catches the
+/// planned `Hang` execution fault (and anything else that wedges) without
+/// any privileged knowledge of the fault plan.
+pub(crate) const WATCHDOG_QUANTA: u64 = 3;
+
+/// Retry budget per app: an evicted app (core outage, crash, hang) is
+/// re-queued at most this many times; the next eviction reports it
+/// `failed`. Retries bypass the admission-capacity check — an admitted app
+/// is never shed (the drop-newest rule holds at the door only).
+pub(crate) const MAX_RETRIES: u32 = 2;
+
+/// Quanta an evicted app waits before its retry re-enters the queue —
+/// crash-looping apps must not hammer the admission path.
+pub(crate) const RETRY_BACKOFF_QUANTA: u64 = 2;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             manager: ManagerConfig::default(),
             queue_capacity: 64,
-            watchdog_quanta: 3,
-            max_retries: 2,
-            retry_backoff_quanta: 2,
         }
     }
 }
@@ -186,18 +186,13 @@ pub fn run_service(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrival trace must be sorted by cycle"
     );
-    let recovery = Recovery::Retry {
-        watchdog_quanta: cfg.watchdog_quanta,
-        max_retries: cfg.max_retries,
-        backoff_quanta: cfg.retry_backoff_quanta,
-    };
     let mut run = QuantumLoop::new(
         apps,
         arrivals,
         &cfg.manager,
         OnCompletion::Detach,
         cfg.queue_capacity,
-        recovery,
+        Recovery::Retry,
     );
     run.run(policy);
 
@@ -268,7 +263,6 @@ mod tests {
                 chip_faults: None,
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         }
     }
 
@@ -365,7 +359,6 @@ mod tests {
                 chip_faults: None,
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         };
         let mut policy = LinuxLike;
         let r = run_service(&apps, &arrivals, &mut policy, &cfg);
@@ -417,7 +410,6 @@ mod tests {
                 chip_faults: Some(synpa_sim::ChipFaultConfig::uniform(3, rate)),
             },
             queue_capacity: 8,
-            ..ServiceConfig::default()
         }
     }
 
@@ -455,7 +447,7 @@ mod tests {
         assert!(s.retries > 0, "evictions must be retried first: {s:?}");
         assert_eq!(s.failed, r.failed.len() as u64);
         // A failed app burned its full budget: the failure event is its
-        // (max_retries + 1)-th eviction.
+        // (MAX_RETRIES + 1)-th eviction.
         for &app in &r.failed {
             assert!(
                 !r.completed.iter().any(|a| a.app == app),

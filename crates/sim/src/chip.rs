@@ -259,11 +259,6 @@ impl Chip {
         self.cores[core].width_limit = limit;
     }
 
-    /// The injected dispatch-width derate of `core`, if any.
-    pub fn core_width_limit(&self, core: usize) -> Option<u32> {
-        self.cores[core].width_limit
-    }
-
     /// Applications currently placed on `core`, in slot order.
     pub fn apps_on_core(&self, core: usize) -> Vec<usize> {
         let smt = self.smt();
@@ -320,15 +315,6 @@ impl Chip {
         self.cores[slot.core(smt)].ctx[slot.ctx(smt)]
             .as_ref()
             .map(|t| t.launches())
-    }
-
-    /// Application name of `app_id`.
-    pub fn name_of(&self, app_id: usize) -> Option<&str> {
-        let smt = self.smt();
-        let slot = self.slot_of(app_id)?;
-        self.cores[slot.core(smt)].ctx[slot.ctx(smt)]
-            .as_ref()
-            .map(|t| t.name())
     }
 }
 

@@ -41,6 +41,7 @@ mod core;
 mod engine;
 mod faults;
 mod mem;
+mod parallel;
 mod pmu;
 mod program;
 mod rng;
@@ -54,6 +55,7 @@ pub use core::Core;
 pub use engine::{EngineKind, EngineStats};
 pub use faults::{AppFault, ChipFaultConfig, ChipFaultPlan, CoreFault};
 pub use mem::Memory;
+pub use parallel::parallel_map;
 pub use pmu::{Event, ExtCounters, PmuCounters, PmuDelta};
 pub use program::{PhaseParams, ThreadProgram, UniformProgram};
 pub use rng::{Dither, SplitMix64};

@@ -30,7 +30,6 @@ fn service_cfg(engine: EngineKind, queue_capacity: usize) -> ServiceConfig {
             chip_faults: None,
         },
         queue_capacity,
-        ..ServiceConfig::default()
     }
 }
 
