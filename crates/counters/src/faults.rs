@@ -38,7 +38,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Every kind, in taxonomy order (the order [`FaultRates`] draws in).
+    /// Every kind, in taxonomy order (the order [`FaultRates`] draws in);
+    /// `kind as usize` is the kind's index here.
     pub const ALL: [FaultKind; 6] = [
         FaultKind::Drop,
         FaultKind::Freeze,
@@ -92,23 +93,11 @@ impl std::fmt::Display for FaultKind {
 /// [`FaultKind::ALL`] order.
 pub type InjectedCounts = [u64; FaultKind::COUNT];
 
-/// Per-quantum fault probability of each kind. The sum must stay ≤ 1 (one
-/// read suffers at most one fault).
+/// Per-quantum fault probability of each kind, indexed by `kind as usize`
+/// ([`FaultKind::ALL`] order). The sum must stay ≤ 1 (one read suffers at
+/// most one fault).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRates {
-    /// Probability of a dropped read.
-    pub drop_read: f64,
-    /// Probability of frozen (stuck) counters.
-    pub freeze: f64,
-    /// Probability of a stale repeated snapshot.
-    pub stale: f64,
-    /// Probability of a non-monotonic rollback.
-    pub rollback: f64,
-    /// Probability of an all-zero reading.
-    pub zero: f64,
-    /// Probability of a spiked/saturated reading.
-    pub spike: f64,
-}
+pub struct FaultRates(pub [f64; FaultKind::COUNT]);
 
 impl FaultRates {
     /// No faults at all (the plan never fires; behaviour is byte-identical
@@ -122,45 +111,23 @@ impl FaultRates {
     /// targeted chaos runs.
     pub fn only(kind: FaultKind, total: f64) -> Self {
         let mut rates = Self::none();
-        match kind {
-            FaultKind::Drop => rates.drop_read = total,
-            FaultKind::Freeze => rates.freeze = total,
-            FaultKind::Stale => rates.stale = total,
-            FaultKind::Rollback => rates.rollback = total,
-            FaultKind::Zero => rates.zero = total,
-            FaultKind::Spike => rates.spike = total,
-        }
+        rates.0[kind as usize] = total;
         rates
     }
 
     /// Splits a total per-read fault probability evenly across all kinds.
     pub fn uniform(total: f64) -> Self {
-        let p = total / FaultKind::COUNT as f64;
-        Self {
-            drop_read: p,
-            freeze: p,
-            stale: p,
-            rollback: p,
-            zero: p,
-            spike: p,
-        }
+        Self([total / FaultKind::COUNT as f64; FaultKind::COUNT])
     }
 
-    /// Rate of one kind (in [`FaultKind::ALL`] order).
+    /// Rate of one kind.
     pub fn of(&self, kind: FaultKind) -> f64 {
-        match kind {
-            FaultKind::Drop => self.drop_read,
-            FaultKind::Freeze => self.freeze,
-            FaultKind::Stale => self.stale,
-            FaultKind::Rollback => self.rollback,
-            FaultKind::Zero => self.zero,
-            FaultKind::Spike => self.spike,
-        }
+        self.0[kind as usize]
     }
 
     /// Total per-read fault probability.
     pub fn total(&self) -> f64 {
-        FaultKind::ALL.iter().map(|&k| self.of(k)).sum()
+        self.0.iter().sum()
     }
 }
 
@@ -374,7 +341,7 @@ impl FaultInjector {
         let out = match self.plan.kind_at(app_id, quantum) {
             None => Some(truth),
             Some(kind) => {
-                st.injected[FaultKind::ALL.iter().position(|&k| k == kind).unwrap()] += 1;
+                st.injected[kind as usize] += 1;
                 match kind {
                     FaultKind::Drop => None,
                     FaultKind::Freeze => {
@@ -505,7 +472,7 @@ mod tests {
         for q in 0..50u64 {
             for &a in &apps {
                 if let Some(k) = plan.kind_at(a, q) {
-                    expected[FaultKind::ALL.iter().position(|&x| x == k).unwrap()] += 1;
+                    expected[k as usize] += 1;
                 }
             }
         }
@@ -518,14 +485,7 @@ mod tests {
         // Pin each kind with a rate-1 single-kind config.
         let single = |kind: FaultKind| {
             let mut rates = FaultRates::none();
-            match kind {
-                FaultKind::Drop => rates.drop_read = 1.0,
-                FaultKind::Freeze => rates.freeze = 1.0,
-                FaultKind::Stale => rates.stale = 1.0,
-                FaultKind::Rollback => rates.rollback = 1.0,
-                FaultKind::Zero => rates.zero = 1.0,
-                FaultKind::Spike => rates.spike = 1.0,
-            }
+            rates.0[kind as usize] = 1.0;
             FaultConfig { seed: 1, rates }
         };
         let apps = [0usize];
@@ -605,7 +565,7 @@ mod tests {
         // `seed:rate:kind` concentrates the whole rate on one kind.
         let cfg = FaultConfig::parse("7:0.05:spike").unwrap();
         assert_eq!(cfg.seed, 7);
-        assert!((cfg.rates.spike - 0.05).abs() < 1e-12);
+        assert!((cfg.rates.0[FaultKind::Spike as usize] - 0.05).abs() < 1e-12);
         assert!((cfg.rates.total() - 0.05).abs() < 1e-12);
         for kind in FaultKind::ALL {
             if kind != FaultKind::Spike {
@@ -638,7 +598,7 @@ mod tests {
     #[test]
     fn only_rates_match_kind_parse() {
         let rates = FaultRates::only(FaultKind::parse("rollback").unwrap(), 0.3);
-        assert!((rates.rollback - 0.3).abs() < 1e-12);
+        assert!((rates.0[FaultKind::Rollback as usize] - 0.3).abs() < 1e-12);
         assert!((rates.total() - 0.3).abs() < 1e-12);
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! Everything non-Ok lands in the quantum's `degraded` list and in the
 //! per-app [`SampleHealth`] ledger, which is how the policy guardrails and
-//! `DegradedStats` know what happened. The ladder is pure per-app state
+//! `RunStats` know what happened. The ladder is pure per-app state
 //! machine — no randomness, no clocks — so a fixed fault schedule yields a
 //! byte-identical classification sequence on every engine/thread/matcher
 //! combination (`docs/robustness.md`).

@@ -187,16 +187,18 @@ fn main() {
             over_progressed(&linux.app_ipc, workload_ipc),
             over_progressed(&synpa.app_ipc, workload_ipc),
         );
-        // Matching-layer accounting (exemplar repetition): how many pairing
-        // quanta the lower bound answered without a blossom solve.
-        let rate = if synpa.matcher_quanta == 0 {
+        // The accounting lines below read the exemplar repetition's stats.
+        let (linux, synpa) = (&linux.stats, &synpa.stats);
+        // Matching-layer accounting: how many pairing quanta the lower
+        // bound answered without a blossom solve.
+        let rate = if synpa.matcher_calls == 0 {
             0.0
         } else {
-            100.0 * synpa.matcher_bound as f64 / synpa.matcher_quanta as f64
+            100.0 * synpa.matcher_bound as f64 / synpa.matcher_calls as f64
         };
         println!(
             "{:<6} {:<8} matcher: {} pairing quanta, {:.1}% answered by the bound, {} solves",
-            "", "", synpa.matcher_quanta, rate, synpa.matcher_solves,
+            "", "", synpa.matcher_calls, rate, synpa.matcher_solves,
         );
         // Printed only under --faults, so the healthy table stays
         // byte-identical to runs built before fault injection existed.
@@ -205,9 +207,9 @@ fn main() {
                 "{:<6} {:<8} faults: {} injected, {} degraded quanta (linux: {} / {})",
                 "",
                 "",
-                synpa.faults_injected,
+                synpa.injected_total(),
                 synpa.degraded_quanta,
-                linux.faults_injected,
+                linux.injected_total(),
                 linux.degraded_quanta,
             );
         }
@@ -230,10 +232,10 @@ fn main() {
         // its unfinished apps; flag the row rather than let it read as
         // measured. Uncapped rows print nothing, so healthy tables are
         // unchanged.
-        if linux.censored_apps + synpa.censored_apps > 0 {
+        if linux.censored + synpa.censored > 0 {
             println!(
                 "{:<6} {:<8} censored: {} apps unfinished at the quanta cap (linux: {})",
-                "", "", synpa.censored_apps, linux.censored_apps,
+                "", "", synpa.censored, linux.censored,
             );
         }
     }

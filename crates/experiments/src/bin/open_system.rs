@@ -231,7 +231,7 @@ fn main() {
             // Printed only under --faults, so the healthy table stays
             // byte-identical to pre-fault-injection runs.
             if faults.is_some() {
-                println!("{:<6} {:<8} faults: {}", "", "", r.degraded.summary());
+                println!("{:<6} {:<8} faults: {}", "", "", r.stats.faults_summary());
             }
             // Same contract for execution faults: the line exists only
             // under --chip-faults, so `--chip-faults seed:0` and the plain
@@ -241,7 +241,7 @@ fn main() {
                     "{:<6} {:<8} chip faults: {} ({} failed terminally)",
                     "",
                     "",
-                    r.chip_faults.summary(),
+                    r.stats.chip_faults_summary(),
                     r.failed.len(),
                 );
             }

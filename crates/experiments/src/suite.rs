@@ -42,34 +42,11 @@ pub struct SuiteCell {
     pub app_speedup: Vec<f64>,
     /// Migrations in the exemplar repetition.
     pub migrations: u64,
-    /// Pairing-matcher calls in the exemplar repetition (0 for policies
-    /// without a matcher). Deliberately no serde default: adding these
-    /// counters must invalidate previously cached cells rather than load
-    /// them with fabricated zeros.
-    pub matcher_quanta: u64,
-    /// Calls the lower bound answered (no blossom solve).
-    pub matcher_bound: u64,
-    /// Blossom solves among those calls.
-    pub matcher_solves: u64,
-    /// Quanta with at least one degraded sample in the exemplar repetition
-    /// (0 on healthy sources). Like the matcher counters above, deliberately
-    /// no serde default: robustness accounting must invalidate stale cells.
-    pub degraded_quanta: u64,
-    /// Faults injected in the exemplar repetition (0 unless the cell ran
-    /// with fault injection enabled).
-    pub faults_injected: u64,
-    /// Cores permanently offlined by execution-fault injection in the
-    /// exemplar repetition (0 on healthy sources). No serde default, same
-    /// rule as the other robustness counters: cells cached before
-    /// execution faults existed must be recomputed, not loaded with
-    /// fabricated zeros.
-    pub cores_offlined: u64,
-    /// Apps evacuated from failing cores in the exemplar repetition.
-    pub apps_evacuated: u64,
-    /// Apps still unfinished when the quanta cap fired in the exemplar
-    /// repetition (their TT and IPC are censored observations, not
-    /// measurements). No serde default, same rule as the counters above.
-    pub censored_apps: u64,
+    /// The exemplar repetition's run accounting (matcher, sample health
+    /// and injected faults, chip faults, censored apps). `RunStats` has no
+    /// serde defaults, so a cell cached before one of its counters existed
+    /// is recomputed rather than loaded with fabricated zeros.
+    pub stats: RunStats,
 }
 
 impl SuiteCell {
@@ -86,19 +63,7 @@ impl SuiteCell {
             app_ipc: cell.app_ipc.clone(),
             app_speedup: cell.app_speedup.clone(),
             migrations: cell.exemplar.migrations,
-            matcher_quanta: cell.exemplar.matcher.map_or(0, |m| m.calls),
-            matcher_bound: cell.exemplar.matcher.map_or(0, |m| m.certificate_hits),
-            matcher_solves: cell.exemplar.matcher.map_or(0, |m| m.cold_solves),
-            degraded_quanta: cell.exemplar.degraded.quanta_degraded,
-            faults_injected: cell.exemplar.degraded.injected_total(),
-            cores_offlined: cell.exemplar.chip_faults.cores_offlined,
-            apps_evacuated: cell.exemplar.chip_faults.apps_evacuated,
-            censored_apps: cell
-                .exemplar
-                .per_app
-                .iter()
-                .filter(|a| !a.completed)
-                .count() as u64,
+            stats: cell.exemplar.stats,
         }
     }
 }
@@ -656,14 +621,7 @@ mod tests {
             app_ipc: vec![],
             app_speedup: vec![],
             migrations: 0,
-            matcher_quanta: 0,
-            matcher_bound: 0,
-            matcher_solves: 0,
-            degraded_quanta: 0,
-            faults_injected: 0,
-            cores_offlined: 0,
-            apps_evacuated: 0,
-            censored_apps: 0,
+            stats: RunStats::default(),
         };
         store_cell(&dir, "right", &cell);
         std::fs::rename(dir.join("right.json"), dir.join("wrong.json")).unwrap();

@@ -3,7 +3,8 @@
 //! * a cached cell is actually *used* on re-runs (proved with a sentinel),
 //! * a cell cached under one `ExperimentConfig` is not reused after the
 //!   config hash changes, nor across base seeds,
-//! * a corrupted cell file is recomputed, not trusted.
+//! * a corrupted cell file, or one in an older schema, is recomputed, not
+//!   trusted.
 
 use std::path::{Path, PathBuf};
 use synpa::prelude::*;
@@ -54,14 +55,7 @@ fn sentinel() -> SuiteCell {
         app_ipc: vec![1.0],
         app_speedup: vec![1.0],
         migrations: 77,
-        matcher_quanta: 0,
-        matcher_bound: 0,
-        matcher_solves: 0,
-        degraded_quanta: 0,
-        faults_injected: 0,
-        cores_offlined: 0,
-        apps_evacuated: 0,
-        censored_apps: 0,
+        stats: RunStats::default(),
     }
 }
 
@@ -132,8 +126,8 @@ fn corrupted_cell_file_is_recomputed_not_trusted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `censored_apps` has no serde default: a cell cached before the field
-/// existed must be recomputed, never loaded as "nothing censored".
+/// The censored count has no serde default: a cell cached before the
+/// field existed must be recomputed, never loaded as "nothing censored".
 #[test]
 fn cell_cached_without_censored_apps_is_not_trusted() {
     let dir = temp_dir("censored-legacy");
@@ -142,10 +136,10 @@ fn cell_cached_without_censored_apps_is_not_trusted() {
     let text = std::fs::read_to_string(&path).unwrap();
     let legacy: String = text
         .lines()
-        .filter(|l| !l.contains("censored_apps"))
+        .filter(|l| !l.contains("\"censored\""))
         .collect::<Vec<_>>()
         .join("\n")
-        .replace("apps_evacuated\": 0,", "apps_evacuated\": 0");
+        .replace("\"failed\": 0,", "\"failed\": 0");
     assert_ne!(legacy, text, "the field was present and has been removed");
     std::fs::write(&path, legacy).unwrap();
     assert!(load_cell(&dir, "legacy").is_none());
@@ -158,10 +152,39 @@ fn cell_cached_without_censored_apps_is_not_trusted() {
 fn capped_cell_counts_its_censored_apps() {
     let dir = temp_dir("censored-count");
     let healthy = run_suite_sharded(&spec(&dir, mini_config()), model(), 1);
-    assert_eq!(healthy[0].censored_apps, 0);
+    assert_eq!(healthy[0].stats.censored, 0);
     let mut capped = mini_config();
     capped.manager.max_quanta = 2;
     let cut = run_suite_sharded(&spec(&dir, capped), model(), 1);
-    assert_eq!(cut[0].censored_apps, cut[0].app_names.len() as u64);
+    assert_eq!(cut[0].stats.censored, cut[0].app_names.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell cached in the flat-counter schema (eight top-level counters, no
+/// `stats` record) is recomputed, never loaded: the counters moved into
+/// `RunStats`, which has no serde defaults.
+#[test]
+fn cell_cached_in_the_flat_counter_schema_is_recomputed() {
+    let dir = temp_dir("flat-schema");
+    let cfg = mini_config();
+    let w = workload::by_name("fb2").unwrap();
+    let key = cell_key(&w, SuitePolicy::Linux, &cfg, &model());
+    let flat = format!(
+        r#"{{"key": "{key}", "cell": {{"workload": "fb2", "kind": "mixed", "policy": "linux",
+        "tt_mean": 123456789.0, "tt_cv": 0.0, "discarded": 0, "app_names": ["sentinel"],
+        "app_ipc": [1.0], "app_speedup": [1.0], "migrations": 77, "matcher_quanta": 0,
+        "matcher_bound": 0, "matcher_solves": 0, "degraded_quanta": 0, "faults_injected": 0,
+        "cores_offlined": 0, "apps_evacuated": 0, "censored_apps": 0}}}}"#
+    );
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{key}.json")), flat).unwrap();
+    assert!(load_cell(&dir, &key).is_none(), "flat-schema cell rejected");
+    let cells = run_suite_sharded(&spec(&dir, cfg), model(), 1);
+    assert_ne!(cells[0].tt_mean, sentinel().tt_mean, "cell recomputed");
+    assert_eq!(
+        load_cell(&dir, &key),
+        Some(cells[0].clone()),
+        "and rewritten"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

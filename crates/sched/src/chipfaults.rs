@@ -10,53 +10,8 @@
 //! system). See `docs/robustness.md` for the full taxonomy and recovery
 //! rules.
 
+use crate::stats::RunStats;
 use synpa_sim::{Chip, ChipFaultConfig, ChipFaultPlan, CoreFault};
-
-/// Execution-fault accounting for one run: what the fault plan did to the
-/// chip and how the scheduler recovered. Derived entirely from the seeded
-/// plan and deterministic scheduler state, so it is engine-, thread-count-
-/// and matcher-independent like every other result field. All-zero when
-/// chip-fault injection is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChipFaultStats {
-    /// Cores taken out of service permanently.
-    pub cores_offlined: u64,
-    /// Transient core outages (the core later returned to service).
-    pub cores_transient: u64,
-    /// Cores with their dispatch width derated (counted once per core).
-    pub cores_throttled: u64,
-    /// Apps evacuated off a failing core at a quantum boundary.
-    pub apps_evacuated: u64,
-    /// App crash events (an app died at its planned instruction count;
-    /// each retry that re-crashes counts again).
-    pub apps_crashed: u64,
-    /// App hang events (an app wedged and was caught by the watchdog;
-    /// each retry that re-hangs counts again).
-    pub apps_hung: u64,
-    /// Retries granted (an evicted app re-entered the admission queue).
-    pub retries: u64,
-    /// Apps that exhausted their retry budget and were reported failed.
-    pub failed: u64,
-}
-
-impl ChipFaultStats {
-    /// One-line accounting summary (the `chip faults:` row of the
-    /// experiment tables).
-    pub fn summary(&self) -> String {
-        format!(
-            "cores offlined {} transient {} throttled {}, apps evacuated {} crashed {} hung {}, \
-             retries {} failed {}",
-            self.cores_offlined,
-            self.cores_transient,
-            self.cores_throttled,
-            self.apps_evacuated,
-            self.apps_crashed,
-            self.apps_hung,
-            self.retries,
-            self.failed,
-        )
-    }
-}
 
 /// Applies the seeded core-fault plan to a live chip, one quantum boundary
 /// at a time. Holds the per-core outage clock; the chip itself only knows
@@ -68,9 +23,6 @@ pub(crate) struct ChipFaultDriver {
     down_until: Vec<u64>,
     /// Cores already derated (a core throttles at most once).
     throttled: Vec<bool>,
-    /// Fault accounting: the driver counts the core side; the quantum
-    /// loop adds the open system's crash/hang/retry/failed counters.
-    pub stats: ChipFaultStats,
 }
 
 impl ChipFaultDriver {
@@ -79,7 +31,6 @@ impl ChipFaultDriver {
             plan: ChipFaultPlan::new(cfg),
             down_until: vec![0; cores],
             throttled: vec![false; cores],
-            stats: ChipFaultStats::default(),
         }
     }
 
@@ -91,16 +42,17 @@ impl ChipFaultDriver {
 
     /// Advances the fault state one quantum boundary: revives due
     /// transients, draws this quantum's per-core events, evacuates and
-    /// offlines failing cores, derates throttled ones. Returns the ids of
-    /// the evacuated apps in ascending order; their threads are gone
-    /// (progress censored, never fabricated) and the caller decides
-    /// whether and when they run again.
+    /// offlines failing cores, derates throttled ones, counting the core
+    /// events and evacuations into `stats`. Returns the ids of the
+    /// evacuated apps in ascending order; their threads are gone (progress
+    /// censored, never fabricated) and the caller decides whether and when
+    /// they run again.
     ///
     /// Availability floor: the last in-service core never fails — a chip
     /// with zero capacity could neither finish nor honestly account for
     /// the work it accepted, and real fleets drain a failing node rather
     /// than run it to zero.
-    pub fn apply(&mut self, chip: &mut Chip, quantum: u64) -> Vec<usize> {
+    pub fn apply(&mut self, chip: &mut Chip, quantum: u64, stats: &mut RunStats) -> Vec<usize> {
         // Revive transients whose outage expired.
         for core in 0..self.down_until.len() {
             let due = self.down_until[core];
@@ -132,11 +84,11 @@ impl ChipFaultDriver {
                     chip.set_core_offline(core);
                     self.down_until[core] = match fault {
                         CoreFault::Offline => {
-                            self.stats.cores_offlined += 1;
+                            stats.cores_offlined += 1;
                             u64::MAX
                         }
                         CoreFault::Transient { down } => {
-                            self.stats.cores_transient += 1;
+                            stats.cores_transient += 1;
                             quantum + down
                         }
                         CoreFault::Throttled => unreachable!("matched above"),
@@ -146,7 +98,7 @@ impl ChipFaultDriver {
                     self.throttled[core] = true;
                     let width = chip.config().core.dispatch_width;
                     chip.set_core_width_limit(core, Some((width / 2).max(1)));
-                    self.stats.cores_throttled += 1;
+                    stats.cores_throttled += 1;
                 }
                 // Already-throttled cores redrawing Throttled, and quanta
                 // with no event at all.
@@ -154,7 +106,7 @@ impl ChipFaultDriver {
             }
         }
         evacuees.sort_unstable();
-        self.stats.apps_evacuated += evacuees.len() as u64;
+        stats.apps_evacuated += evacuees.len() as u64;
         evacuees
     }
 }
@@ -170,10 +122,11 @@ mod tests {
         let chip_cfg = ChipConfig::thunderx2(4);
         let mut chip = Chip::new(chip_cfg);
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = RunStats::default();
         for q in 0..200 {
-            assert!(drv.apply(&mut chip, q).is_empty());
+            assert!(drv.apply(&mut chip, q, &mut stats).is_empty());
         }
-        assert_eq!(drv.stats, ChipFaultStats::default());
+        assert_eq!(stats, RunStats::default());
         assert_eq!(chip.available_cores(), 4);
     }
 
@@ -183,12 +136,13 @@ mod tests {
         let chip_cfg = ChipConfig::thunderx2(4);
         let mut chip = Chip::new(chip_cfg);
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = RunStats::default();
         for q in 0..500 {
-            drv.apply(&mut chip, q);
+            drv.apply(&mut chip, q, &mut stats);
             assert!(chip.available_cores() >= 1, "floor violated at quantum {q}");
         }
         assert!(
-            drv.stats.cores_offlined + drv.stats.cores_transient > 0,
+            stats.cores_offlined + stats.cores_transient > 0,
             "a rate-1.0 plan must take cores down"
         );
     }
@@ -202,10 +156,11 @@ mod tests {
         let cfg = ChipFaultConfig::uniform(11, 1.0);
         let mut chip = Chip::new(ChipConfig::thunderx2(4));
         let mut drv = ChipFaultDriver::new(&cfg, 4);
+        let mut stats = RunStats::default();
         let mut saw_revival = false;
         for q in 0..500 {
             let before = chip.availability();
-            drv.apply(&mut chip, q);
+            drv.apply(&mut chip, q, &mut stats);
             let after = chip.availability();
             for c in 0..4 {
                 assert_eq!(
@@ -219,14 +174,14 @@ mod tests {
             }
         }
         assert!(
-            drv.stats.cores_transient > 0 && saw_revival,
+            stats.cores_transient > 0 && saw_revival,
             "a rate-1.0 plan over 500 quanta must exercise a transient revival"
         );
     }
 
     #[test]
     fn summary_mentions_every_counter() {
-        let s = ChipFaultStats {
+        let s = RunStats {
             cores_offlined: 1,
             cores_transient: 2,
             cores_throttled: 3,
@@ -235,8 +190,9 @@ mod tests {
             apps_hung: 6,
             retries: 7,
             failed: 8,
+            ..RunStats::default()
         };
-        let line = s.summary();
+        let line = s.chip_faults_summary();
         for needle in ["offlined 1", "transient 2", "throttled 3", "evacuated 4"] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }

@@ -15,6 +15,7 @@
 //!   completion, re-pairing under churn, turnaround/sojourn latencies.
 //!   The two differ only in what a completion does, the admission bound
 //!   and how evicted apps recover (see `docs/service.md`);
+//! * [`RunStats`] — the one accounting record both front ends return;
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
 //!   experiment driver.
 
@@ -26,11 +27,11 @@ mod manager;
 mod policy;
 mod runner;
 mod service;
+mod stats;
 
-pub use chipfaults::ChipFaultStats;
 pub use manager::{
-    first_free_slot, run_workload, run_workload_with_arrivals, AppResult, DegradedStats,
-    ManagerConfig, QuantumRow, RunResult,
+    first_free_slot, run_workload, run_workload_with_arrivals, AppResult, ManagerConfig,
+    QuantumRow, RunResult,
 };
 pub use policy::{
     pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy,
@@ -41,5 +42,6 @@ pub use runner::{
     PreparedWorkload,
 };
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
+pub use stats::RunStats;
 pub use synpa_matching::MatcherStats;
 pub use synpa_sim::parallel_map;

@@ -20,12 +20,13 @@
 //! does, the admission-queue bound, and how an evicted app recovers; the
 //! table in `docs/service.md` lists them.
 
-use crate::chipfaults::{ChipFaultDriver, ChipFaultStats};
+use crate::chipfaults::ChipFaultDriver;
 use crate::policy::{Policy, QuantumView};
 use crate::service::{MAX_RETRIES, RETRY_BACKOFF_QUANTA, WATCHDOG_QUANTA};
+use crate::stats::RunStats;
 use std::collections::VecDeque;
 use synpa_apps::AppProfile;
-use synpa_counters::{FaultConfig, FaultInjector, FaultKind, InjectedCounts, SanitizingSession};
+use synpa_counters::{FaultConfig, FaultInjector, SanitizingSession};
 use synpa_model::Categories;
 use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
 
@@ -111,79 +112,10 @@ pub struct RunResult {
     /// unfinished (its [`AppResult::completed`] is `false`); the workload
     /// TT is then a lower bound, not a measurement.
     pub capped: bool,
-    /// Matching-layer counters (quanta answered by the lower bound /
-    /// blossom solves), if the policy drives a pairing matcher. Engine- and
-    /// thread-count-independent, like every other field here.
-    pub matcher: Option<synpa_matching::MatcherStats>,
-    /// Sample-health and fault accounting for the run. All-zero (with
-    /// `injected` all-zero) on a healthy source without fault injection.
-    pub degraded: DegradedStats,
-    /// Execution-fault accounting: cores lost, apps evacuated. All-zero
-    /// without chip-fault injection. The closed batch only evacuates and
-    /// re-queues (no retry cap), so the crash/hang/retry/failed fields
-    /// stay zero here — they belong to the open-system service.
-    pub chip_faults: ChipFaultStats,
-}
-
-/// Fault-tolerance accounting for one run: what the sanitizer classified,
-/// what the injector injected, and how the policy guardrails reacted.
-/// Derived entirely from deterministic state, so it is engine- and
-/// thread-count-independent like every other result field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DegradedStats {
-    /// Samples classified Ok.
-    pub samples_ok: u64,
-    /// Samples clamped (non-monotonic snapshot, saturated delta).
-    pub samples_clamped: u64,
-    /// Samples held over from the last good delta.
-    pub samples_held: u64,
-    /// Samples missing outright (no row reached the policy).
-    pub samples_missing: u64,
-    /// Quanta with at least one non-Ok sample.
-    pub quanta_degraded: u64,
-    /// Faults injected, by kind in `FaultKind::ALL` order. All-zero when
-    /// fault injection is off.
-    pub injected: InjectedCounts,
-    /// Times the policy entered fallback (0 for policies without
-    /// guardrails).
-    pub fallback_entries: u64,
-    /// Quanta the policy spent in fallback.
-    pub fallback_quanta: u64,
-}
-
-impl DegradedStats {
-    /// Total faults injected across all kinds.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
-    /// Samples that were anything but Ok.
-    pub fn samples_degraded(&self) -> u64 {
-        self.samples_clamped + self.samples_held + self.samples_missing
-    }
-
-    /// One-line accounting summary (the `faults:` row of the experiment
-    /// tables): injected per kind, classification totals, fallback counts.
-    pub fn summary(&self) -> String {
-        let per_kind = FaultKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, k)| format!("{} {}", k.name(), self.injected[i]))
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!(
-            "injected {} ({per_kind}), quanta degraded {}, samples ok {} clamped {} held {} \
-             missing {}, fallback entries {} quanta {}",
-            self.injected_total(),
-            self.quanta_degraded,
-            self.samples_ok,
-            self.samples_clamped,
-            self.samples_held,
-            self.samples_missing,
-            self.fallback_entries,
-            self.fallback_quanta,
-        )
-    }
+    /// Sample health, injected faults, guardrails, matcher, chip faults
+    /// and censored apps. The closed batch only evacuates and re-queues
+    /// (no retry cap), so its crash/hang/retry/failed counters stay zero.
+    pub stats: RunStats,
 }
 
 /// Manager configuration.
@@ -358,9 +290,7 @@ pub fn run_workload_with_arrivals(
         per_app,
         quanta: run.quantum,
         migrations: run.migrations,
-        matcher: policy.matcher_stats(),
-        degraded: run.degraded_stats(policy),
-        chip_faults: run.chip_fault_stats(),
+        stats: run.stats,
         trace: run.trace,
     }
 }
@@ -393,9 +323,6 @@ pub(crate) enum Recovery {
     /// [`RETRY_BACKOFF_QUANTA`]).
     Retry,
 }
-
-/// Evictions and app faults only happen under a chip-fault plan.
-const EVICTIONS: &str = "evictions come from the chip-fault plan";
 
 /// The one quantum loop and the state it carries between boundaries.
 pub(crate) struct QuantumLoop<'a> {
@@ -446,7 +373,9 @@ pub(crate) struct QuantumLoop<'a> {
     pub(crate) trace: Vec<QuantumRow>,
     pub(crate) quantum: u64,
     pub(crate) migrations: u64,
-    quanta_degraded: u64,
+    /// The run's accounting, filled where each event happens and
+    /// completed by [`QuantumLoop::run`] on exit.
+    pub(crate) stats: RunStats,
     /// Stopped because the trace, the queue, the backlog and the chip
     /// were all empty ([`OnCompletion::Detach`] only).
     pub(crate) drained: bool,
@@ -498,12 +427,13 @@ impl<'a> QuantumLoop<'a> {
             trace: Vec::new(),
             quantum: 0,
             migrations: 0,
-            quanta_degraded: 0,
+            stats: RunStats::default(),
             drained: false,
         }
     }
 
-    /// Runs quanta until the front end's stop condition or the cap.
+    /// Runs quanta until the front end's stop condition or the cap, then
+    /// completes the stats.
     pub(crate) fn run(&mut self, policy: &mut dyn Policy) {
         let closed = self.on_completion == OnCompletion::Relaunch;
         let n = self.apps.len();
@@ -519,7 +449,7 @@ impl<'a> QuantumLoop<'a> {
             //    and when they run again.
             let mut evacuated = 0;
             if let Some(drv) = self.driver.as_mut() {
-                let stranded = drv.apply(&mut self.chip, self.quantum);
+                let stranded = drv.apply(&mut self.chip, self.quantum, &mut self.stats);
                 evacuated = stranded.len();
                 for app in stranded {
                     self.evict(app);
@@ -575,7 +505,7 @@ impl<'a> QuantumLoop<'a> {
                     None => self.session.sample(&self.chip, &ids, q),
                 };
                 if !sanitized.is_clean() {
-                    self.quanta_degraded += 1;
+                    self.stats.degraded_quanta += 1;
                 }
                 let slot_of = |app: usize| {
                     let placed = placement.iter().find(|&&(a, _)| a == app);
@@ -624,6 +554,7 @@ impl<'a> QuantumLoop<'a> {
             }
             self.quantum += 1;
         }
+        self.finish_stats(policy);
     }
 
     /// Due evictions re-enter first: evacuees (closed batch) attach ahead
@@ -717,13 +648,12 @@ impl<'a> QuantumLoop<'a> {
         self.last_retired[app] = 0;
         self.stalled[app] = 0;
         self.hang_applied[app] = false;
-        let stats = &mut self.driver.as_mut().expect(EVICTIONS).stats;
         if self.retries[app] >= MAX_RETRIES {
             self.failed.push(app);
-            stats.failed += 1;
+            self.stats.failed += 1;
         } else {
             self.retries[app] += 1;
-            stats.retries += 1;
+            self.stats.retries += 1;
             self.backlog
                 .push_back((self.quantum + 1 + RETRY_BACKOFF_QUANTA, app));
         }
@@ -753,12 +683,12 @@ impl<'a> QuantumLoop<'a> {
             }
             if crash {
                 self.detach(app);
-                self.fault_stats().apps_crashed += 1;
+                self.stats.apps_crashed += 1;
                 self.evict(app);
             } else if !self.hang_applied[app] {
                 self.chip.hang_app(app);
                 self.hang_applied[app] = true;
-                self.fault_stats().apps_hung += 1;
+                self.stats.apps_hung += 1;
             }
         }
         for app in self.placed_ids() {
@@ -784,33 +714,29 @@ impl<'a> QuantumLoop<'a> {
         self.chip.pmu_of(app).map_or(0, |p| p.inst_retired)
     }
 
-    fn fault_stats(&mut self) -> &mut ChipFaultStats {
-        &mut self.driver.as_mut().expect(EVICTIONS).stats
-    }
-
-    /// Sample-health and fault accounting: the sanitizer ledger, the
-    /// injector counters and the policy guardrails.
-    pub(crate) fn degraded_stats(&self, policy: &dyn Policy) -> DegradedStats {
-        let totals = self.session.totals();
+    /// Copies in what other layers count themselves — the sanitizer
+    /// ledger, the injector's per-kind counts, the policy's matcher and
+    /// guardrail counters — and the apps left without a terminal outcome.
+    fn finish_stats(&mut self, policy: &dyn Policy) {
+        let health = self.session.totals();
+        let matcher = policy.matcher_stats().unwrap_or_default();
         let guard = policy.guardrail_stats().unwrap_or_default();
-        DegradedStats {
-            samples_ok: totals.ok,
-            samples_clamped: totals.clamped,
-            samples_held: totals.held,
-            samples_missing: totals.missing,
-            quanta_degraded: self.quanta_degraded,
-            injected: self
-                .injector
-                .as_ref()
-                .map(|i| i.injected())
-                .unwrap_or_default(),
-            fallback_entries: guard.fallback_entries,
-            fallback_quanta: guard.fallback_quanta,
-        }
-    }
-
-    pub(crate) fn chip_fault_stats(&self) -> ChipFaultStats {
-        self.driver.as_ref().map(|d| d.stats).unwrap_or_default()
+        let s = &mut self.stats;
+        s.samples_ok = health.ok;
+        s.samples_clamped = health.clamped;
+        s.samples_held = health.held;
+        s.samples_missing = health.missing;
+        s.injected = self
+            .injector
+            .as_ref()
+            .map_or_else(Default::default, |i| i.injected());
+        s.fallback_entries = guard.fallback_entries;
+        s.fallback_quanta = guard.fallback_quanta;
+        s.matcher_calls = matcher.calls;
+        s.matcher_bound = matcher.certificate_hits;
+        s.matcher_solves = matcher.cold_solves;
+        s.censored =
+            (self.apps.len() - self.completed.len() - self.shed.len() - self.failed.len()) as u64;
     }
 }
 
@@ -1107,7 +1033,7 @@ mod tests {
             ..Default::default()
         };
         let result = run_workload(&apps, &solo, &mut LinuxLike, &cfg);
-        let s = result.chip_faults;
+        let s = result.stats;
         assert!(
             s.cores_offlined + s.cores_transient + s.cores_throttled > 0,
             "a rate-1.0 plan must disturb the chip: {s:?}"
@@ -1145,7 +1071,7 @@ mod tests {
             ..Default::default()
         };
         let result = run_workload(&apps, &[1.0; 4], &mut LinuxLike, &cfg);
-        assert!(result.capped && result.chip_faults.apps_evacuated > 0);
+        assert!(result.capped && result.stats.apps_evacuated > 0);
         let last = result.quanta - 1;
         let mut checked = 0;
         for a in result.per_app.iter().filter(|a| !a.completed) {

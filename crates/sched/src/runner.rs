@@ -144,7 +144,8 @@ pub struct CellOutcome {
 
 /// Runs one workload under one policy for `cfg.reps` repetitions and
 /// aggregates with the outlier rule. `make_policy` builds a fresh policy
-/// per repetition (seeded by the rep seed where relevant).
+/// per repetition (seeded by the rep seed where relevant). Panics when
+/// `cfg.reps` is 0: a cell needs at least one repetition to report.
 pub fn run_cell<F>(
     prepared: &PreparedWorkload,
     make_policy: F,
@@ -153,6 +154,10 @@ pub fn run_cell<F>(
 where
     F: Fn(u64) -> Box<dyn Policy> + Sync,
 {
+    assert!(
+        cfg.reps >= 1,
+        "ExperimentConfig::reps must be at least 1 (a cell reports its first kept repetition)"
+    );
     let reps: Vec<u64> = (0..cfg.reps as u64).map(|r| cfg.base_seed + r).collect();
     let results: Vec<RunResult> = parallel_map(&reps, cfg.threads, |&seed| {
         let mut mgr = cfg.manager.clone();
@@ -351,5 +356,21 @@ mod tests {
         assert_eq!(cell.app_ipc.len(), 8);
         assert_eq!(cell.tt_runs.len() + cell.discarded, 3);
         assert!(!cell.exemplar.trace.is_empty());
+    }
+
+    /// Regression: `reps: 0` used to panic with an opaque index out of
+    /// bounds on the empty kept-repetition list.
+    #[test]
+    #[should_panic(expected = "ExperimentConfig::reps must be at least 1")]
+    fn run_cell_rejects_zero_reps() {
+        let cfg = ExperimentConfig {
+            target_window: 25_000,
+            calibration_warmup: 20_000,
+            reps: 0,
+            ..Default::default()
+        };
+        let w = workload::by_name("fb2").unwrap();
+        let prepared = prepare_workload(&w, &cfg);
+        run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
     }
 }

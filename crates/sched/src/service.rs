@@ -17,11 +17,9 @@
 //! admission), queue depth and occupancy over time, and the shed count
 //! under overload. See `docs/service.md` for the full rules.
 
-use crate::chipfaults::ChipFaultStats;
-use crate::manager::{
-    DegradedStats, ManagerConfig, OnCompletion, QuantumLoop, QuantumRow, Recovery,
-};
+use crate::manager::{ManagerConfig, OnCompletion, QuantumLoop, QuantumRow, Recovery};
 use crate::policy::Policy;
+use crate::stats::RunStats;
 use synpa_apps::AppProfile;
 use synpa_sim::ThreadProgram;
 
@@ -102,10 +100,11 @@ impl ServiceApp {
 pub struct ServiceResult {
     /// Policy name.
     pub policy: String,
-    /// Completed apps in completion order. Apps still queued or on chip
-    /// when the quanta cap fired are *not* listed — they are censored, not
-    /// assigned fabricated latencies (their count is the difference
-    /// against the trace length minus `shed`).
+    /// Completed apps in completion order. Apps still queued, backed off
+    /// or on chip when the quanta cap fired are *not* listed — they are
+    /// censored, not assigned fabricated latencies (their count is
+    /// [`RunStats::censored`]: the trace length minus completed, shed and
+    /// failed).
     pub completed: Vec<ServiceApp>,
     /// Trace indices shed by admission control (queue full on arrival).
     pub shed: Vec<usize>,
@@ -131,16 +130,9 @@ pub struct ServiceResult {
     /// both the queue and the chip were empty; `false` when the quanta cap
     /// cut it off with work still in flight (overload).
     pub drained: bool,
-    /// Matching-layer counters (quanta answered by the lower bound /
-    /// blossom solves), if the policy drives a pairing matcher.
-    pub matcher: Option<synpa_matching::MatcherStats>,
-    /// Sample-health and fault accounting (same schema as the closed
-    /// batch). All-zero on a healthy source without fault injection.
-    pub degraded: DegradedStats,
-    /// Execution-fault accounting: cores lost, apps evacuated, crash/hang
-    /// events, retries granted and retry budgets exhausted. All-zero
-    /// without chip-fault injection.
-    pub chip_faults: ChipFaultStats,
+    /// Sample health, injected faults, guardrails, matcher, chip faults
+    /// and recovery, censored arrivals (same record as the closed batch).
+    pub stats: RunStats,
 }
 
 impl ServiceResult {
@@ -228,9 +220,7 @@ pub fn run_service(
         end_cycle: run.chip.cycle(),
         migrations: run.migrations,
         drained: run.drained,
-        matcher: policy.matcher_stats(),
-        degraded: run.degraded_stats(policy),
-        chip_faults: run.chip_fault_stats(),
+        stats: run.stats,
         shed: run.shed,
         failed: run.failed,
         queue_depth: run.queue_depth,
@@ -437,9 +427,9 @@ mod tests {
         assert!(
             !r.failed.is_empty(),
             "a rate-1.0 fault plan must exhaust someone's retry budget: {:?}",
-            r.chip_faults
+            r.stats
         );
-        let s = r.chip_faults;
+        let s = r.stats;
         assert!(
             s.apps_crashed + s.apps_hung > 0,
             "planned app faults must fire: {s:?}"

@@ -85,8 +85,8 @@ proptest! {
         let with = faulted_run(EngineKind::PerCore, Some(FaultConfig::uniform(seed, 0.0)));
         let without = faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
-        prop_assert_eq!(with.degraded.injected_total(), 0);
-        prop_assert_eq!(with.degraded.samples_degraded(), 0);
+        prop_assert_eq!(with.stats.injected_total(), 0);
+        prop_assert_eq!(with.stats.samples_degraded(), 0);
     }
 
     // Contract 3: the injector's per-kind counters equal an independent
@@ -109,12 +109,12 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(result.degraded.injected, expected);
+        prop_assert_eq!(result.stats.injected, expected);
         // Per-kind, not just in total: the array indices follow
         // `FaultKind::ALL` order.
         for kind in FaultKind::ALL {
             prop_assert_eq!(
-                result.degraded.injected[kind as usize],
+                result.stats.injected[kind as usize],
                 expected[kind as usize],
                 "kind {}",
                 kind
@@ -133,7 +133,7 @@ fn low_rate_faults_cause_bounded_degradation() {
     for seed in [1u64, 2, 3, 0xD15EA5E] {
         let cfg = FaultConfig::uniform(seed, 0.05);
         let r = faulted_run(EngineKind::PerCore, Some(cfg));
-        let d = r.degraded;
+        let d = r.stats;
         let total = d.samples_ok + d.samples_degraded();
         assert!(
             d.samples_ok * 2 > total,

@@ -1,6 +1,6 @@
 //! The execution-fault chaos wall: property tests over the chip-fault
 //! injection stack (core offlining, transient outages, dispatch
-//! throttling, crashing and hung apps). Four contracts:
+//! throttling, crashing and hung apps). Five contracts:
 //!
 //! 1. **No panics, deterministic**: a closed-batch run under any seeded
 //!    chip-fault plan completes without panicking and is bit-identical
@@ -14,6 +14,10 @@
 //!    terminates without panics, and the terminal accounting is honest —
 //!    crashes, hangs, evacuations and exhausted retry budgets all show up
 //!    in the stats, never as silently vanished apps.
+//! 5. **One consistent record**: with counter and chip faults together,
+//!    both front ends fill a `RunStats` that is identical across engines,
+//!    whose matcher calls split exactly into bound answers and solves, and
+//!    whose censored count matches the per-app and service outcomes.
 
 use proptest::prelude::*;
 use synpa::apps::workload::{poisson_trace, ArrivalTrace, WorkloadKind};
@@ -108,7 +112,7 @@ fn assert_conserved(r: &synpa::sched::ServiceResult, n: usize) {
         );
     }
     assert_eq!(
-        r.chip_faults.failed,
+        r.stats.failed,
         r.failed.len() as u64,
         "the failed counter must match the failed list"
     );
@@ -142,7 +146,10 @@ proptest! {
         let with = chip_faulted_run(EngineKind::PerCore, Some(ChipFaultConfig::uniform(seed, 0.0)));
         let without = chip_faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
-        prop_assert_eq!(with.chip_faults, ChipFaultStats::default());
+        prop_assert_eq!(
+            with.stats.chip_faults_summary(),
+            RunStats::default().chip_faults_summary()
+        );
     }
 
     // Contract 3: the service conserves arrivals under any fault seed, on
@@ -185,7 +192,7 @@ proptest! {
 fn high_rate_chaos_survives_with_honest_accounting() {
     let trace = poisson_trace("chaos", WorkloadKind::Mixed, 20, 4_000.0, 0xC0FFEE);
     let apps = trace_profiles(&trace);
-    let mut cumulative = ChipFaultStats::default();
+    let mut cumulative = RunStats::default();
     for seed in [1u64, 2, 3, 0xD15EA5E] {
         let cf = Some(ChipFaultConfig::uniform(seed, 0.8));
         let mut policy = LinuxLike;
@@ -196,7 +203,7 @@ fn high_rate_chaos_survives_with_honest_accounting() {
             &chaos_service_cfg(EngineKind::PerCore, cf),
         );
         assert_conserved(&r, trace.len());
-        let s = r.chip_faults;
+        let s = r.stats;
         cumulative.cores_offlined += s.cores_offlined;
         cumulative.cores_transient += s.cores_transient;
         cumulative.cores_throttled += s.cores_throttled;
@@ -224,4 +231,68 @@ fn high_rate_chaos_survives_with_honest_accounting() {
         cumulative.cores_offlined + cumulative.cores_transient + cumulative.cores_throttled > 0,
         "no core event fired: {cumulative:?}"
     );
+}
+
+/// Both fault layers at once: `rate` of counter faults and of chip faults,
+/// from independent seeds.
+fn combined_manager_cfg(engine: EngineKind, seed: u64, rate: f64) -> ManagerConfig {
+    ManagerConfig {
+        chip: ChipConfig::thunderx2(4).with_engine(engine),
+        quantum_cycles: 5_000,
+        max_quanta: 40,
+        faults: Some(FaultConfig::uniform(seed, rate)),
+        chip_faults: Some(ChipFaultConfig::uniform(seed ^ 0xC0DE, rate)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Contract 5: counter and chip faults together, through the closed
+    // batch (staggered arrivals; short apps finish, long ones hit the cap)
+    // and the open-system service (a cap tight enough to cut some traces
+    // off). Matcher, sanitizer, injector, chip-fault and censoring
+    // counters all land in one record per run.
+    #[test]
+    fn combined_faults_fill_one_consistent_run_stats(
+        seed in 0u64..u64::MAX,
+        rate in 0.0f64..0.3,
+        trace_seed in 0u64..500,
+    ) {
+        let (mut apps, solo) = chip_filling_apps();
+        for app in apps.iter_mut().step_by(2) {
+            *app = app.clone().with_length(20_000);
+        }
+        let arrivals = [0, 0, 0, 0, 0, 0, 30_000, 30_000];
+        let batch = |engine| {
+            let mut policy = Synpa::new(canned_model());
+            let cfg = combined_manager_cfg(engine, seed, rate);
+            run_workload_with_arrivals(&apps, &solo, &mut policy, &cfg, &arrivals)
+        };
+        let reference = batch(EngineKind::Reference);
+        prop_assert_eq!(reference.stats, batch(EngineKind::PerCore).stats);
+        let s = reference.stats;
+        prop_assert_eq!(s.matcher_calls, s.matcher_bound + s.matcher_solves);
+        let unfinished = reference.per_app.iter().filter(|a| !a.completed).count();
+        prop_assert_eq!(s.censored, unfinished as u64);
+
+        let trace = poisson_trace("prop", WorkloadKind::Mixed, 14, 12_000.0, trace_seed);
+        let trace_apps = trace_profiles(&trace);
+        let service = |engine| {
+            let mut policy = Synpa::new(canned_model());
+            let cfg = ServiceConfig {
+                manager: combined_manager_cfg(engine, seed, rate),
+                queue_capacity: 6,
+            };
+            run_service(&trace_apps, &trace.arrivals, &mut policy, &cfg)
+        };
+        let reference = service(EngineKind::Reference);
+        prop_assert_eq!(reference.stats, service(EngineKind::PerCore).stats);
+        let s = reference.stats;
+        prop_assert_eq!(s.matcher_calls, s.matcher_bound + s.matcher_solves);
+        let terminal = reference.completed.len() + reference.shed.len() + reference.failed.len();
+        prop_assert_eq!(s.censored, (trace.len() - terminal) as u64);
+        prop_assert_eq!(s.failed, reference.failed.len() as u64);
+        prop_assert_eq!(s.censored == 0, reference.drained);
+    }
 }
