@@ -2,12 +2,18 @@
 //! an SMT pair, the full 4-core evaluation chip and the 28-core/56-thread
 //! full machine — plus an engine comparison (reference vs. per-core
 //! horizons) on the 8-app and 56-app chips so the horizon wins are tracked
-//! in BASELINES.md.
+//! in BASELINES.md. The `step_parts` rows split a stepped core-cycle into
+//! its building blocks (one operation per iteration): cache lookups at
+//! every level's geometry, the memory model, the dither and the address
+//! stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use synpa::prelude::*;
-use synpa::sim::{EngineKind, PhaseParams, UniformProgram};
+use synpa::sim::{
+    AddrStream, Cache, CacheConfig, Dither, EngineKind, Memory, PhaseParams, SplitMix64,
+    UniformProgram,
+};
 
 /// The LLC-thrashing mix of the classic `simulator/*` rows: every L1D
 /// miss escalates past the (bypassed) L2 into the shared LLC, so shared
@@ -106,5 +112,82 @@ fn engine_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sim_throughput, engine_comparison);
+/// Cache geometries of the step: the per-core L1D and L2, and the shared
+/// LLC of the 4-core evaluation chip and of the 28-core full chip.
+fn step_geometries() -> [(&'static str, CacheConfig); 4] {
+    let (chip4, chip28) = (ChipConfig::thunderx2(4), ChipConfig::thunderx2_full());
+    [
+        ("l1d", chip4.l1d),
+        ("l2", chip4.l2),
+        ("llc_4core", chip4.llc),
+        ("llc_28core", chip28.llc),
+    ]
+}
+
+fn step_parts(c: &mut Criterion) {
+    let mut group = c.benchmark_group("step_parts");
+    group.throughput(Throughput::Elements(1));
+    for (label, cfg) in step_geometries() {
+        let (line, size) = (cfg.line_bytes as u64, cfg.size_bytes);
+        // Hits: a resident half-capacity working set, walked line by line,
+        // so hits land at every way position of the set.
+        group.bench_function(BenchmarkId::new("cache_hit", label), |b| {
+            let mut cache = Cache::new(cfg);
+            let lines = size / 2 / line;
+            for l in 0..lines {
+                cache.access(l * line);
+            }
+            let mut l = 0;
+            b.iter(|| {
+                l = if l + 1 == lines { 0 } else { l + 1 };
+                cache.access(l * line)
+            })
+        });
+        // Misses: a cyclic sweep over twice the capacity, which true LRU
+        // misses on every access once warm.
+        group.bench_function(BenchmarkId::new("cache_miss", label), |b| {
+            let mut cache = Cache::new(cfg);
+            let lines = 2 * size / line;
+            let mut l = 0;
+            b.iter(|| {
+                l = if l + 1 == lines { 0 } else { l + 1 };
+                cache.access(l * line)
+            })
+        });
+    }
+    // One memory cycle: the wheel tick plus an access every fourth cycle
+    // (a loaded chip's DRAM rate).
+    group.bench_function("memory_tick_access", |b| {
+        let cfg = ChipConfig::thunderx2(4);
+        let mut mem = Memory::new(cfg.mem_latency, cfg.mem_queue_penalty);
+        let mut now = 0u64;
+        b.iter(|| {
+            now += 1;
+            mem.tick(now);
+            if now % 4 == 0 {
+                mem.access(now)
+            } else {
+                0
+            }
+        })
+    });
+    group.bench_function("dither_step", |b| {
+        let mut d = Dither::default();
+        let mut x = 0.0;
+        b.iter(|| {
+            // Rates in [0, 4): a dispatched group times a µop mix ratio.
+            x = if x >= 3.7 { 0.0 } else { x + 0.3 };
+            d.step(black_box(x))
+        })
+    });
+    group.bench_function("addr_stream_next", |b| {
+        let params = llc_params();
+        let mut stream = AddrStream::new(1 << 44, params.data_footprint, params.data_seq, 64, 8);
+        let mut rng = SplitMix64::new(7);
+        b.iter(|| stream.next(&mut rng))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, sim_throughput, engine_comparison, step_parts);
 criterion_main!(benches);

@@ -8,7 +8,8 @@
 //! * `bench_inversion` — the Newton model inversion of §IV-B step 1;
 //! * `bench_matching` — Blossom vs exhaustive vs greedy pairing as the
 //!   thread count grows (§IV-B step 3's motivation);
-//! * `bench_sim` — simulator cycle throughput (ST and SMT);
+//! * `bench_sim` — simulator cycle throughput (ST and SMT) and the parts
+//!   of one stepped core-cycle (`step_parts`);
 //! * `bench_policy` — the full per-quantum SYNPA decision.
 //!
 //! Run with `cargo bench --workspace`.

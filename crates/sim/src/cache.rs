@@ -5,6 +5,17 @@
 //! L1/L2 arrays, and every core inserts into the shared LLC, so capacity
 //! contention (and therefore backend-stall inflation) emerges from the
 //! replacement policy rather than from an analytic formula.
+//!
+//! # Layout
+//!
+//! A cache stores its lines as two flat structure-of-arrays vectors,
+//! `tags` and `stamps`, with way `w` of set `s` at index `s * ways + w`.
+//! A hit scans the set's tags only; a miss scans its stamps for the first
+//! minimum (the true-LRU victim). Tag 0 means *invalid*: `tag_of`
+//! always sets bit 63, so no address maps to it, and an empty or flushed
+//! way can never hit. A valid way's stamp is the LRU clock at its last
+//! touch (≥ 1); an invalid way's stamp is 0, so it is always the first
+//! victim.
 
 use crate::config::CacheConfig;
 
@@ -37,14 +48,6 @@ impl CacheStats {
     }
 }
 
-/// One way of one set: the stored tag and its LRU age.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    /// Monotonic last-touch stamp; smaller = older. 0 = invalid.
-    stamp: u64,
-}
-
 /// A single-level set-associative cache with true-LRU replacement.
 ///
 /// Addresses are byte addresses; the cache hashes them to sets by the usual
@@ -56,7 +59,10 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: u64,
     set_shift: u32,
-    ways: Vec<Way>,
+    /// Stored tag per way; 0 = invalid (see the module docs).
+    tags: Vec<u64>,
+    /// Monotonic last-touch stamp per way; smaller = older, 0 = invalid.
+    stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
 }
@@ -71,7 +77,8 @@ impl Cache {
             cfg,
             sets,
             set_shift: cfg.line_bytes.trailing_zeros(),
-            ways: vec![Way { tag: 0, stamp: 0 }; (sets * cfg.ways as u64) as usize],
+            tags: vec![0; (sets * cfg.ways as u64) as usize],
+            stamps: vec![0; (sets * cfg.ways as u64) as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -98,10 +105,35 @@ impl Cache {
         (addr >> self.set_shift) & (self.sets - 1)
     }
 
+    /// Tag stored for `addr`. Bit 63 is always set, so a tag is never 0
+    /// (the invalid marker).
     #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
         // Keep index bits in the tag: cheap and unambiguous.
         (addr >> self.set_shift) | 1 << 63
+    }
+
+    /// First index of `addr`'s set in `tags`/`stamps`, and its tag.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        (
+            self.set_of(addr) as usize * self.cfg.ways as usize,
+            self.tag_of(addr),
+        )
+    }
+
+    /// Refreshes the LRU stamp of `tag` in the set starting at `base`;
+    /// false when the line is absent.
+    #[inline]
+    fn touch(&mut self, base: usize, tag: u64) -> bool {
+        let ways = self.cfg.ways as usize;
+        match self.tags[base..base + ways].iter().position(|&t| t == tag) {
+            Some(w) => {
+                self.stamps[base + w] = self.clock;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Looks up `addr`; on miss the line is filled (allocate-on-miss),
@@ -115,29 +147,24 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> Access {
         self.clock += 1;
         self.stats.accesses += 1;
-        let set = self.set_of(addr) as usize;
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-        let slots = &mut self.ways[base..base + ways];
-
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for (i, w) in slots.iter_mut().enumerate() {
-            if w.stamp != 0 && w.tag == tag {
-                w.stamp = self.clock;
-                return Access::Hit;
-            }
-            if w.stamp < victim_stamp {
-                victim_stamp = w.stamp;
-                victim = i;
-            }
+        let (base, tag) = self.locate(addr);
+        if self.touch(base, tag) {
+            return Access::Hit;
         }
         self.stats.misses += 1;
-        slots[victim] = Way {
-            tag,
-            stamp: self.clock,
-        };
+        // First way with the minimum stamp: invalid ways (stamp 0) first,
+        // then the least recently touched.
+        let stamps = &self.stamps[base..base + self.cfg.ways as usize];
+        let mut victim = 0usize;
+        let mut oldest = stamps[0];
+        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < oldest {
+                oldest = stamp;
+                victim = w;
+            }
+        }
+        self.tags[base + victim] = tag;
+        self.stamps[base + victim] = self.clock;
         Access::Miss
     }
 
@@ -150,15 +177,9 @@ impl Cache {
     pub fn access_no_alloc(&mut self, addr: u64) -> Access {
         self.clock += 1;
         self.stats.accesses += 1;
-        let set = self.set_of(addr) as usize;
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-        for w in &mut self.ways[base..base + ways] {
-            if w.stamp != 0 && w.tag == tag {
-                w.stamp = self.clock;
-                return Access::Hit;
-            }
+        let (base, tag) = self.locate(addr);
+        if self.touch(base, tag) {
+            return Access::Hit;
         }
         self.stats.misses += 1;
         Access::Miss
@@ -166,9 +187,8 @@ impl Cache {
 
     /// Invalidates everything (power-on state).
     pub fn flush(&mut self) {
-        for w in &mut self.ways {
-            w.stamp = 0;
-        }
+        self.tags.fill(0);
+        self.stamps.fill(0);
     }
 }
 
@@ -266,6 +286,90 @@ mod tests {
         assert_eq!(c.access(0x40), Access::Hit);
         c.flush();
         assert_eq!(c.access(0x40), Access::Miss);
+    }
+
+    /// Test-local true-LRU oracle: per set, the resident line numbers
+    /// from most to least recently used.
+    struct LruOracle {
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+        line_shift: u32,
+        stats: CacheStats,
+    }
+
+    impl LruOracle {
+        fn new(cfg: CacheConfig) -> Self {
+            Self {
+                ways: cfg.ways as usize,
+                sets: vec![Vec::new(); cfg.sets() as usize],
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, addr: u64, allocate: bool) -> Access {
+            self.stats.accesses += 1;
+            let line = addr >> self.line_shift;
+            let n_sets = self.sets.len() as u64;
+            let (ways, set) = (self.ways, &mut self.sets[(line % n_sets) as usize]);
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                set.insert(0, line);
+                return Access::Hit;
+            }
+            self.stats.misses += 1;
+            if allocate {
+                set.truncate(ways - 1);
+                set.insert(0, line);
+            }
+            Access::Miss
+        }
+
+        fn flush(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn matches_true_lru_oracle(
+            log_ways in 0u32..4,
+            log_sets in 0u32..5,
+            log_line in 4u32..7,
+            ops in proptest::collection::vec((0u32..40, 0u64..1 << 13, 0u64..3), 1..600),
+        ) {
+            let line_bytes = 1u32 << log_line;
+            let cfg = CacheConfig {
+                size_bytes: (line_bytes << (log_ways + log_sets)) as u64,
+                ways: 1 << log_ways,
+                line_bytes,
+                latency: 1,
+            };
+            let mut cache = Cache::new(cfg);
+            let mut oracle = LruOracle::new(cfg);
+            for (i, &(kind, offset, region)) in ops.iter().enumerate() {
+                // Three disjoint address regions exercise the high tag bits.
+                let addr = region << 40 | offset;
+                match kind {
+                    0 => {
+                        cache.flush();
+                        oracle.flush();
+                    }
+                    1..=9 => proptest::prop_assert_eq!(
+                        cache.access_no_alloc(addr),
+                        oracle.lookup(addr, false),
+                        "op {} (no-alloc {:#x})", i, addr
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        cache.access(addr),
+                        oracle.lookup(addr, true),
+                        "op {} (access {:#x})", i, addr
+                    ),
+                }
+                proptest::prop_assert_eq!(cache.stats(), oracle.stats);
+            }
+        }
     }
 
     #[test]

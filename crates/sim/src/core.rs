@@ -37,7 +37,7 @@ pub(crate) struct StepOutcome {
     /// A fetch was issued, µops dispatched or retired, or a completion
     /// reported. `false` = the cycle was *inert* for this core: the only
     /// state it changed is closed-form advanceable (stall counters, EWMA
-    /// decay, timing wheels), which is what lets the horizon engine jump
+    /// decay, MSHR fill queues), which is what lets the horizon engine jump
     /// over stretches of them (see `crate::engine`).
     pub active: bool,
     /// The shared LLC was looked up (hit, fill or bypassed probe — every
@@ -70,6 +70,10 @@ pub struct Core {
     /// Reusable ICOUNT-order scratch so the dispatch stage allocates
     /// nothing on the per-cycle hot path.
     dispatch_order: Vec<usize>,
+    /// [`shared_caps`] per busy-context count (index 0 unused).
+    caps_by_active: Vec<(u32, u32, u32)>,
+    /// Loads among `m` dispatched memory µops, per `m ≤ dispatch_width`.
+    loads_by_mem: Vec<u32>,
 }
 
 /// ROB entries a thread may still claim this cycle: the shared array's
@@ -87,7 +91,7 @@ pub(crate) fn rob_space(
 
 /// Shared-window occupancy caps (ROB, LQ, SQ) for `active` busy contexts:
 /// the hog cap applies only while more than one context competes.
-pub(crate) fn shared_caps(core: &crate::config::CoreConfig, active: u32) -> (u32, u32, u32) {
+fn shared_caps(core: &crate::config::CoreConfig, active: u32) -> (u32, u32, u32) {
     if active > 1 {
         let f = core.smt_window_cap.clamp(1.0 / active as f64, 1.0);
         (
@@ -112,6 +116,12 @@ impl Core {
             width_limit: None,
             fetch_rr: 0,
             dispatch_order: Vec::new(),
+            caps_by_active: (0..=cfg.core.smt_ways)
+                .map(|active| shared_caps(&cfg.core, active))
+                .collect(),
+            loads_by_mem: (0..=cfg.core.dispatch_width)
+                .map(|m| ((m as f64 * LOAD_FRACTION).round() as u32).min(m))
+                .collect(),
         }
     }
 
@@ -169,8 +179,7 @@ impl Core {
     /// dispatch, retire or complete anywhere in the window, so every input
     /// to the stall classification is constant across it.
     pub(crate) fn fast_forward(&mut self, n: u64, now: u64, cfg: &ChipConfig) {
-        let active = (self.occupancy() as u32).max(1);
-        let (rob_cap, lq_cap, sq_cap) = shared_caps(&cfg.core, active);
+        let (rob_cap, lq_cap, sq_cap) = self.caps_by_active[self.occupancy().max(1)];
         let total_rob: u32 = self.ctx.iter().flatten().map(|t| t.rob_occ).sum();
         for t in self.ctx.iter_mut().flatten() {
             let rob_space = rob_space(&cfg.core, total_rob, rob_cap, t);
@@ -188,7 +197,7 @@ impl Core {
         mem: &mut Memory,
     ) -> StepOutcome {
         let mut out = StepOutcome::default();
-        let ways = self.ctx.len();
+        let (ways, rr) = (self.ctx.len(), self.fetch_rr);
         // Clear expired fetch blocks.
         for slot in self.ctx.iter_mut().flatten() {
             if slot.fetch_block != FetchBlock::None && now >= slot.fetch_block_until {
@@ -198,8 +207,7 @@ impl Core {
         // Round-robin among threads that want the port this cycle. A thread
         // with a full dispatch queue does not compete, so a compute-bound
         // co-runner leaves the port essentially free.
-        for probe in 0..ways {
-            let i = (self.fetch_rr + probe) % ways;
+        for i in (rr..ways).chain(0..rr) {
             let Some(t) = self.ctx[i].as_mut() else {
                 continue;
             };
@@ -224,7 +232,7 @@ impl Core {
                 t.fetch_block = FetchBlock::ICacheMiss;
                 t.fetch_block_until = now + lat as u64;
             }
-            self.fetch_rr = (i + 1) % ways;
+            self.fetch_rr = if i + 1 == ways { 0 } else { i + 1 };
             out.active = true;
             return out;
         }
@@ -245,15 +253,28 @@ impl Core {
         let mut any_dispatch = false;
         // ICOUNT-style priority: the thread with the smaller in-flight
         // window dispatches first, which is what keeps SMT fair-ish on real
-        // hardware. The order lives in a reusable scratch buffer so the
-        // per-cycle hot path never allocates.
+        // hardware; ties rotate with the cycle. The order lives in a
+        // reusable scratch buffer so the per-cycle hot path never
+        // allocates, and the usual two competing contexts need one
+        // compare-swap rather than a sort.
         let mut order = std::mem::take(&mut self.dispatch_order);
         order.clear();
         order.extend((0..ways).filter(|&i| self.ctx[i].is_some()));
-        order.sort_by_key(|&i| {
-            let t = self.ctx[i].as_ref().unwrap();
-            (t.rob_occ, (i + now as usize) % ways)
-        });
+        let key = |i: usize| {
+            (
+                self.ctx[i].as_ref().unwrap().rob_occ,
+                tie_rank(i, now, ways),
+            )
+        };
+        match order.len() {
+            0 | 1 => {}
+            2 => {
+                if key(order[1]) < key(order[0]) {
+                    order.swap(0, 1);
+                }
+            }
+            _ => order.sort_by_key(|&i| key(i)),
+        }
 
         let mut total_rob: u32 = order
             .iter()
@@ -265,8 +286,7 @@ impl Core {
         // than `smt_window_cap` of the shared window, so a frontend-bound
         // co-runner is never starved, yet two memory-bound threads still
         // contend for the remaining shared entries (convex interference).
-        let active = order.len().max(1) as u32;
-        let (rob_cap, lq_cap, sq_cap) = shared_caps(&cfg.core, active);
+        let (rob_cap, lq_cap, sq_cap) = self.caps_by_active[order.len().max(1)];
 
         for &i in &order {
             // The co-runner's DRAM bandwidth demand (fills/cycle, EWMA):
@@ -304,7 +324,7 @@ impl Core {
 
             // Memory portion of the dispatched group.
             let m = t.mem_dither.step(d as f64 * t.phase.mem_ratio).min(d);
-            let loads = ((m as f64 * LOAD_FRACTION).round() as u32).min(m);
+            let loads = self.loads_by_mem[m as usize];
             let stores = m - loads;
 
             let mut misses: u32 = 0;
@@ -426,6 +446,19 @@ impl Core {
             }
         }
         any
+    }
+}
+
+/// Rank of context `i` in the ICOUNT tie-break at cycle `now`: `(i + now)
+/// mod ways`, so the favoured context rotates every cycle. A mask, not a
+/// division, for the power-of-two context counts real cores have.
+#[inline]
+fn tie_rank(i: usize, now: u64, ways: usize) -> usize {
+    let sum = i + now as usize;
+    if ways.is_power_of_two() {
+        sum & (ways - 1)
+    } else {
+        sum % ways
     }
 }
 

@@ -12,7 +12,7 @@
 //!   attribution), whose classification is constant while the thread stays
 //!   blocked for the same reason;
 //! * one zero-fill step of the per-thread DRAM-demand EWMA;
-//! * the timing wheels of the MSHRs and the memory model, which are
+//! * the MSHR fill queues and the memory model's timing wheel, which are
 //!   unobservable until the next access and advance correctly under
 //!   arbitrary jumps.
 //!

@@ -17,6 +17,9 @@ pub struct AddrStream {
     base: u64,
     /// Footprint in bytes; addresses stay in `[base, base + footprint)`.
     footprint: u64,
+    /// Whole lines in the footprint (`footprint / line`), kept so a random
+    /// access needs no division.
+    lines: u64,
     /// Probability that the next access is `last + step`.
     sequentiality: f64,
     /// Cache-line size; random accesses are line-aligned.
@@ -40,6 +43,7 @@ impl AddrStream {
         Self {
             base,
             footprint,
+            lines: footprint / line,
             sequentiality: sequentiality.clamp(0.0, 1.0),
             line,
             step,
@@ -51,6 +55,7 @@ impl AddrStream {
     /// moving the region base, so previously cached lines stay relevant.
     pub fn retune(&mut self, footprint: u64, sequentiality: f64) {
         self.footprint = footprint.max(self.line);
+        self.lines = self.footprint / self.line;
         self.sequentiality = sequentiality.clamp(0.0, 1.0);
         if self.last >= self.base + self.footprint {
             self.last = self.base;
@@ -73,8 +78,7 @@ impl AddrStream {
                 candidate
             }
         } else {
-            let lines = self.footprint / self.line;
-            self.base + rng.next_below(lines) * self.line
+            self.base + rng.next_below(self.lines) * self.line
         };
         self.last = addr;
         addr

@@ -34,8 +34,12 @@ const DRAM_RATE_ALPHA: f64 = 1.0 / 128.0;
 /// PR 3/PR 4 EWMA (half-life ≈ 89 cycles) forgot a burst of demand.
 const DRAM_RATE_LEAK: f64 = 1.0 / 8192.0;
 
-/// MSHR fill-wheel capacity; must exceed the longest possible miss latency.
-const MSHR_WHEEL: usize = 4096;
+/// Furthest a fill may lie beyond the MSHR clock: later fill times are
+/// clamped to `mshr_tick + MSHR_HORIZON`. The value is part of the
+/// simulated result (it sets when a clamped fill releases); the test
+/// `mshr_fill_queue_matches_the_wheel` pins it to the 4096-slot wheel
+/// model.
+const MSHR_HORIZON: u64 = 4094;
 
 /// One in-order batch of dispatched µops awaiting retirement.
 ///
@@ -130,9 +134,14 @@ pub struct HwThread {
     /// Exponentially averaged DRAM fills issued per cycle (bandwidth
     /// demand; drives the shared miss-path saturation model).
     pub(crate) dram_rate: f64,
-    /// Timing wheel of miss-fill completions, indexed by `cycle & (len-1)`.
-    mshr_wheel: Vec<u16>,
+    /// In-flight miss fills as `(fill cycle, count)`: sorted by fill cycle,
+    /// at most one entry per cycle, every cycle in
+    /// `(mshr_tick, mshr_tick + MSHR_HORIZON]`.
+    mshr_fills: VecDeque<(u64, u16)>,
     mshr_tick: u64,
+    /// Cached `program.length()`: read on every cycle by
+    /// [`HwThread::check_completion`], so the virtual call is made once.
+    program_len: u64,
 
     // --- streams & stochastics ---
     pub(crate) code_stream: AddrStream,
@@ -159,6 +168,7 @@ impl HwThread {
     /// private address region and RNG stream.
     pub fn new(app_id: usize, program: Box<dyn ThreadProgram>, seed: u64, line: u64) -> Self {
         let phase = program.phase_at(0);
+        let program_len = program.length();
         let base = (app_id as u64 + 1) << 44;
         Self {
             app_id,
@@ -188,8 +198,9 @@ impl HwThread {
             sq_occ: 0,
             outstanding_misses: 0,
             dram_rate: 0.0,
-            mshr_wheel: vec![0; MSHR_WHEEL],
+            mshr_fills: VecDeque::new(),
             mshr_tick: 0,
+            program_len,
             mem_dither: Dither::default(),
             br_dither: Dither::default(),
             rng: SplitMix64::new(seed ^ (app_id as u64).wrapping_mul(0x9E37_79B9)),
@@ -249,22 +260,20 @@ impl HwThread {
         }
     }
 
-    /// Advances the MSHR fill wheel to `now`, releasing completed fills.
+    /// Advances the MSHR clock to `now`, releasing every fill due by then.
     ///
-    /// `outstanding_misses` equals the wheel's total content (fills are
-    /// registered and released in lockstep), so a wheel that is idle — on
-    /// entry or once the walk drains the last fill — jumps straight to
-    /// `now` without touching empty slots. The horizon engine relies on
-    /// this: waking from a long elided stall costs O(fills released), not
-    /// O(window length).
+    /// Costs O(fills released): waking from a long elided stall pops the
+    /// due entries and jumps, which the horizon engine relies on.
+    /// `outstanding_misses` never falls below the queued total (a cycle's
+    /// count saturates, the miss total does not), so the saturating
+    /// release can only reach 0 once the queue is empty.
     pub(crate) fn tick_mshr(&mut self, now: u64) {
-        while self.outstanding_misses > 0 && self.mshr_tick < now {
-            self.mshr_tick += 1;
-            let slot = (self.mshr_tick as usize) & (MSHR_WHEEL - 1);
-            self.outstanding_misses = self
-                .outstanding_misses
-                .saturating_sub(u32::from(self.mshr_wheel[slot]));
-            self.mshr_wheel[slot] = 0;
+        while let Some(&(time, count)) = self.mshr_fills.front() {
+            if time > now {
+                break;
+            }
+            self.outstanding_misses = self.outstanding_misses.saturating_sub(u32::from(count));
+            self.mshr_fills.pop_front();
         }
         self.mshr_tick = self.mshr_tick.max(now);
     }
@@ -301,20 +310,48 @@ impl HwThread {
     #[inline]
     pub(crate) fn decay_dram_rate(&mut self, n: u64) {
         if self.dram_rate > 0.0 {
-            // Steps until the subtraction would cross zero; division by a
-            // power of two and `ceil` are exact.
-            let to_floor = (self.dram_rate / DRAM_RATE_LEAK).ceil();
+            // Steps until the subtraction would cross zero: the ceiling of
+            // `rate / LEAK`. Division by a power of two is exact, and the
+            // quotient (a rate is at most a few fills per cycle) is far
+            // below 2^53, so truncation plus a round-up is the exact
+            // `ceil` without a libm call.
+            let quotient = self.dram_rate / DRAM_RATE_LEAK;
+            let whole = quotient as u64 as f64;
+            let to_floor = if whole < quotient { whole + 1.0 } else { whole };
             let steps = to_floor.min(n as f64);
             self.dram_rate = (self.dram_rate - steps * DRAM_RATE_LEAK).max(0.0);
         }
     }
 
-    /// Registers `misses` in-flight fills completing at `fill_time`.
+    /// Registers `misses` in-flight fills completing at `fill_time`, which
+    /// must lie after the MSHR clock (the dispatch stage ticks it to `now`
+    /// first). Fills beyond the horizon are clamped to it, not lost; a
+    /// cycle's count saturates at `u16::MAX`.
     pub(crate) fn issue_misses(&mut self, misses: u32, fill_time: u64) {
+        debug_assert!(fill_time > self.mshr_tick, "fill in the past");
         self.outstanding_misses += misses;
-        let fill_time = fill_time.min(self.mshr_tick + (MSHR_WHEEL - 2) as u64);
-        let slot = (fill_time as usize) & (MSHR_WHEEL - 1);
-        self.mshr_wheel[slot] = self.mshr_wheel[slot].saturating_add(misses as u16);
+        let fill_time = fill_time.min(self.mshr_tick + MSHR_HORIZON);
+        // Fills arrive in near-sorted order: search from the back.
+        match self
+            .mshr_fills
+            .iter()
+            .rposition(|&(time, _)| time <= fill_time)
+        {
+            Some(k) if self.mshr_fills[k].0 == fill_time => {
+                let count = &mut self.mshr_fills[k].1;
+                *count = count.saturating_add(misses as u16);
+            }
+            k => {
+                let at = k.map_or(0, |k| k + 1);
+                // The common case appends; `push_back` skips `insert`'s
+                // general shifting path.
+                if at == self.mshr_fills.len() {
+                    self.mshr_fills.push_back((fill_time, misses as u16));
+                } else {
+                    self.mshr_fills.insert(at, (fill_time, misses as u16));
+                }
+            }
+        }
     }
 
     /// Next instruction-fetch address: hot loop body with probability
@@ -363,7 +400,7 @@ impl HwThread {
         if self.hung {
             return None;
         }
-        let len = self.program.length();
+        let len = self.program_len;
         if self.retired_in_launch >= len {
             let launch = self.launches;
             self.launches += 1;
@@ -635,6 +672,71 @@ mod tests {
         assert_eq!(t.outstanding_misses, 2);
         t.tick_mshr(10 + 5000);
         assert_eq!(t.outstanding_misses, 0, "clamped fill eventually releases");
+    }
+
+    /// Test-only copy of the 4096-slot MSHR fill wheel the fill queue
+    /// replaced, kept as its differential oracle.
+    struct WheelOracle {
+        wheel: Vec<u16>,
+        tick: u64,
+        outstanding: u32,
+    }
+
+    impl WheelOracle {
+        const SLOTS: usize = 4096;
+
+        fn new() -> Self {
+            Self {
+                wheel: vec![0; Self::SLOTS],
+                tick: 0,
+                outstanding: 0,
+            }
+        }
+
+        fn tick_mshr(&mut self, now: u64) {
+            while self.outstanding > 0 && self.tick < now {
+                self.tick += 1;
+                let slot = (self.tick as usize) & (Self::SLOTS - 1);
+                self.outstanding = self.outstanding.saturating_sub(u32::from(self.wheel[slot]));
+                self.wheel[slot] = 0;
+            }
+            self.tick = self.tick.max(now);
+        }
+
+        fn issue_misses(&mut self, misses: u32, fill_time: u64) {
+            self.outstanding += misses;
+            let fill_time = fill_time.min(self.tick + (Self::SLOTS - 2) as u64);
+            let slot = (fill_time as usize) & (Self::SLOTS - 1);
+            self.wheel[slot] = self.wheel[slot].saturating_add(misses as u16);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn mshr_fill_queue_matches_the_wheel(
+            start in 0u64..10_000,
+            ops in proptest::collection::vec((0u32..3, 0u32..9, 1u64..9_000), 1..400),
+        ) {
+            let mut t = thread(1000);
+            let mut oracle = WheelOracle::new();
+            let mut now = start;
+            t.tick_mshr(now);
+            oracle.tick_mshr(now);
+            for (i, &(kind, misses, delay)) in ops.iter().enumerate() {
+                if kind == 0 {
+                    // Delays up to 9000 cycles cross the 4094-cycle clamp.
+                    t.issue_misses(misses, now + delay);
+                    oracle.issue_misses(misses, now + delay);
+                } else {
+                    // Mostly short steps, sometimes a long elided jump.
+                    now += if kind == 1 { delay % 64 } else { delay };
+                    t.tick_mshr(now);
+                    oracle.tick_mshr(now);
+                }
+                proptest::prop_assert_eq!(t.outstanding_misses, oracle.outstanding, "op {}", i);
+            }
+        }
     }
 
     #[test]
