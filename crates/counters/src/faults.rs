@@ -4,17 +4,16 @@
 //! by a busy kernel, counters freeze or return stale cached values,
 //! multiplexing and wraps hand back non-monotonic snapshots, and glitches
 //! produce zeroed or saturated readings. [`FaultInjector`] models all of
-//! that as a wrapper around any [`CounterSource`], driven by a [`FaultPlan`]
-//! that is a *pure function* of `(seed, rates, app_id, quantum)` — never of
-//! read order, engine choice, worker count or matcher kind. Two runs with
-//! the same plan observe byte-identical fault schedules, which is what lets
-//! CI byte-diff chaos runs across every engine × thread-count × matcher
-//! axis exactly like fault-free tables (see `docs/robustness.md`).
+//! that on the per-quantum read path: it takes each true reading and
+//! returns the faulty one, as scheduled by [`FaultConfig::kind_at`], a
+//! *pure function* of `(seed, rates, app_id, quantum)` — never of read
+//! order, engine choice or worker count. Two runs with the same config
+//! observe byte-identical fault schedules, which is what lets CI byte-diff
+//! chaos runs across every engine × thread-count axis exactly like
+//! fault-free tables (see `docs/robustness.md`).
 
-use crate::CounterSource;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use synpa_sim::{PmuCounters, SplitMix64};
+use synpa_sim::{parse_seed_rate, PmuCounters, SplitMix64};
 
 /// The kinds of counter faults the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,27 +156,10 @@ impl FaultConfig {
     /// rate on one [`FaultKind`]. Unknown kind names error with the valid
     /// list; they never fall back to the uniform mix.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (seed, rest) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("--faults expects seed:rate, got '{spec}'"))?;
-        let seed: u64 = seed
-            .trim()
-            .parse()
-            .map_err(|_| format!("--faults seed '{seed}' is not a u64"))?;
-        let (rate, kind) = match rest.split_once(':') {
-            Some((rate, kind)) => (rate, Some(kind.trim())),
-            None => (rest, None),
-        };
-        let rate: f64 = rate
-            .trim()
-            .parse()
-            .map_err(|_| format!("--faults rate '{rate}' is not a number"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--faults rate {rate} must be within [0, 1]"));
-        }
+        let (seed, rate, kind) = parse_seed_rate("--faults", spec)?;
         match kind {
             Some(name) => {
-                let kind = FaultKind::parse(name).map_err(|e| format!("--faults: {e}"))?;
+                let kind = FaultKind::parse(name.trim()).map_err(|e| format!("--faults: {e}"))?;
                 Ok(Self {
                     seed,
                     rates: FaultRates::only(kind, rate),
@@ -186,56 +168,22 @@ impl FaultConfig {
             None => Ok(Self::uniform(seed, rate)),
         }
     }
-}
 
-/// The deterministic per-app, per-quantum fault schedule.
-///
-/// [`FaultPlan::kind_at`] is a pure function of `(seed, rates, app_id,
-/// quantum)`: the decision for one cell never depends on any other cell,
-/// on read order, or on injector state — so any consumer (the injector,
-/// an accounting test, a replay) computes the identical schedule.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    seed: u64,
-    rates: FaultRates,
-}
-
-impl FaultPlan {
-    /// Builds the plan. The combined fault probability must stay ≤ 1.
-    pub fn new(cfg: &FaultConfig) -> Self {
-        assert!(
-            cfg.rates.total() <= 1.0 + 1e-12,
-            "fault rates sum to {} > 1",
-            cfg.rates.total()
-        );
-        Self {
-            seed: cfg.seed,
-            rates: cfg.rates,
-        }
-    }
-
-    /// The fault (if any) scheduled for `app_id` at `quantum`.
+    /// The fault (if any) scheduled for `app_id` at `quantum`: a pure
+    /// function of `(seed, rates, app_id, quantum)`. The decision for one
+    /// cell never depends on any other cell, on read order, or on injector
+    /// state — so any consumer (the injector, an accounting test, a
+    /// replay) computes the identical schedule.
     pub fn kind_at(&self, app_id: usize, quantum: u64) -> Option<FaultKind> {
         if self.rates.total() <= 0.0 {
             return None;
         }
-        // SplitMix64 is designed to decorrelate sequential seeds, so a
-        // linear (app, quantum) mix plus one warm-up draw gives independent
-        // per-cell decisions without any shared stream state.
-        let mut rng = SplitMix64::new(
-            self.seed
-                .wrapping_add((app_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(quantum.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
-        );
-        let u = rng.next_f64();
+        let u = SplitMix64::for_cell(self.seed, app_id as u64, quantum, 0).next_f64();
         let mut acc = 0.0;
-        for kind in FaultKind::ALL {
+        FaultKind::ALL.into_iter().find(|&kind| {
             acc += self.rates.of(kind);
-            if u < acc {
-                return Some(kind);
-            }
-        }
-        None
+            u < acc
+        })
     }
 }
 
@@ -263,120 +211,66 @@ fn map_fields(c: &PmuCounters, f: impl Fn(u64) -> u64) -> PmuCounters {
     }
 }
 
-#[derive(Debug, Default)]
-struct InjectorState {
-    quantum: u64,
-    /// Last true (inner) reading per app — what [`FaultKind::Stale`]
-    /// replays.
-    last_true: HashMap<usize, PmuCounters>,
-    /// Last reading this source *returned* per app — what
-    /// [`FaultKind::Freeze`] repeats.
-    last_out: HashMap<usize, PmuCounters>,
+/// Stateful fault driver on the per-quantum read path: passes each true
+/// reading through the plan and counts every injected fault by kind, so
+/// the accounting contract (injected = planned, per kind) is checkable.
+#[derive(Debug)]
+pub struct FaultInjector {
+    cfg: FaultConfig,
+    /// Per app: the last true reading (what [`FaultKind::Stale`] replays)
+    /// and the last reading returned (what [`FaultKind::Freeze`] repeats).
+    last: HashMap<usize, (PmuCounters, PmuCounters)>,
     injected: InjectedCounts,
 }
 
-/// Stateful fault driver. Wraps an inner [`CounterSource`] per quantum via
-/// [`FaultInjector::wrap`]; counts every injected fault by kind so the
-/// accounting contract (injected = planned, per kind) is checkable.
-///
-/// Interior mutability (`RefCell`) keeps [`CounterSource::read_counters`]'s
-/// `&self` signature; each app is read at most once per quantum by the
-/// sampling layer, always from one thread.
-#[derive(Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    state: RefCell<InjectorState>,
-}
-
 impl FaultInjector {
-    /// Builds the injector from a replayable config.
+    /// Builds the injector from a replayable config. The combined fault
+    /// probability must stay ≤ 1.
     pub fn new(cfg: &FaultConfig) -> Self {
+        assert!(
+            cfg.rates.total() <= 1.0 + 1e-12,
+            "fault rates sum to {} > 1",
+            cfg.rates.total()
+        );
         Self {
-            plan: FaultPlan::new(cfg),
-            state: RefCell::new(InjectorState::default()),
+            cfg: *cfg,
+            last: HashMap::new(),
+            injected: InjectedCounts::default(),
         }
     }
 
-    /// The plan driving this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Sets the quantum ordinal the next reads are attributed to. Call at
-    /// every quantum boundary before sampling.
-    pub fn begin_quantum(&mut self, quantum: u64) {
-        self.state.borrow_mut().quantum = quantum;
-    }
-
-    /// Wraps an inner source for this quantum's reads.
-    pub fn wrap<'a, S: CounterSource + ?Sized>(&'a self, inner: &'a S) -> FaultySource<'a, S> {
-        FaultySource {
-            injector: self,
-            inner,
-        }
-    }
-
-    /// Faults injected so far, by kind ([`FaultKind::ALL`] order).
-    pub fn injected(&self) -> InjectedCounts {
-        self.state.borrow().injected
-    }
-
-    /// Total faults injected so far.
-    pub fn injected_total(&self) -> u64 {
-        self.injected().iter().sum()
-    }
-
-    fn read_faulty<S: CounterSource + ?Sized>(
-        &self,
-        inner: &S,
-        app_id: usize,
-    ) -> Option<PmuCounters> {
-        // An app the inner source doesn't know is not a fault — the plan
-        // only applies to reads that would otherwise succeed, so every
-        // planned fault on a sampled app actually fires (injected =
-        // planned over the sampled grid).
-        let truth = inner.read_counters(app_id)?;
-        let mut st = self.state.borrow_mut();
-        let quantum = st.quantum;
-        let out = match self.plan.kind_at(app_id, quantum) {
+    /// What a read of `app_id` at `quantum` reports when the true
+    /// counters are `truth`: `truth` itself, or the planned fault's
+    /// symptom (`None` for a dropped read). Only reads that would succeed
+    /// come through here — an app off the chip is not a fault — so every
+    /// planned fault on a sampled app fires (injected = planned over the
+    /// sampled grid).
+    pub fn read(&mut self, app_id: usize, quantum: u64, truth: PmuCounters) -> Option<PmuCounters> {
+        let (last_true, last_out) = self.last.entry(app_id).or_default();
+        let out = match self.cfg.kind_at(app_id, quantum) {
             None => Some(truth),
             Some(kind) => {
-                st.injected[kind as usize] += 1;
+                self.injected[kind as usize] += 1;
                 match kind {
                     FaultKind::Drop => None,
-                    FaultKind::Freeze => {
-                        Some(st.last_out.get(&app_id).copied().unwrap_or_default())
-                    }
-                    FaultKind::Stale => {
-                        Some(st.last_true.get(&app_id).copied().unwrap_or_default())
-                    }
+                    FaultKind::Freeze => Some(*last_out),
+                    FaultKind::Stale => Some(*last_true),
                     FaultKind::Rollback => Some(map_fields(&truth, |v| v / 2)),
                     FaultKind::Zero => Some(PmuCounters::default()),
                     FaultKind::Spike => Some(map_fields(&truth, |v| v.saturating_mul(1000))),
                 }
             }
         };
-        st.last_true.insert(app_id, truth);
+        *last_true = truth;
         if let Some(o) = out {
-            st.last_out.insert(app_id, o);
+            *last_out = o;
         }
         out
     }
-}
 
-/// A [`CounterSource`] view of `inner` with this quantum's faults applied.
-/// Borrowed per quantum from [`FaultInjector::wrap`], so the injector's
-/// fault state survives across quanta while the chip stays mutably
-/// borrowable in between.
-#[derive(Debug)]
-pub struct FaultySource<'a, S: ?Sized> {
-    injector: &'a FaultInjector,
-    inner: &'a S,
-}
-
-impl<S: CounterSource + ?Sized> CounterSource for FaultySource<'_, S> {
-    fn read_counters(&self, app_id: usize) -> Option<PmuCounters> {
-        self.injector.read_faulty(self.inner, app_id)
+    /// Faults injected so far, by kind ([`FaultKind::ALL`] order).
+    pub fn injected(&self) -> InjectedCounts {
+        self.injected
     }
 }
 
@@ -384,47 +278,28 @@ impl<S: CounterSource + ?Sized> CounterSource for FaultySource<'_, S> {
 mod tests {
     use super::*;
 
-    /// A monotonic in-memory source: app's cumulative counters grow by a
-    /// fixed healthy delta per tick.
-    struct Fake {
-        now: RefCell<HashMap<usize, PmuCounters>>,
-    }
-
-    impl Fake {
-        fn new(apps: &[usize]) -> Self {
-            Self {
-                now: RefCell::new(apps.iter().map(|&a| (a, PmuCounters::default())).collect()),
-            }
-        }
-
-        fn tick(&self) {
-            for c in self.now.borrow_mut().values_mut() {
-                c.cpu_cycles += 1000;
-                c.inst_spec += 2000;
-                c.stall_frontend += 100;
-                c.stall_backend += 200;
-                c.inst_retired += 1800;
-            }
-        }
-    }
-
-    impl CounterSource for Fake {
-        fn read_counters(&self, app_id: usize) -> Option<PmuCounters> {
-            self.now.borrow().get(&app_id).copied()
+    /// Cumulative counters after `ticks` healthy quanta of a monotonic app.
+    fn truth_at(ticks: u64) -> PmuCounters {
+        PmuCounters {
+            cpu_cycles: 1000 * ticks,
+            inst_spec: 2000 * ticks,
+            stall_frontend: 100 * ticks,
+            stall_backend: 200 * ticks,
+            inst_retired: 1800 * ticks,
+            ..Default::default()
         }
     }
 
     #[test]
     fn plan_is_pure_and_seed_deterministic() {
-        let cfg = FaultConfig::uniform(42, 0.3);
-        let a = FaultPlan::new(&cfg);
-        let b = FaultPlan::new(&cfg);
+        let a = FaultConfig::uniform(42, 0.3);
+        let b = FaultConfig::uniform(42, 0.3);
         for app in 0..16 {
             for q in 0..64 {
                 assert_eq!(a.kind_at(app, q), b.kind_at(app, q));
             }
         }
-        let other = FaultPlan::new(&FaultConfig::uniform(43, 0.3));
+        let other = FaultConfig::uniform(43, 0.3);
         let differs = (0..16)
             .flat_map(|app| (0..64).map(move |q| (app, q)))
             .any(|(app, q)| a.kind_at(app, q) != other.kind_at(app, q));
@@ -433,7 +308,7 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_never_fires() {
-        let plan = FaultPlan::new(&FaultConfig::uniform(7, 0.0));
+        let plan = FaultConfig::uniform(7, 0.0);
         for app in 0..8 {
             for q in 0..256 {
                 assert_eq!(plan.kind_at(app, q), None);
@@ -443,7 +318,7 @@ mod tests {
 
     #[test]
     fn plan_rate_roughly_matches_over_many_cells() {
-        let plan = FaultPlan::new(&FaultConfig::uniform(11, 0.25));
+        let plan = FaultConfig::uniform(11, 0.25);
         let cells = 40_000;
         let hits = (0..200)
             .flat_map(|app| (0..200u64).map(move |q| (app, q)))
@@ -458,95 +333,54 @@ mod tests {
         let cfg = FaultConfig::uniform(99, 0.5);
         let mut injector = FaultInjector::new(&cfg);
         let apps = [3usize, 5, 8];
-        let fake = Fake::new(&apps);
-        for q in 0..50u64 {
-            fake.tick();
-            injector.begin_quantum(q);
-            let src = injector.wrap(&fake);
-            for &a in &apps {
-                let _ = src.read_counters(a);
-            }
-        }
-        let mut expected = [0u64; FaultKind::COUNT];
-        let plan = FaultPlan::new(&cfg);
+        let mut expected = InjectedCounts::default();
         for q in 0..50u64 {
             for &a in &apps {
-                if let Some(k) = plan.kind_at(a, q) {
+                let _ = injector.read(a, q, truth_at(q + 1));
+                if let Some(k) = cfg.kind_at(a, q) {
                     expected[k as usize] += 1;
                 }
             }
         }
         assert_eq!(injector.injected(), expected);
-        assert!(injector.injected_total() > 0, "rate 0.5 must fire");
+        assert!(expected.iter().sum::<u64>() > 0, "rate 0.5 must fire");
     }
 
     #[test]
     fn fault_kinds_produce_their_symptoms() {
         // Pin each kind with a rate-1 single-kind config.
         let single = |kind: FaultKind| {
-            let mut rates = FaultRates::none();
-            rates.0[kind as usize] = 1.0;
-            FaultConfig { seed: 1, rates }
+            FaultInjector::new(&FaultConfig {
+                seed: 1,
+                rates: FaultRates::only(kind, 1.0),
+            })
         };
-        let apps = [0usize];
-        let fake = Fake::new(&apps);
-        fake.tick();
-        let truth = fake.read_counters(0).unwrap();
+        let truth = truth_at(1);
 
-        let mut inj = FaultInjector::new(&single(FaultKind::Drop));
-        inj.begin_quantum(0);
-        assert_eq!(inj.wrap(&fake).read_counters(0), None);
-
-        let mut inj = FaultInjector::new(&single(FaultKind::Zero));
-        inj.begin_quantum(0);
+        assert_eq!(single(FaultKind::Drop).read(0, 0, truth), None);
         assert_eq!(
-            inj.wrap(&fake).read_counters(0),
+            single(FaultKind::Zero).read(0, 0, truth),
             Some(PmuCounters::default())
         );
-
-        let mut inj = FaultInjector::new(&single(FaultKind::Rollback));
-        inj.begin_quantum(0);
-        let rolled = inj.wrap(&fake).read_counters(0).unwrap();
+        let rolled = single(FaultKind::Rollback).read(0, 0, truth).unwrap();
         assert!(rolled.cpu_cycles < truth.cpu_cycles);
-
-        let mut inj = FaultInjector::new(&single(FaultKind::Spike));
-        inj.begin_quantum(0);
-        let spiked = inj.wrap(&fake).read_counters(0).unwrap();
+        let spiked = single(FaultKind::Spike).read(0, 0, truth).unwrap();
         assert!(spiked.cpu_cycles > truth.cpu_cycles * 100);
 
         // Freeze repeats the previously *returned* value; with no prior
         // read it returns zeroed counters.
-        let mut inj = FaultInjector::new(&single(FaultKind::Freeze));
-        inj.begin_quantum(0);
+        let mut inj = single(FaultKind::Freeze);
+        assert_eq!(inj.read(0, 0, truth), Some(PmuCounters::default()));
         assert_eq!(
-            inj.wrap(&fake).read_counters(0),
-            Some(PmuCounters::default())
-        );
-        fake.tick();
-        inj.begin_quantum(1);
-        assert_eq!(
-            inj.wrap(&fake).read_counters(0),
+            inj.read(0, 1, truth_at(2)),
             Some(PmuCounters::default()),
             "still frozen at what was last returned"
         );
 
         // Stale replays the previous quantum's true snapshot.
-        let mut inj = FaultInjector::new(&single(FaultKind::Stale));
-        inj.begin_quantum(0);
-        let _ = inj.wrap(&fake).read_counters(0);
-        let before = fake.read_counters(0).unwrap();
-        fake.tick();
-        inj.begin_quantum(1);
-        assert_eq!(inj.wrap(&fake).read_counters(0), Some(before));
-    }
-
-    #[test]
-    fn faulty_source_passes_unknown_apps_through() {
-        let fake = Fake::new(&[1]);
-        let mut inj = FaultInjector::new(&FaultConfig::uniform(5, 1.0));
-        inj.begin_quantum(0);
-        assert_eq!(inj.wrap(&fake).read_counters(99), None);
-        assert_eq!(inj.injected_total(), 0, "no fault charged to a dead app");
+        let mut inj = single(FaultKind::Stale);
+        let _ = inj.read(0, 0, truth);
+        assert_eq!(inj.read(0, 1, truth_at(2)), Some(truth));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Sample sanitization: classify, clamp, hold over, and account.
 //!
 //! Real counter reads fail in the ways `faults` models (drops, freezes,
-//! rollbacks, spikes, zeroes, stale repeats). [`SanitizingSession`] wraps
-//! [`SamplingSession`] and classifies every per-quantum sample before the
-//! policy sees it:
+//! rollbacks, spikes, zeroes, stale repeats). [`SanitizingSession`] owns
+//! the per-app snapshot store that turns cumulative reads into
+//! per-quantum deltas, and classifies every sample before the policy
+//! sees it:
 //!
 //! * **Ok** — monotonic, plausible; emitted and remembered as last-good.
 //! * **Clamped** — the snapshot went backwards; the delta saturates at
@@ -13,24 +14,23 @@
 //! * **Held** — the read failed or was implausible (zero-cycle quantum,
 //!   `stall_frontend + stall_backend > cpu_cycles`, or a delta exceeding
 //!   the per-quantum cycle bound); the last-good delta is replayed if it
-//!   is fresh within the holdover TTL.
+//!   is fresh within [`HOLDOVER_TTL`].
 //! * **Missing** — the read failed and no fresh last-good exists; no row
 //!   is emitted at all.
 //!
-//! Everything non-Ok lands in the quantum's `degraded` list and in the
-//! per-app [`SampleHealth`] ledger, which is how the policy guardrails and
-//! `RunStats` know what happened. The ladder is pure per-app state
-//! machine — no randomness, no clocks — so a fixed fault schedule yields a
-//! byte-identical classification sequence on every engine/thread/matcher
-//! combination (`docs/robustness.md`).
+//! Everything non-Ok lands in the quantum's `degraded` list, and every
+//! classification in the session's [`SampleHealth`] totals, which is how
+//! the policy guardrails and `RunStats` know what happened. The ladder is
+//! a pure per-app state machine — no randomness, no clocks — so a fixed
+//! fault schedule yields a byte-identical classification sequence on
+//! every engine/thread combination (`docs/robustness.md`).
 
-use crate::{CounterSource, SamplingSession};
 use std::collections::HashMap;
-use synpa_sim::PmuDelta;
+use synpa_sim::{PmuCounters, PmuDelta};
 
 /// How long (in quanta) a last-good delta may be replayed for an app whose
 /// reads keep failing, before the app goes [`SampleStatus::Missing`].
-pub const DEFAULT_HOLDOVER_TTL: u64 = 3;
+pub const HOLDOVER_TTL: u64 = 3;
 
 /// Classification of one per-app, per-quantum sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,14 +47,7 @@ pub enum SampleStatus {
     Missing,
 }
 
-impl SampleStatus {
-    /// Everything except [`SampleStatus::Ok`] is degraded.
-    pub fn is_degraded(self) -> bool {
-        self != SampleStatus::Ok
-    }
-}
-
-/// Per-app running tally of sample classifications.
+/// Running tally of sample classifications.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SampleHealth {
     /// Samples classified [`SampleStatus::Ok`].
@@ -68,7 +61,7 @@ pub struct SampleHealth {
 }
 
 impl SampleHealth {
-    /// All samples ever classified for this app.
+    /// All samples ever classified.
     pub fn total(&self) -> u64 {
         self.ok + self.clamped + self.held + self.missing
     }
@@ -86,25 +79,16 @@ impl SampleHealth {
             SampleStatus::Missing => self.missing += 1,
         }
     }
-
-    fn add(&mut self, other: &SampleHealth) {
-        self.ok += other.ok;
-        self.clamped += other.clamped;
-        self.held += other.held;
-        self.missing += other.missing;
-    }
 }
 
-/// One sanitized quantum: the rows the policy may consume, plus the
-/// classification of every requested app.
+/// One sanitized quantum: the rows the policy may consume, and which
+/// apps were degraded.
 #[derive(Debug, Clone, Default)]
 pub struct SanitizedQuantum {
     /// `(app_id, delta)` rows, in request order. Missing apps have no row.
     pub samples: Vec<(usize, PmuDelta)>,
-    /// `(app_id, status)` for every requested app, in request order.
-    pub statuses: Vec<(usize, SampleStatus)>,
     /// Apps whose sample was anything but Ok this quantum, in request
-    /// order (a subset of `statuses`).
+    /// order.
     pub degraded: Vec<usize>,
 }
 
@@ -115,170 +99,127 @@ impl SanitizedQuantum {
     }
 }
 
-/// A [`SamplingSession`] with a sanitization ladder in front of the
-/// consumer. See the module docs for the classification rules.
-#[derive(Debug)]
-pub struct SanitizingSession {
-    session: SamplingSession,
-    /// Last Ok delta per app and the quantum it was measured at.
-    last_good: HashMap<usize, (PmuDelta, u64)>,
-    /// Last quantum each app's cumulative snapshot was rebased at (any
-    /// successful read, regardless of classification).
-    last_observed: HashMap<usize, u64>,
-    health: HashMap<usize, SampleHealth>,
-    /// Upper bound on plausible cycles per quantum, when known. A delta
-    /// spanning `g` quanta may carry at most `(g + 1) *
-    /// max_cycles_per_quantum` cycles — the +1 quantum of slack lets a
-    /// single freeze/stale fault recover in one quantum instead of
-    /// cascading (docs/robustness.md walks through each fault's recovery).
-    max_cycles_per_quantum: Option<u64>,
+/// What the session remembers of one app between quanta.
+#[derive(Debug, Clone, Copy)]
+struct AppState {
+    /// Last cumulative snapshot read (any successful read, whatever its
+    /// classification) and the quantum it was read at.
+    snapshot: PmuCounters,
+    read_at: u64,
+    /// Last Ok delta and the quantum it was measured at.
+    last_good: Option<(PmuDelta, u64)>,
 }
 
-impl Default for SanitizingSession {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The per-quantum counter sampler: one snapshot store with the
+/// sanitization ladder in front of the consumer. See the module docs for
+/// the classification rules.
+#[derive(Debug)]
+pub struct SanitizingSession {
+    apps: HashMap<usize, AppState>,
+    totals: SampleHealth,
+    /// Upper bound on plausible cycles per quantum. A delta spanning `g`
+    /// quanta may carry at most `(g + 1) * max_cycles_per_quantum` cycles
+    /// — the +1 quantum of slack lets a single freeze/stale fault recover
+    /// in one quantum instead of cascading (docs/robustness.md walks
+    /// through each fault's recovery).
+    max_cycles_per_quantum: u64,
 }
 
 impl SanitizingSession {
-    /// Creates an empty session with no cycle-plausibility bound. Held
-    /// deltas expire after [`DEFAULT_HOLDOVER_TTL`] quanta.
-    pub fn new() -> Self {
+    /// Creates an empty session (first samples are cumulative) for apps
+    /// that can accumulate at most `max_cycles_per_quantum` cycles per
+    /// quantum. Held deltas expire after [`HOLDOVER_TTL`] quanta.
+    pub fn new(max_cycles_per_quantum: u64) -> Self {
         Self {
-            session: SamplingSession::new(),
-            last_good: HashMap::new(),
-            last_observed: HashMap::new(),
-            health: HashMap::new(),
-            max_cycles_per_quantum: None,
+            apps: HashMap::new(),
+            totals: SampleHealth::default(),
+            max_cycles_per_quantum,
         }
     }
 
-    /// Enables the cycle-plausibility check: a healthy app sampled every
-    /// quantum can accumulate at most `cycles` per quantum.
-    pub fn with_cycle_bound(mut self, cycles: u64) -> Self {
-        self.max_cycles_per_quantum = Some(cycles);
-        self
-    }
-
     /// Samples and sanitizes the given apps at quantum ordinal `quantum`.
-    pub fn sample<S: CounterSource + ?Sized>(
+    /// `read` returns an app's cumulative counters, or `None` when the
+    /// read failed; it is called once per app, in order.
+    pub fn sample(
         &mut self,
-        source: &S,
         app_ids: &[usize],
         quantum: u64,
+        mut read: impl FnMut(usize) -> Option<PmuCounters>,
     ) -> SanitizedQuantum {
         let mut out = SanitizedQuantum::default();
         for &id in app_ids {
-            let status = match source.read_counters(id) {
-                None => self.hold_or_miss(id, quantum, &mut out),
+            let (status, row) = match read(id) {
+                None => hold_or_miss(self.apps.get(&id).and_then(|s| s.last_good), quantum),
                 Some(now) => {
-                    let monotonic = self
-                        .session
-                        .last_of(id)
-                        .map_or(true, |prev| now.is_monotonic_since(&prev));
-                    let gap = quantum
-                        .saturating_sub(self.last_observed.get(&id).copied().unwrap_or(quantum))
-                        .max(1);
-                    let delta = self.session.observe(id, now);
-                    self.last_observed.insert(id, quantum);
+                    // A first read counts from zero over a one-quantum gap.
+                    let state = self.apps.entry(id).or_insert(AppState {
+                        snapshot: PmuCounters::default(),
+                        read_at: quantum,
+                        last_good: None,
+                    });
+                    let monotonic = now.is_monotonic_since(&state.snapshot);
+                    let gap = quantum.saturating_sub(state.read_at).max(1);
+                    let delta = now.delta_since(&state.snapshot);
+                    state.snapshot = now;
+                    state.read_at = quantum;
                     if !monotonic {
-                        out.samples.push((id, delta));
-                        SampleStatus::Clamped
-                    } else if self.is_implausible(&delta, gap) {
-                        self.hold_or_miss(id, quantum, &mut out)
+                        (SampleStatus::Clamped, Some(delta))
+                    } else if is_implausible(&delta, gap, self.max_cycles_per_quantum) {
+                        hold_or_miss(state.last_good, quantum)
                     } else {
-                        self.last_good.insert(id, (delta, quantum));
-                        out.samples.push((id, delta));
-                        SampleStatus::Ok
+                        state.last_good = Some((delta, quantum));
+                        (SampleStatus::Ok, Some(delta))
                     }
                 }
             };
-            out.statuses.push((id, status));
-            if status.is_degraded() {
+            if let Some(delta) = row {
+                out.samples.push((id, delta));
+            }
+            if status != SampleStatus::Ok {
                 out.degraded.push(id);
             }
-            self.health.entry(id).or_default().count(status);
+            self.totals.count(status);
         }
         out
     }
 
-    fn is_implausible(&self, delta: &PmuDelta, gap: u64) -> bool {
-        if delta.cpu_cycles == 0 {
-            return true;
-        }
-        if delta.stall_frontend.saturating_add(delta.stall_backend) > delta.cpu_cycles {
-            return true;
-        }
-        if let Some(bound) = self.max_cycles_per_quantum {
-            if delta.cpu_cycles > gap.saturating_add(1).saturating_mul(bound) {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn hold_or_miss(
-        &mut self,
-        id: usize,
-        quantum: u64,
-        out: &mut SanitizedQuantum,
-    ) -> SampleStatus {
-        match self.last_good.get(&id) {
-            Some(&(delta, at)) if quantum.saturating_sub(at) <= DEFAULT_HOLDOVER_TTL => {
-                out.samples.push((id, delta));
-                SampleStatus::Held
-            }
-            _ => SampleStatus::Missing,
-        }
-    }
-
-    /// Forgets an app (e.g. it terminated). Its health tally is kept; its
-    /// snapshots and last-good state are dropped.
+    /// Forgets an app (e.g. it terminated): its snapshot and last-good
+    /// state are dropped, so its next read counts from zero. The totals
+    /// keep its classifications.
     pub fn forget(&mut self, app_id: usize) {
-        self.session.forget(app_id);
-        self.last_good.remove(&app_id);
-        self.last_observed.remove(&app_id);
-    }
-
-    /// The health ledger of one app (zeroes if never sampled).
-    pub fn health_of(&self, app_id: usize) -> SampleHealth {
-        self.health.get(&app_id).copied().unwrap_or_default()
+        self.apps.remove(&app_id);
     }
 
     /// Classification totals across every app ever sampled.
     pub fn totals(&self) -> SampleHealth {
-        let mut t = SampleHealth::default();
-        for h in self.health.values() {
-            t.add(h);
+        self.totals
+    }
+}
+
+fn is_implausible(delta: &PmuDelta, gap: u64, max_cycles_per_quantum: u64) -> bool {
+    delta.cpu_cycles == 0
+        || delta.stall_frontend.saturating_add(delta.stall_backend) > delta.cpu_cycles
+        || delta.cpu_cycles > gap.saturating_add(1).saturating_mul(max_cycles_per_quantum)
+}
+
+/// A failed or implausible read: replay the last-good delta while it is
+/// fresh, else the app is missing this quantum.
+fn hold_or_miss(
+    last_good: Option<(PmuDelta, u64)>,
+    quantum: u64,
+) -> (SampleStatus, Option<PmuDelta>) {
+    match last_good {
+        Some((delta, at)) if quantum.saturating_sub(at) <= HOLDOVER_TTL => {
+            (SampleStatus::Held, Some(delta))
         }
-        t
+        _ => (SampleStatus::Missing, None),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use synpa_sim::PmuCounters;
-
-    /// A scripted source: each call returns the next queued reading.
-    struct Scripted {
-        reads: RefCell<std::collections::VecDeque<Option<PmuCounters>>>,
-    }
-
-    impl Scripted {
-        fn new(reads: Vec<Option<PmuCounters>>) -> Self {
-            Self {
-                reads: RefCell::new(reads.into()),
-            }
-        }
-    }
-
-    impl CounterSource for Scripted {
-        fn read_counters(&self, _app_id: usize) -> Option<PmuCounters> {
-            self.reads.borrow_mut().pop_front().flatten()
-        }
-    }
+    use SampleStatus::{Clamped, Held, Missing, Ok};
 
     fn cum(cycles: u64, fe: u64, be: u64) -> PmuCounters {
         PmuCounters {
@@ -291,18 +232,50 @@ mod tests {
         }
     }
 
+    /// Samples `app` alone at `quantum` with one scripted read. Returns
+    /// its classification, read off the totals ledger, and the cycles of
+    /// its row (`None` when no row was emitted).
+    fn step(
+        s: &mut SanitizingSession,
+        app: usize,
+        quantum: u64,
+        read: Option<PmuCounters>,
+    ) -> (SampleStatus, Option<u64>) {
+        let before = s.totals();
+        let out = s.sample(&[app], quantum, |id| {
+            assert_eq!(id, app);
+            read
+        });
+        let after = s.totals();
+        assert_eq!(after.total(), before.total() + 1, "one classification");
+        let status = if after.ok > before.ok {
+            Ok
+        } else if after.clamped > before.clamped {
+            Clamped
+        } else if after.held > before.held {
+            Held
+        } else {
+            Missing
+        };
+        assert_eq!(out.degraded.is_empty(), status == Ok);
+        assert!(out.samples.iter().all(|&(id, _)| id == app));
+        (status, out.samples.first().map(|(_, d)| d.cpu_cycles))
+    }
+
     #[test]
     fn healthy_reads_are_ok() {
-        let src = Scripted::new(vec![Some(cum(1000, 100, 200)), Some(cum(2000, 180, 420))]);
-        let mut s = SanitizingSession::new().with_cycle_bound(1000);
-        let q0 = s.sample(&src, &[7], 0);
-        assert_eq!(q0.statuses, vec![(7, SampleStatus::Ok)]);
-        assert_eq!(q0.samples[0].1.cpu_cycles, 1000);
-        let q1 = s.sample(&src, &[7], 1);
-        assert!(q1.is_clean());
-        assert_eq!(q1.samples[0].1.cpu_cycles, 1000, "delta, not cumulative");
+        let mut s = SanitizingSession::new(1000);
         assert_eq!(
-            s.health_of(7),
+            step(&mut s, 7, 0, Some(cum(1000, 100, 200))),
+            (Ok, Some(1000))
+        );
+        assert_eq!(
+            step(&mut s, 7, 1, Some(cum(2000, 180, 420))),
+            (Ok, Some(1000)),
+            "delta, not cumulative"
+        );
+        assert_eq!(
+            s.totals(),
             SampleHealth {
                 ok: 2,
                 ..Default::default()
@@ -314,41 +287,40 @@ mod tests {
     fn rollback_is_clamped_then_recovers() {
         // 1000 → 400 (rollback) → 1400 (truth resumes above the rolled-back
         // snapshot; delta 1000 from the rebased 400).
-        let src = Scripted::new(vec![
-            Some(cum(1000, 100, 200)),
-            Some(cum(400, 40, 80)),
-            Some(cum(1400, 140, 280)),
-        ]);
-        let mut s = SanitizingSession::new().with_cycle_bound(1000);
-        assert_eq!(s.sample(&src, &[1], 0).statuses[0].1, SampleStatus::Ok);
-        let q1 = s.sample(&src, &[1], 1);
-        assert_eq!(q1.statuses[0].1, SampleStatus::Clamped);
-        assert_eq!(q1.samples[0].1.cpu_cycles, 0, "saturated delta");
-        assert_eq!(q1.degraded, vec![1]);
-        let q2 = s.sample(&src, &[1], 2);
-        assert_eq!(q2.statuses[0].1, SampleStatus::Ok, "rebased and recovered");
-        assert_eq!(q2.samples[0].1.cpu_cycles, 1000);
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 1, 0, Some(cum(1000, 100, 200))).0, Ok);
+        assert_eq!(
+            step(&mut s, 1, 1, Some(cum(400, 40, 80))),
+            (Clamped, Some(0)),
+            "saturated delta"
+        );
+        assert_eq!(
+            step(&mut s, 1, 2, Some(cum(1400, 140, 280))),
+            (Ok, Some(1000)),
+            "rebased and recovered"
+        );
     }
 
     #[test]
     fn failed_read_holds_last_good_within_ttl_then_misses() {
-        let mut reads = vec![Some(cum(1000, 100, 200))];
-        reads.extend(std::iter::repeat_n(None, 5));
-        let src = Scripted::new(reads);
-        let mut s = SanitizingSession::new();
-        assert_eq!(s.sample(&src, &[2], 0).statuses[0].1, SampleStatus::Ok);
-        for q in 1..=3 {
-            let out = s.sample(&src, &[2], q);
-            assert_eq!(out.statuses[0].1, SampleStatus::Held, "quantum {q}");
-            assert_eq!(out.samples[0].1.cpu_cycles, 1000, "last-good replayed");
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 2, 0, Some(cum(1000, 100, 200))).0, Ok);
+        for q in 1..=HOLDOVER_TTL {
+            assert_eq!(
+                step(&mut s, 2, q, None),
+                (Held, Some(1000)),
+                "quantum {q}: last-good replayed"
+            );
         }
-        for q in 4..=5 {
-            let out = s.sample(&src, &[2], q);
-            assert_eq!(out.statuses[0].1, SampleStatus::Missing, "TTL expired");
-            assert!(out.samples.is_empty(), "no row for a missing app");
+        for q in HOLDOVER_TTL + 1..=HOLDOVER_TTL + 2 {
+            assert_eq!(
+                step(&mut s, 2, q, None),
+                (Missing, None),
+                "quantum {q}: TTL expired, no row"
+            );
         }
         assert_eq!(
-            s.health_of(2),
+            s.totals(),
             SampleHealth {
                 ok: 1,
                 held: 3,
@@ -360,79 +332,83 @@ mod tests {
 
     #[test]
     fn first_read_failure_is_missing() {
-        let src = Scripted::new(vec![None]);
-        let mut s = SanitizingSession::new();
-        let out = s.sample(&src, &[9], 0);
-        assert_eq!(out.statuses, vec![(9, SampleStatus::Missing)]);
-        assert!(out.samples.is_empty());
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 9, 0, None), (Missing, None));
     }
 
     #[test]
     fn zero_cycle_and_stall_overflow_are_implausible() {
         // Frozen counters: same cumulative twice → zero-cycle delta → Held.
-        let src = Scripted::new(vec![Some(cum(1000, 100, 200)), Some(cum(1000, 100, 200))]);
-        let mut s = SanitizingSession::new();
-        s.sample(&src, &[3], 0);
-        assert_eq!(s.sample(&src, &[3], 1).statuses[0].1, SampleStatus::Held);
+        let mut s = SanitizingSession::new(1000);
+        step(&mut s, 3, 0, Some(cum(1000, 100, 200)));
+        assert_eq!(step(&mut s, 3, 1, Some(cum(1000, 100, 200))).0, Held);
 
         // Stall sum exceeding cycles → Held (no last good → Missing here).
-        let src = Scripted::new(vec![Some(cum(1000, 700, 600))]);
-        let mut s = SanitizingSession::new();
-        assert_eq!(s.sample(&src, &[4], 0).statuses[0].1, SampleStatus::Missing);
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 4, 0, Some(cum(1000, 700, 600))).0, Missing);
     }
 
     #[test]
     fn spike_exceeding_cycle_bound_is_held() {
-        let src = Scripted::new(vec![
-            Some(cum(1000, 100, 200)),
-            Some(cum(1_000_000_000, 200, 400)),
-        ]);
-        let mut s = SanitizingSession::new().with_cycle_bound(1000);
-        assert_eq!(s.sample(&src, &[5], 0).statuses[0].1, SampleStatus::Ok);
-        let out = s.sample(&src, &[5], 1);
-        assert_eq!(out.statuses[0].1, SampleStatus::Held);
-        assert_eq!(out.samples[0].1.cpu_cycles, 1000, "held the good delta");
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 5, 0, Some(cum(1000, 100, 200))).0, Ok);
+        assert_eq!(
+            step(&mut s, 5, 1, Some(cum(1_000_000_000, 200, 400))),
+            (Held, Some(1000)),
+            "held the good delta"
+        );
     }
 
     #[test]
     fn missing_gap_widens_the_cycle_bound() {
         // A drop at q1 means q2's true delta spans two quanta; the gap-aware
         // bound must accept it.
-        let src = Scripted::new(vec![
-            Some(cum(1000, 100, 200)),
-            None,
-            Some(cum(3000, 300, 600)),
-        ]);
-        let mut s = SanitizingSession::new().with_cycle_bound(1000);
-        assert_eq!(s.sample(&src, &[6], 0).statuses[0].1, SampleStatus::Ok);
-        assert_eq!(s.sample(&src, &[6], 1).statuses[0].1, SampleStatus::Held);
-        let out = s.sample(&src, &[6], 2);
-        assert_eq!(out.statuses[0].1, SampleStatus::Ok);
-        assert_eq!(out.samples[0].1.cpu_cycles, 2000, "two quanta of cycles");
+        let mut s = SanitizingSession::new(1000);
+        assert_eq!(step(&mut s, 6, 0, Some(cum(1000, 100, 200))).0, Ok);
+        assert_eq!(step(&mut s, 6, 1, None).0, Held);
+        assert_eq!(
+            step(&mut s, 6, 2, Some(cum(3000, 300, 600))),
+            (Ok, Some(2000)),
+            "two quanta of cycles"
+        );
     }
 
     #[test]
     fn forget_drops_state_but_keeps_health() {
-        let src = Scripted::new(vec![Some(cum(1000, 100, 200)), Some(cum(500, 50, 100))]);
-        let mut s = SanitizingSession::new();
-        s.sample(&src, &[8], 0);
+        let mut s = SanitizingSession::new(1000);
+        step(&mut s, 8, 0, Some(cum(1000, 100, 200)));
         s.forget(8);
         // After forget the 500 reading is a fresh cumulative, not a rollback.
-        let out = s.sample(&src, &[8], 1);
-        assert_eq!(out.statuses[0].1, SampleStatus::Ok);
-        assert_eq!(out.samples[0].1.cpu_cycles, 500);
-        assert_eq!(s.health_of(8).ok, 2, "ledger survives forget");
+        assert_eq!(step(&mut s, 8, 1, Some(cum(500, 50, 100))), (Ok, Some(500)));
+        // Nor is there a last-good left to hold over.
+        s.forget(8);
+        assert_eq!(step(&mut s, 8, 2, None), (Missing, None));
+        assert_eq!(s.totals().ok, 2, "totals survive forget");
     }
 
     #[test]
     fn totals_sum_across_apps() {
-        let src = Scripted::new(vec![Some(cum(1000, 100, 200)), None]);
-        let mut s = SanitizingSession::new();
-        s.sample(&src, &[1, 2], 0);
+        let mut s = SanitizingSession::new(1000);
+        step(&mut s, 1, 0, Some(cum(1000, 100, 200)));
+        step(&mut s, 2, 0, None);
         let t = s.totals();
         assert_eq!(t.ok, 1);
         assert_eq!(t.missing, 1);
         assert_eq!(t.total(), 2);
         assert_eq!(t.degraded(), 1);
+    }
+
+    #[test]
+    fn one_call_reads_each_app_once_in_order() {
+        let mut s = SanitizingSession::new(1000);
+        let mut reads = Vec::new();
+        let out = s.sample(&[4, 2, 9], 0, |id| {
+            reads.push(id);
+            (id != 9).then(|| cum(1000, 100, 200))
+        });
+        assert_eq!(reads, [4, 2, 9]);
+        let rows: Vec<usize> = out.samples.iter().map(|&(id, _)| id).collect();
+        assert_eq!(rows, [4, 2], "request order, no row for the missing app");
+        assert_eq!(out.degraded, [9]);
     }
 }

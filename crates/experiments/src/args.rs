@@ -119,6 +119,13 @@ mod tests {
     }
 
     #[test]
+    fn both_fault_flags_trim_whitespace() {
+        let a = parse(&["--faults", " 7 : 0.05", "--chip-faults", " 7 : 0.05"]).unwrap();
+        assert_eq!(a.faults, Some(FaultConfig::uniform(7, 0.05)));
+        assert_eq!(a.chip_faults, Some(ChipFaultConfig::uniform(7, 0.05)));
+    }
+
+    #[test]
     fn malformed_seed_rate_is_an_error() {
         assert!(parse(&["--faults", "7"]).is_err());
         assert!(parse(&["--chip-faults", "x:0.1"]).is_err());

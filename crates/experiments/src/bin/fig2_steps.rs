@@ -1,7 +1,6 @@
 //! Fig. 2: the three-step characterization of cycles at the dispatch stage,
 //! demonstrated on a live measurement of one application.
 
-use synpa::counters::SamplingSession;
 use synpa::model::{Categories, RevealsSplit};
 use synpa::prelude::*;
 
@@ -11,10 +10,9 @@ fn main() {
     let mut chip = Chip::new(ChipConfig::thunderx2(1));
     chip.attach(Slot(0), 0, Box::new(profile.with_length(u64::MAX)));
     chip.run_cycles(60_000);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0]);
+    let start = *chip.pmu_of(0).expect("attached");
     chip.run_cycles(100_000);
-    let d = session.sample(&chip, &[0]).pop().unwrap().1;
+    let d = chip.pmu_of(0).expect("attached").delta_since(&start);
     let cycles = d.cpu_cycles as f64;
 
     println!("Fig. 2 — characterization of cycles at the dispatch stage ({app})");

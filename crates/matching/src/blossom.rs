@@ -41,7 +41,7 @@ struct Edge {
 /// problem seen and reset in place per call, so repeated per-quantum
 /// matchings are allocation-free after the first.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Row-major `stride × stride` adjacency over vertices + pseudo-nodes.
     g: Vec<Edge>,
     /// Row-major `stride × stride` blossom-membership map.
@@ -492,7 +492,7 @@ impl<'a> Solver<'a> {
 /// Returns `(total_weight, mate)` where `mate[u] == Some(v)` iff `u` is
 /// matched to `v` (0-indexed). The returned mate vector is the only
 /// allocation; every solver buffer lives in the workspace.
-pub fn max_weight_matching_in(
+pub(crate) fn max_weight_matching_in(
     ws: &mut Workspace,
     weights: &[Vec<i64>],
 ) -> (i64, Vec<Option<usize>>) {
@@ -526,9 +526,12 @@ pub(crate) fn with_shared_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R
     })
 }
 
-/// [`max_weight_matching_in`] through a shared thread-local workspace:
-/// repeated calls on one thread (the per-quantum scheduling path) are
-/// allocation-free in the steady state.
+/// Computes a maximum-weight matching of the complete graph given by
+/// `weights` (symmetric, non-negative; `weights[u][u]` ignored; zero
+/// weight = edge absent). Returns `(total_weight, mate)` where
+/// `mate[u] == Some(v)` iff `u` is matched to `v` (0-indexed). Runs in a
+/// shared thread-local workspace: repeated calls on one thread (the
+/// per-quantum scheduling path) are allocation-free in the steady state.
 pub fn max_weight_matching(weights: &[Vec<i64>]) -> (i64, Vec<Option<usize>>) {
     with_shared_workspace(|ws| max_weight_matching_in(ws, weights))
 }

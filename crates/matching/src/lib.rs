@@ -17,13 +17,6 @@
 //!   the "evaluate every combination" baseline.
 //! * [`greedy_min_pairing`] — cheapest-edge-first heuristic baseline.
 //!
-//! The solver keeps all of its O(n²) scratch (adjacency, blossom forests,
-//! labels, queues) in a reusable [`Workspace`]; the plain entry points
-//! share a thread-local one, so the per-quantum n = 56 dense matching
-//! allocates nothing in the steady state. Callers that want explicit
-//! control (or several workspaces) use [`max_weight_matching_in`] /
-//! [`min_cost_pairing_in`].
-//!
 //! ```
 //! use synpa_matching::min_cost_pairing;
 //! let costs = vec![
@@ -43,8 +36,8 @@ mod assignment;
 mod blossom;
 mod pairing;
 
-pub use blossom::{max_weight_matching, max_weight_matching_in, Workspace};
+pub use blossom::max_weight_matching;
 pub use pairing::{
     exhaustive_min_pairing, greedy_min_pairing, min_cost_lower_bound, min_cost_pairing,
-    min_cost_pairing_in, MatcherStats, Pairing,
+    MatcherStats, Pairing,
 };

@@ -59,7 +59,7 @@ pub(crate) fn pairing_from_mate(costs: &[Vec<f64>], mate: &[Option<usize>]) -> P
 /// averaging `costs[u][v]` and `costs[v][u]`, which matches the paper's use
 /// (the cost of a pair is slowdown(i|j) + slowdown(j|i), same in both
 /// directions).
-pub fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
+pub(crate) fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
     let n = check_square_even(costs);
     if n == 0 {
         return Pairing {
@@ -121,7 +121,7 @@ pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> (Vec<V
 /// error of the `f64` arithmetic on either side of the comparison.
 const BOUND_MARGIN: f64 = 1e-9;
 
-/// An exact lower bound on [`min_cost_pairing_in`]'s `total_cost`,
+/// An exact lower bound on [`min_cost_pairing`]'s `total_cost`,
 /// computed without running the blossom.
 ///
 /// It solves the fractional relaxation of the perfect-matching problem —
@@ -139,7 +139,7 @@ const BOUND_MARGIN: f64 = 1e-9;
 /// SYNPA cost matrix tried, see `docs/matching.md`) the bound is within
 /// `n/2·1e-6` of the optimum; with odd cycles cheaper than any pairing
 /// (two cheap triangles) it is strictly below it. Same input contract as
-/// [`min_cost_pairing_in`]. Runs in the shared thread-local workspace, so
+/// [`min_cost_pairing`]. Runs in the shared thread-local workspace, so
 /// repeated calls allocate nothing.
 pub fn min_cost_lower_bound(costs: &[Vec<f64>]) -> f64 {
     let n = check_square_even(costs);
@@ -176,9 +176,13 @@ pub struct MatcherStats {
     pub cold_solves: u64,
 }
 
-/// [`min_cost_pairing_in`] through the shared thread-local workspace:
-/// repeated calls on one thread (the SYNPA per-quantum decision path) are
-/// allocation-free in the steady state.
+/// Finds the minimum-total-cost perfect pairing via blossom matching.
+///
+/// `costs` must be square with even dimension; it is symmetrized by
+/// averaging `costs[u][v]` and `costs[v][u]` (the cost of a pair is
+/// slowdown(i|j) + slowdown(j|i), same in both directions). Runs in a
+/// shared thread-local workspace: repeated calls on one thread (the SYNPA
+/// per-quantum decision path) are allocation-free in the steady state.
 pub fn min_cost_pairing(costs: &[Vec<f64>]) -> Pairing {
     with_shared_workspace(|ws| min_cost_pairing_in(ws, costs))
 }

@@ -3,7 +3,6 @@
 //! interference structure the SYNPA model has to learn.
 
 use synpa_apps::spec;
-use synpa_counters::SamplingSession;
 use synpa_sim::{Chip, ChipConfig, Slot};
 
 fn ipc_pair(a: &str, b: &str) -> (f64, f64) {
@@ -19,14 +18,13 @@ fn ipc_pair(a: &str, b: &str) -> (f64, f64) {
         Box::new(spec::by_name(b).unwrap().with_length(u64::MAX)),
     );
     chip.run_cycles(60_000);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0, 1]);
+    let start = [0, 1].map(|id| *chip.pmu_of(id).expect("attached"));
     chip.run_cycles(100_000);
-    let d = s.sample(&chip, &[0, 1]);
-    (
-        d[0].1.inst_retired as f64 / d[0].1.cpu_cycles as f64,
-        d[1].1.inst_retired as f64 / d[1].1.cpu_cycles as f64,
-    )
+    let ipc = |id: usize| {
+        let d = chip.pmu_of(id).expect("attached").delta_since(&start[id]);
+        d.inst_retired as f64 / d.cpu_cycles as f64
+    };
+    (ipc(0), ipc(1))
 }
 
 fn ipc_solo(a: &str) -> f64 {
@@ -37,11 +35,10 @@ fn ipc_solo(a: &str) -> f64 {
         Box::new(spec::by_name(a).unwrap().with_length(u64::MAX)),
     );
     chip.run_cycles(60_000);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0]);
+    let start = *chip.pmu_of(0).expect("attached");
     chip.run_cycles(100_000);
-    let d = s.sample(&chip, &[0]);
-    d[0].1.inst_retired as f64 / d[0].1.cpu_cycles as f64
+    let d = chip.pmu_of(0).expect("attached").delta_since(&start);
+    d.inst_retired as f64 / d.cpu_cycles as f64
 }
 
 fn main() {

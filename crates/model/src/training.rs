@@ -31,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use synpa_apps::AppProfile;
-use synpa_counters::{QuantumRecord, SamplingSession, TraceReplay};
-use synpa_sim::{parallel_map, Chip, ChipConfig, PmuDelta, Slot};
+use synpa_counters::{QuantumRecord, TraceReplay};
+use synpa_sim::{parallel_map, Chip, ChipConfig, PmuCounters, PmuDelta, Slot};
 
 /// Training hyper-parameters and simulation windows.
 #[derive(Debug, Clone)]
@@ -107,8 +107,11 @@ pub fn record_run(apps: &[&AppProfile], cfg: &TrainingConfig) -> Run {
         chip.attach(Slot(id), id, Box::new((*app).clone().with_length(u64::MAX)));
     }
     chip.run_cycles(cfg.warmup);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &ids);
+    let snapshot = |chip: &Chip| -> Vec<PmuCounters> {
+        let read = |&id| *chip.pmu_of(id).expect("profiled apps never leave the chip");
+        ids.iter().map(read).collect()
+    };
+    let mut last = snapshot(&chip);
     let quanta = if apps.len() == 1 {
         cfg.st_quanta
     } else {
@@ -117,7 +120,11 @@ pub fn record_run(apps: &[&AppProfile], cfg: &TrainingConfig) -> Run {
     let mut run = vec![Vec::with_capacity(quanta); apps.len()];
     for _ in 0..quanta {
         chip.run_cycles(cfg.quantum);
-        push_quantum(&mut run, &ids, &session.sample(&chip, &ids));
+        let now = snapshot(&chip);
+        for ((seq, now), last) in run.iter_mut().zip(&now).zip(&last) {
+            seq.push(now.delta_since(last));
+        }
+        last = now;
     }
     run
 }

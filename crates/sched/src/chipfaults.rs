@@ -1,8 +1,8 @@
 //! Execution-fault driving at the scheduler layer.
 //!
-//! The sim crate owns the *plan* (`synpa_sim::ChipFaultPlan`, a pure
-//! function of `(seed, cell)`); this module owns the *mechanism*: at each
-//! quantum boundary [`ChipFaultDriver::apply`] draws the per-core events,
+//! The sim crate owns the *plan* (`synpa_sim::ChipFaultConfig`'s draws, a
+//! pure function of `(seed, cell)`); this module owns the *mechanism*: at
+//! each quantum boundary [`ChipFaultDriver::apply`] draws the per-core events,
 //! evacuates residents of failing cores, takes the cores out of service
 //! (and returns transients to it), and derates throttled cores. Which apps
 //! were stranded is returned to the quantum loop, which re-queues them
@@ -11,13 +11,13 @@
 //! rules.
 
 use crate::stats::RunStats;
-use synpa_sim::{Chip, ChipFaultConfig, ChipFaultPlan, CoreFault};
+use synpa_sim::{Chip, ChipFaultConfig, CoreFault};
 
 /// Applies the seeded core-fault plan to a live chip, one quantum boundary
 /// at a time. Holds the per-core outage clock; the chip itself only knows
 /// its current availability mask.
 pub(crate) struct ChipFaultDriver {
-    plan: ChipFaultPlan,
+    plan: ChipFaultConfig,
     /// Per-core outage deadline: 0 = in service, `u64::MAX` = permanently
     /// offline, otherwise the quantum at whose boundary the core returns.
     down_until: Vec<u64>,
@@ -28,16 +28,10 @@ pub(crate) struct ChipFaultDriver {
 impl ChipFaultDriver {
     pub fn new(cfg: &ChipFaultConfig, cores: usize) -> Self {
         ChipFaultDriver {
-            plan: ChipFaultPlan::new(cfg),
+            plan: *cfg,
             down_until: vec![0; cores],
             throttled: vec![false; cores],
         }
-    }
-
-    /// The underlying pure plan (the open system also draws per-app
-    /// execution faults from it).
-    pub fn plan(&self) -> &ChipFaultPlan {
-        &self.plan
     }
 
     /// Advances the fault state one quantum boundary: revives due

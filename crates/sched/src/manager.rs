@@ -3,9 +3,10 @@
 //!
 //! At every quantum boundary the loop applies the chip-fault plan, admits
 //! waiting apps onto free slots, advances the chip one quantum, handles
-//! first-launch completions, reads the PMU deltas through the
-//! fault/sanitize stack, logs the characterization (the raw material for
-//! Figs. 6/7 and Table V), asks the policy for a placement and applies it.
+//! first-launch completions, reads each placed app's PMU counters through
+//! the fault injector (under `--faults`) into the sanitizer, logs the
+//! characterization (the raw material for Figs. 6/7 and Table V), asks the
+//! policy for a placement and applies it.
 //! Two front ends configure it:
 //!
 //! * [`run_workload`] / [`run_workload_with_arrivals`] — the closed batch
@@ -406,7 +407,7 @@ impl<'a> QuantumLoop<'a> {
             queue_capacity,
             recovery,
             chip: Chip::new(cfg.chip.clone()),
-            session: SanitizingSession::new().with_cycle_bound(cfg.quantum_cycles),
+            session: SanitizingSession::new(cfg.quantum_cycles),
             injector: cfg.faults.as_ref().map(FaultInjector::new),
             driver,
             order,
@@ -497,13 +498,14 @@ impl<'a> QuantumLoop<'a> {
                     ids.sort_unstable();
                 }
                 let q = self.quantum;
-                let sanitized = match self.injector.as_mut() {
-                    Some(inj) => {
-                        inj.begin_quantum(q);
-                        self.session.sample(&inj.wrap(&self.chip), &ids, q)
+                let (chip, injector) = (&self.chip, &mut self.injector);
+                let sanitized = self.session.sample(&ids, q, |app| {
+                    let truth = *chip.pmu_of(app)?;
+                    match injector {
+                        Some(inj) => inj.read(app, q, truth),
+                        None => Some(truth),
                     }
-                    None => self.session.sample(&self.chip, &ids, q),
-                };
+                });
                 if !sanitized.is_clean() {
                     self.stats.degraded_quanta += 1;
                 }
@@ -667,11 +669,12 @@ impl<'a> QuantumLoop<'a> {
     /// app with zero retirement for [`WATCHDOG_QUANTA`] consecutive quanta —
     /// it reads only the public PMU, never the fault plan.
     fn recover(&mut self) {
-        if self.recovery == Recovery::Requeue || self.driver.is_none() {
-            return;
-        }
+        let plan = match self.cfg.chip_faults {
+            Some(plan) if self.recovery == Recovery::Retry => plan,
+            _ => return,
+        };
         for app in self.placed_ids() {
-            let (crash, frac) = match self.driver.as_ref().and_then(|d| d.plan().app_fault(app)) {
+            let (crash, frac) = match plan.app_fault(app) {
                 Some(AppFault::Crash { frac }) => (true, frac),
                 Some(AppFault::Hang { frac }) => (false, frac),
                 None => continue,

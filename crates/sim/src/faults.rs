@@ -1,6 +1,7 @@
 //! Seeded *execution*-fault plans: per-core availability events and
-//! per-app crash/hang faults, mirroring the data-plane `FaultPlan` in
-//! `synpa-counters`.
+//! per-app crash/hang faults, drawn from [`ChipFaultConfig`] the way the
+//! counter-fault `FaultConfig` in `synpa-counters` draws its data-plane
+//! faults.
 //!
 //! The plan is a pure function of `(seed, core, quantum)` / `(seed, app)`
 //! — no state, no global RNG — so a faulted run is byte-replayable: every
@@ -12,17 +13,53 @@
 
 use crate::rng::SplitMix64;
 
-/// CLI-facing chip-fault configuration: a base seed and a per-cell event
-/// rate, exactly like the counter-fault `FaultConfig` but for the
-/// execution plane.
+/// Parses the `seed:rate[:rest]` spec behind both `--faults` and
+/// `--chip-faults`: a decimal seed, a colon and a rate in `[0, 1]`, each
+/// trimmed of surrounding whitespace, plus whatever follows a second
+/// colon (`--faults` reads it as a fault-kind filter). Errors name `flag`.
+pub fn parse_seed_rate<'a>(
+    flag: &str,
+    spec: &'a str,
+) -> Result<(u64, f64, Option<&'a str>), String> {
+    let (seed, rest) = spec
+        .split_once(':')
+        .ok_or_else(|| format!("{flag} expects seed:rate, got '{spec}'"))?;
+    let seed: u64 = seed
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag} seed '{seed}' is not a u64"))?;
+    let (rate, tail) = match rest.split_once(':') {
+        Some((rate, tail)) => (rate, Some(tail)),
+        None => (rest, None),
+    };
+    let rate: f64 = rate
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag} rate '{rate}' is not a number"))?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("{flag} rate {rate} must be within [0, 1]"));
+    }
+    Ok((seed, rate, tail))
+}
+
+/// Chip-fault configuration and its pure plan: a base seed and a per-cell
+/// event rate, exactly like the counter-fault `FaultConfig` but for the
+/// execution plane. Every query derives a fresh [`SplitMix64`] from the
+/// seed and the cell coordinates, so results are independent of query
+/// order and count — the property the cross-engine byte-identity of
+/// faulted runs rests on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipFaultConfig {
     /// Base seed of the pure fault plan.
     pub seed: u64,
     /// Per-app fault probability in `[0, 1]`; per-core events fire at a
-    /// derated fraction of this (see [`ChipFaultPlan::core_event`]).
+    /// derated fraction of this (see [`ChipFaultConfig::core_event`]).
     pub rate: f64,
 }
+
+/// Per-core events are this factor rarer than per-app faults: a core
+/// failing is a chip-level event, an app crashing is routine.
+const CORE_EVENT_DERATE: f64 = 16.0;
 
 impl ChipFaultConfig {
     /// A plan with the given seed and rate.
@@ -34,22 +71,47 @@ impl ChipFaultConfig {
         ChipFaultConfig { seed, rate }
     }
 
-    /// Parses the `--chip-faults seed:rate` CLI spec, mirroring the
-    /// counter-fault `FaultConfig::parse` error style.
+    /// Parses the `--chip-faults seed:rate` CLI spec (see
+    /// [`parse_seed_rate`]); a third component is an error.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (seed, rate) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("--chip-faults expects seed:rate, got '{spec}'"))?;
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| format!("--chip-faults seed '{seed}' is not a u64"))?;
-        let rate: f64 = rate
-            .parse()
-            .map_err(|_| format!("--chip-faults rate '{rate}' is not a number"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--chip-faults rate {rate} must be within [0, 1]"));
+        match parse_seed_rate("--chip-faults", spec)? {
+            (seed, rate, None) => Ok(ChipFaultConfig { seed, rate }),
+            (_, _, Some(_)) => Err(format!("--chip-faults expects seed:rate, got '{spec}'")),
         }
-        Ok(ChipFaultConfig { seed, rate })
+    }
+
+    /// The availability event (if any) for `core` at the boundary of
+    /// `quantum`. Fires at `rate / 16`: core failures are much rarer than
+    /// app-level faults at the same configured rate.
+    pub fn core_event(&self, core: usize, quantum: u64) -> Option<CoreFault> {
+        let mut rng = SplitMix64::for_cell(self.seed, core as u64, quantum, 1);
+        if !rng.chance(self.rate / CORE_EVENT_DERATE) {
+            return None;
+        }
+        Some(match rng.next_below(10) {
+            0 | 1 => CoreFault::Offline,
+            2..=6 => CoreFault::Transient {
+                down: 1 + rng.next_below(4),
+            },
+            _ => CoreFault::Throttled,
+        })
+    }
+
+    /// The execution fault (if any) baked into `app` for its whole
+    /// lifetime. Fires at the full configured rate; crash and hang are
+    /// equally likely, at a uniformly drawn progress fraction in
+    /// `[0.1, 0.9)`.
+    pub fn app_fault(&self, app: usize) -> Option<AppFault> {
+        let mut rng = SplitMix64::for_cell(self.seed, app as u64, 0, 2);
+        if !rng.chance(self.rate) {
+            return None;
+        }
+        let frac = 0.1 + 0.8 * (rng.next_below(1000) as f64 / 1000.0);
+        Some(if rng.next_below(2) == 0 {
+            AppFault::Crash { frac }
+        } else {
+            AppFault::Hang { frac }
+        })
     }
 }
 
@@ -86,85 +148,13 @@ pub enum AppFault {
     },
 }
 
-/// The pure execution-fault plan. Stateless: every query derives a fresh
-/// `SplitMix64` from the seed and the cell coordinates, so results are
-/// independent of query order and count — the property the cross-engine
-/// byte-identity of faulted runs rests on.
-#[derive(Debug, Clone, Copy)]
-pub struct ChipFaultPlan {
-    seed: u64,
-    rate: f64,
-}
-
-/// Per-core events are this factor rarer than per-app faults: a core
-/// failing is a chip-level event, an app crashing is routine.
-const CORE_EVENT_DERATE: f64 = 16.0;
-
-impl ChipFaultPlan {
-    /// Builds the plan for a configuration.
-    pub fn new(cfg: &ChipFaultConfig) -> Self {
-        ChipFaultPlan {
-            seed: cfg.seed,
-            rate: cfg.rate,
-        }
-    }
-
-    /// The fault rate the plan was built with.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    fn cell_rng(&self, a: u64, b: u64, salt: u64) -> SplitMix64 {
-        SplitMix64::new(
-            self.seed
-                .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-                .wrapping_add(salt.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
-        )
-    }
-
-    /// The availability event (if any) for `core` at the boundary of
-    /// `quantum`. Fires at `rate / 16`: core failures are much rarer than
-    /// app-level faults at the same configured rate.
-    pub fn core_event(&self, core: usize, quantum: u64) -> Option<CoreFault> {
-        let mut rng = self.cell_rng(core as u64, quantum, 1);
-        if !rng.chance(self.rate / CORE_EVENT_DERATE) {
-            return None;
-        }
-        Some(match rng.next_below(10) {
-            0 | 1 => CoreFault::Offline,
-            2..=6 => CoreFault::Transient {
-                down: 1 + rng.next_below(4),
-            },
-            _ => CoreFault::Throttled,
-        })
-    }
-
-    /// The execution fault (if any) baked into `app` for its whole
-    /// lifetime. Fires at the full configured rate; crash and hang are
-    /// equally likely, at a uniformly drawn progress fraction in
-    /// `[0.1, 0.9)`.
-    pub fn app_fault(&self, app: usize) -> Option<AppFault> {
-        let mut rng = self.cell_rng(app as u64, 0, 2);
-        if !rng.chance(self.rate) {
-            return None;
-        }
-        let frac = 0.1 + 0.8 * (rng.next_below(1000) as f64 / 1000.0);
-        Some(if rng.next_below(2) == 0 {
-            AppFault::Crash { frac }
-        } else {
-            AppFault::Hang { frac }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn plan_is_a_pure_function_of_its_cell() {
-        let plan = ChipFaultPlan::new(&ChipFaultConfig::uniform(42, 0.8));
+        let plan = ChipFaultConfig::uniform(42, 0.8);
         for core in 0..8 {
             for q in 0..64 {
                 assert_eq!(plan.core_event(core, q), plan.core_event(core, q));
@@ -177,7 +167,7 @@ mod tests {
 
     #[test]
     fn zero_rate_draws_nothing() {
-        let plan = ChipFaultPlan::new(&ChipFaultConfig::uniform(7, 0.0));
+        let plan = ChipFaultConfig::uniform(7, 0.0);
         for core in 0..8 {
             for q in 0..256 {
                 assert_eq!(plan.core_event(core, q), None);
@@ -190,8 +180,8 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = ChipFaultPlan::new(&ChipFaultConfig::uniform(1, 1.0));
-        let b = ChipFaultPlan::new(&ChipFaultConfig::uniform(2, 1.0));
+        let a = ChipFaultConfig::uniform(1, 1.0);
+        let b = ChipFaultConfig::uniform(2, 1.0);
         let differs = (0..64).any(|app| a.app_fault(app) != b.app_fault(app))
             || (0..64).any(|q| a.core_event(0, q) != b.core_event(0, q));
         assert!(differs, "seeds 1 and 2 produced identical fault streams");
@@ -199,7 +189,7 @@ mod tests {
 
     #[test]
     fn high_rate_draws_every_kind() {
-        let plan = ChipFaultPlan::new(&ChipFaultConfig::uniform(3, 1.0));
+        let plan = ChipFaultConfig::uniform(3, 1.0);
         let (mut off, mut tr, mut thr) = (0, 0, 0);
         for core in 0..16 {
             for q in 0..64 {
@@ -253,6 +243,15 @@ mod tests {
         assert_eq!(
             ChipFaultConfig::parse("7:1.5"),
             Err("--chip-faults rate 1.5 must be within [0, 1]".into())
+        );
+    }
+
+    #[test]
+    fn parse_rejects_a_kind_component() {
+        // `--chip-faults` has no kind filter; only `--faults` takes one.
+        assert_eq!(
+            ChipFaultConfig::parse("7:0.05:spike"),
+            Err("--chip-faults expects seed:rate, got '7:0.05:spike'".into())
         );
     }
 }

@@ -53,7 +53,7 @@ pub use chip::{Chip, Slot};
 pub use config::{CacheConfig, ChipConfig, CoreConfig};
 pub use core::Core;
 pub use engine::{EngineKind, EngineStats};
-pub use faults::{AppFault, ChipFaultConfig, ChipFaultPlan, CoreFault};
+pub use faults::{parse_seed_rate, AppFault, ChipFaultConfig, CoreFault};
 pub use mem::Memory;
 pub use parallel::parallel_map;
 pub use pmu::{Event, ExtCounters, PmuCounters, PmuDelta};

@@ -27,6 +27,20 @@ impl SplitMix64 {
         }
     }
 
+    /// The generator of one cell of a pure seeded plan: `(a, b)` are the
+    /// cell's coordinates (app or core, quantum) and `salt` separates
+    /// plans that share a seed. SplitMix64 is designed to decorrelate
+    /// sequential seeds, so this linear mix gives independent per-cell
+    /// draws without any shared stream state. The counter-fault plan uses
+    /// salt 0, the chip-fault plan salts 1 (cores) and 2 (apps).
+    pub fn for_cell(seed: u64, a: u64, b: u64, salt: u64) -> Self {
+        Self::new(
+            seed.wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+                .wrapping_add(salt.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
+        )
+    }
+
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

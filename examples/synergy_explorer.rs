@@ -6,7 +6,6 @@
 //! cargo run --release --example synergy_explorer            # full matrix
 //! ```
 
-use synpa::counters::SamplingSession;
 use synpa::prelude::*;
 use synpa::sim::ThreadProgram;
 
@@ -18,10 +17,9 @@ fn solo_ipc(name: &str) -> f64 {
     let mut chip = Chip::new(ChipConfig::thunderx2(1));
     chip.attach(Slot(0), 0, Box::new(app.with_length(u64::MAX)));
     chip.run_cycles(WARMUP);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0]);
+    let start = *chip.pmu_of(0).expect("attached");
     chip.run_cycles(MEASURE);
-    let d = &s.sample(&chip, &[0])[0].1;
+    let d = chip.pmu_of(0).expect("attached").delta_since(&start);
     d.inst_retired as f64 / d.cpu_cycles as f64
 }
 
@@ -40,15 +38,14 @@ fn co_run(a: &str, b: &str, solo_a: f64, solo_b: f64) -> ((f64, Fractions), (f64
         Box::new(spec::by_name(b).unwrap().with_length(u64::MAX)),
     );
     chip.run_cycles(WARMUP);
-    let mut s = SamplingSession::new();
-    s.sample(&chip, &[0, 1]);
+    let start = [0, 1].map(|id| *chip.pmu_of(id).expect("attached"));
     chip.run_cycles(MEASURE);
-    let d = s.sample(&chip, &[0, 1]);
+    let d = [0, 1].map(|id| chip.pmu_of(id).expect("attached").delta_since(&start[id]));
     let width = chip.config().core.dispatch_width;
-    let ipc = |i: usize| d[i].1.inst_retired as f64 / d[i].1.cpu_cycles as f64;
+    let ipc = |i: usize| d[i].inst_retired as f64 / d[i].cpu_cycles as f64;
     (
-        (solo_a / ipc(0), Fractions::from_pmu(&d[0].1, width)),
-        (solo_b / ipc(1), Fractions::from_pmu(&d[1].1, width)),
+        (solo_a / ipc(0), Fractions::from_pmu(&d[0], width)),
+        (solo_b / ipc(1), Fractions::from_pmu(&d[1], width)),
     )
 }
 

@@ -7,14 +7,14 @@
 //! 2. **Zero faults = today**: fault injection at rate 0 produces a
 //!    `RunResult` bit-identical to running with no injector at all.
 //! 3. **Injected = observed**: the injector's per-kind counters match an
-//!    independent replay of the pure `FaultPlan` over every placed
-//!    (app, quantum) pair — nothing is injected off the books.
+//!    independent replay of the pure plan, `FaultConfig::kind_at`, over
+//!    every placed (app, quantum) pair — nothing is injected off the books.
 //! 4. **Bounded degradation**: at a low fault rate the sanitizer confines
 //!    damage — healthy samples dominate and degraded samples stay within
 //!    a small multiple of the injected fault count.
 
 use proptest::prelude::*;
-use synpa::counters::{FaultConfig, FaultKind, FaultPlan, InjectedCounts};
+use synpa::counters::{FaultConfig, FaultKind, InjectedCounts};
 use synpa::prelude::*;
 use synpa::sched::{run_workload, RunResult};
 use synpa::sim::EngineKind;
@@ -100,11 +100,10 @@ proptest! {
     ) {
         let cfg = FaultConfig::uniform(seed, rate);
         let result = faulted_run(EngineKind::PerCore, Some(cfg));
-        let plan = FaultPlan::new(&cfg);
         let mut expected: InjectedCounts = Default::default();
         for q in 0..result.quanta {
             for app in 0..8 {
-                if let Some(kind) = plan.kind_at(app, q) {
+                if let Some(kind) = cfg.kind_at(app, q) {
                     expected[kind as usize] += 1;
                 }
             }

@@ -5,22 +5,22 @@
 //! either plan (or to the SplitMix64 cell mixing) that moves a single draw
 //! fails here, not only in a cross-commit table diff.
 
-use synpa::counters::{FaultConfig, FaultKind, FaultPlan};
-use synpa::sim::{AppFault, ChipFaultConfig, ChipFaultPlan, CoreFault};
+use synpa::counters::{FaultConfig, FaultKind};
+use synpa::sim::{AppFault, ChipFaultConfig, CoreFault};
 
 /// The seed CI's chaos smoke runs use.
 const SEED: u64 = 7;
 
 fn counter_kind(cfg: &FaultConfig, app: usize, quantum: u64) -> Option<FaultKind> {
-    FaultPlan::new(cfg).kind_at(app, quantum)
+    cfg.kind_at(app, quantum)
 }
 
 fn core_event(cfg: &ChipFaultConfig, core: usize, quantum: u64) -> Option<CoreFault> {
-    ChipFaultPlan::new(cfg).core_event(core, quantum)
+    cfg.core_event(core, quantum)
 }
 
 fn app_fault(cfg: &ChipFaultConfig, app: usize) -> Option<AppFault> {
-    ChipFaultPlan::new(cfg).app_fault(app)
+    cfg.app_fault(app)
 }
 
 #[test]

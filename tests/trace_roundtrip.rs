@@ -2,7 +2,7 @@
 //! run must replay into exactly the same per-quantum characterization —
 //! the offline-training path a real `perf`-recorded trace would take.
 
-use synpa::counters::{read_trace, QuantumRecord, SamplingSession, TraceReplay, TraceWriter};
+use synpa::counters::{read_trace, QuantumRecord, TraceReplay, TraceWriter};
 use synpa::model::Categories;
 use synpa::prelude::*;
 
@@ -17,13 +17,15 @@ fn record_run(quanta: u64, quantum_cycles: u64) -> (Vec<QuantumRecord>, Vec<Cate
     }
     // Warm the caches so early quanta reflect steady-state behaviour.
     chip.run_cycles(60_000);
-    let mut session = SamplingSession::new();
-    session.sample(&chip, &[0, 1]);
+    let mut last = [0, 1].map(|app| *chip.pmu_of(app).unwrap());
     let mut records = Vec::new();
     let mut live_categories = Vec::new();
     for q in 0..quanta {
         chip.run_cycles(quantum_cycles);
-        for (app, delta) in session.sample(&chip, &[0, 1]) {
+        for (app, last) in last.iter_mut().enumerate() {
+            let now = *chip.pmu_of(app).unwrap();
+            let delta = now.delta_since(last);
+            *last = now;
             records.push(QuantumRecord::from_delta(q, app, &delta));
             live_categories.push(Categories::from_delta(&delta, 4));
         }
