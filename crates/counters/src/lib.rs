@@ -26,6 +26,7 @@
 mod faults;
 mod replay;
 mod sanitize;
+mod source;
 
 pub use faults::{FaultConfig, FaultInjector, FaultKind, FaultRates, InjectedCounts};
 pub use replay::{read_trace, QuantumRecord, TraceError, TraceReplay, TraceWriter};
