@@ -4,7 +4,6 @@
 //! Fig. 4 (see crates/apps/tests/table3_fidelity.rs for the enforced form).
 
 use synpa_apps::{characterize_isolated, spec};
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
 
 fn main() {
     println!(
@@ -27,19 +26,11 @@ fn main() {
         let r = characterize_isolated(&app, 80_000, 120_000);
         let f = r.fractions;
         let got = f.group();
-        let want = spec::expected_group(app.name()).unwrap();
-        // re-run to get ext counters
-        let mut cfg = ChipConfig::thunderx2(1);
-        cfg.cores = 1;
-        let mut chip = Chip::new(cfg);
-        chip.attach(Slot(0), 0, Box::new(app.clone().with_length(u64::MAX)));
-        chip.run_cycles(80_000);
-        let before = *chip.pmu_of(0).unwrap();
-        chip.run_cycles(120_000);
-        let d = chip.pmu_of(0).unwrap().delta_since(&before);
+        let want = spec::expected_group(&r.name).expect("every catalog app has a Table III group");
+        let d = r.delta;
         let c = d.cpu_cycles as f64;
         println!("{:<14} {:>5.1}% {:>5.1}% {:>5.1}% {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% | {:>5.1}% {:>5.1}% {}",
-            app.name(), f.full_dispatch*100.0, f.frontend*100.0, f.backend*100.0, r.ipc,
+            r.name, f.full_dispatch*100.0, f.frontend*100.0, f.backend*100.0, r.ipc,
             d.ext.stall_dcache as f64/c*100.0, d.ext.stall_rob_full as f64/c*100.0,
             d.ext.stall_iq_full as f64/c*100.0, d.ext.stall_lsq_full as f64/c*100.0,
             d.ext.stall_width as f64/c*100.0,

@@ -1,12 +1,54 @@
-//! Isolated-execution characterization (paper Fig. 4 methodology).
-//!
-//! Runs one application alone on one core (ST mode), discards a warm-up
-//! period so cold caches don't skew the fractions, and reports the step-3
-//! category breakdown.
+//! Profiling runs: one application alone on one core (ST mode), or two
+//! sharing its SMT2 contexts, with a warm-up period discarded so cold
+//! caches don't skew the measurement. Isolated characterization (paper
+//! Fig. 4 methodology), launch-target calibration and model training all
+//! measure through [`profiling_run`].
 
 use crate::classify::Fractions;
 use crate::profile::AppProfile;
-use synpa_sim::{Chip, ChipConfig, Slot, ThreadProgram};
+use synpa_sim::{Chip, ChipConfig, PmuDelta, Slot, ThreadProgram};
+
+/// Runs `apps` (one alone, or two sharing one SMT2 core) on a one-core
+/// chip built from `cfg` (`cfg.cores` is forced to 1): `warmup` cycles
+/// discarded, then `windows` windows of `window` cycles each. Returns each
+/// app's per-window counter deltas, in the order the apps were given; app
+/// *k* runs as id *k* on slot *k*.
+pub fn profiling_run(
+    apps: &[&AppProfile],
+    cfg: &ChipConfig,
+    warmup: u64,
+    window: u64,
+    windows: usize,
+) -> Vec<Vec<PmuDelta>> {
+    assert!(
+        matches!(apps.len(), 1 | 2),
+        "a profiling run holds one application or one SMT2 pair"
+    );
+    let mut cfg = cfg.clone();
+    cfg.cores = 1;
+    let mut chip = Chip::new(cfg);
+    for (id, app) in apps.iter().enumerate() {
+        // Launch length irrelevant here; make it effectively infinite so a
+        // relaunch boundary never lands mid-measurement.
+        chip.attach(Slot(id), id, Box::new((*app).clone().with_length(u64::MAX)));
+    }
+    chip.run_cycles(warmup);
+    let snapshot = |chip: &Chip| {
+        let read = |id| *chip.pmu_of(id).expect("profiled apps never leave the chip");
+        (0..apps.len()).map(read).collect::<Vec<_>>()
+    };
+    let mut last = snapshot(&chip);
+    let mut run = vec![Vec::with_capacity(windows); apps.len()];
+    for _ in 0..windows {
+        chip.run_cycles(window);
+        let now = snapshot(&chip);
+        for ((seq, now), last) in run.iter_mut().zip(&now).zip(&last) {
+            seq.push(now.delta_since(last));
+        }
+        last = now;
+    }
+    run
+}
 
 /// Result of an isolated characterization run.
 #[derive(Debug, Clone)]
@@ -21,6 +63,8 @@ pub struct IsolatedRun {
     pub cycles: u64,
     /// IPC over the measurement window.
     pub ipc: f64,
+    /// The window's raw counter deltas, extended events included.
+    pub delta: PmuDelta,
 }
 
 /// Characterizes `app` in isolation: `warmup` cycles discarded, `measure`
@@ -38,37 +82,15 @@ pub fn characterize_isolated_with(
     measure: u64,
     cfg: &ChipConfig,
 ) -> IsolatedRun {
-    let mut cfg = cfg.clone();
-    cfg.cores = 1;
-    let width = cfg.core.dispatch_width;
-    let mut chip = Chip::new(cfg);
-    // Launch length irrelevant here; make it effectively infinite so a
-    // relaunch boundary never lands mid-measurement.
-    let endless = app.clone().with_length(u64::MAX);
-    chip.attach(Slot(0), 0, Box::new(endless));
-    chip.run_cycles(warmup);
-    let before = *chip.pmu_of(0).unwrap();
-    chip.run_cycles(measure);
-    let delta = chip.pmu_of(0).unwrap().delta_since(&before);
+    let delta = profiling_run(&[app], cfg, warmup, measure, 1)[0][0];
     IsolatedRun {
         name: app.name().to_string(),
-        fractions: Fractions::from_pmu(&delta, width),
+        fractions: Fractions::from_pmu(&delta, cfg.core.dispatch_width),
         retired: delta.inst_retired,
         cycles: delta.cpu_cycles,
         ipc: delta.inst_retired as f64 / delta.cpu_cycles.max(1) as f64,
+        delta,
     }
-}
-
-/// Measures the per-launch target instruction count for each app: the
-/// paper's "run 60 seconds in isolation and record retired instructions"
-/// (§V-B), with the 60 s scaled to `cycles` simulated cycles.
-pub fn measure_target_lengths(apps: &[AppProfile], warmup: u64, cycles: u64) -> Vec<u64> {
-    apps.iter()
-        .map(|a| {
-            let run = characterize_isolated(a, warmup, cycles);
-            run.retired.max(1)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -90,7 +112,7 @@ mod tests {
     fn target_lengths_track_app_speed() {
         let fast = spec::by_name("exchange2_r").unwrap(); // compute bound
         let slow = spec::by_name("mcf").unwrap(); // memory bound
-        let lens = measure_target_lengths(&[fast, slow], 10_000, 30_000);
+        let lens = [fast, slow].map(|a| characterize_isolated(&a, 10_000, 30_000).retired);
         assert!(
             lens[0] > lens[1],
             "compute app should retire more: {lens:?}"

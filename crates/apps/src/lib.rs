@@ -25,7 +25,7 @@ pub mod spec;
 pub mod workload;
 
 pub use characterize::{
-    characterize_isolated, characterize_isolated_with, measure_target_lengths, IsolatedRun,
+    characterize_isolated, characterize_isolated_with, profiling_run, IsolatedRun,
 };
 pub use classify::{Fractions, Group};
 pub use profile::{AppProfile, Phase};

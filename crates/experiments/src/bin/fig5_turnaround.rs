@@ -1,8 +1,8 @@
 //! Fig. 5: turnaround-time speedup of SYNPA over Linux for the 20-workload
 //! suite, with per-family averages.
 
-use synpa::metrics::tt_speedup;
-use synpa_experiments::{bar, cells_of, evaluation_suite, mean};
+use synpa::metrics::{mean, tt_speedup};
+use synpa_experiments::{bar, cells_of, evaluation_suite};
 
 fn main() {
     let cells = evaluation_suite();

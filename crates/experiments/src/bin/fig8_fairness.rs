@@ -1,8 +1,8 @@
 //! Fig. 8: fairness (1 - sigma/mu over individual speedups) of Linux vs
 //! SYNPA for every workload.
 
-use synpa::metrics::fairness;
-use synpa_experiments::{cells_of, evaluation_suite, mean};
+use synpa::metrics::{fairness, mean};
+use synpa_experiments::{cells_of, evaluation_suite};
 
 fn main() {
     let cells = evaluation_suite();

@@ -1,8 +1,8 @@
 //! Fig. 9: IPC speedup (geometric mean over the workload's applications) of
 //! SYNPA over Linux.
 
-use synpa::metrics::workload_ipc;
-use synpa_experiments::{cells_of, evaluation_suite, mean};
+use synpa::metrics::{mean, workload_ipc};
+use synpa_experiments::{cells_of, evaluation_suite};
 
 fn main() {
     let cells = evaluation_suite();

@@ -4,6 +4,7 @@
 //! (see `docs/simulation.md` for the index). This library provides:
 //!
 //! * the canonical train/holdout application split (§IV-C's 80 %),
+//! * the perfect-pairing enumerator behind the exhaustive ground truth,
 //! * a disk-cached trained model so binaries don't retrain redundantly,
 //! * the sharded, per-cell-cached 20-workload × {linux, synpa} evaluation
 //!   sweep shared by Figs. 5, 8 and 9 (see [`suite`]),
@@ -210,9 +211,29 @@ pub fn cells_of<'a>(cells: &'a [SuiteCell], workload: &str) -> (&'a SuiteCell, &
     (linux, synpa)
 }
 
-/// Mean of a slice (0 when empty).
-pub fn mean(xs: &[f64]) -> f64 {
-    synpa::metrics::mean(xs)
+/// Every perfect pairing of apps `0..n` (`n` even): the `(n − 1)!!` static
+/// pairings an exhaustive ground-truth sweep measures, 105 for the paper's
+/// eight-app workloads. Each pair is `(a, b)` with `a < b`.
+pub fn perfect_pairings(n: usize) -> Vec<Vec<(usize, usize)>> {
+    fn pairings(items: &[usize]) -> Vec<Vec<(usize, usize)>> {
+        let Some((&a, rest)) = items.split_first() else {
+            return vec![vec![]];
+        };
+        rest.iter()
+            .flat_map(|&b| {
+                let others: Vec<usize> = rest.iter().copied().filter(|&x| x != b).collect();
+                pairings(&others).into_iter().map(move |mut sub| {
+                    sub.push((a, b));
+                    sub
+                })
+            })
+            .collect()
+    }
+    assert!(
+        n % 2 == 0,
+        "a perfect pairing needs an even app count, got {n}"
+    );
+    pairings(&(0..n).collect::<Vec<_>>())
 }
 
 /// Formats a bar of `*` characters for terminal "figures".
@@ -230,6 +251,32 @@ mod tests {
         let (t, h) = training_split();
         assert_eq!(t.len(), 22);
         assert_eq!(h.len(), 6);
+    }
+
+    #[test]
+    fn perfect_pairings_cover_every_app_once() {
+        for (n, count) in [(2, 1), (4, 3), (6, 15), (8, 105)] {
+            let all = perfect_pairings(n);
+            assert_eq!(all.len(), count, "n = {n}");
+            let mut distinct: Vec<Vec<(usize, usize)>> = all
+                .iter()
+                .map(|p| {
+                    let mut p = p.clone();
+                    p.sort_unstable();
+                    p
+                })
+                .collect();
+            for p in &distinct {
+                let mut apps: Vec<usize> = p.iter().flat_map(|&(a, b)| [a, b]).collect();
+                apps.sort_unstable();
+                assert_eq!(apps, (0..n).collect::<Vec<_>>(), "n = {n}: {p:?}");
+            }
+            let linux: Vec<(usize, usize)> = (0..n / 2).map(|k| (k, k + n / 2)).collect();
+            assert!(distinct.contains(&linux), "n = {n}: no Linux pairing");
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), count, "n = {n}: duplicate pairings");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! **Record.** A profiling run is one application alone, or two sharing
 //! one SMT2 core, warmed up for `cfg.warmup` cycles and then sampled once
-//! per quantum ([`record_run`]). [`record`] performs every solo and pair
-//! run of a training set in one parallel step and keeps only the raw
-//! per-quantum counter deltas (a [`Recording`]). A counter trace captured
+//! per quantum ([`record_run`], one `synpa_apps::profiling_run`).
+//! [`record`] performs every solo and pair run of a training set in one
+//! parallel step and keeps only the raw per-quantum counter deltas (a
+//! [`Recording`]). A counter trace captured
 //! elsewhere — on real hardware with `perf`, say — reads back into the
 //! same shape through [`run_from_trace`].
 //!
@@ -30,9 +31,9 @@ use crate::regression::{CategoryCoeffs, SynpaModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use synpa_apps::AppProfile;
+use synpa_apps::{profiling_run, AppProfile};
 use synpa_counters::{QuantumRecord, TraceReplay};
-use synpa_sim::{parallel_map, Chip, ChipConfig, PmuCounters, PmuDelta, Slot};
+use synpa_sim::{parallel_map, ChipConfig, PmuDelta};
 
 /// Training hyper-parameters and simulation windows.
 #[derive(Debug, Clone)]
@@ -91,42 +92,17 @@ impl TrainingConfig {
 /// in the order the applications were given.
 pub type Run = Vec<Vec<PmuDelta>>;
 
-/// Simulates one profiling run: `apps` (one alone, or two sharing one SMT2
-/// core) run for `cfg.warmup` cycles, then for `cfg.st_quanta` (solo) or
-/// `cfg.smt_quanta` (pair) quanta of `cfg.quantum` cycles each.
+/// Simulates one profiling run ([`profiling_run`] on `cfg.chip`): `apps`
+/// (one alone, or two sharing one SMT2 core) run for `cfg.warmup` cycles,
+/// then for `cfg.st_quanta` (solo) or `cfg.smt_quanta` (pair) quanta of
+/// `cfg.quantum` cycles each.
 pub fn record_run(apps: &[&AppProfile], cfg: &TrainingConfig) -> Run {
-    assert!(
-        matches!(apps.len(), 1 | 2),
-        "a profiling run holds one application or one SMT2 pair"
-    );
-    let mut chip_cfg = cfg.chip.clone();
-    chip_cfg.cores = 1;
-    let mut chip = Chip::new(chip_cfg);
-    let ids: Vec<usize> = (0..apps.len()).collect();
-    for (&id, app) in ids.iter().zip(apps) {
-        chip.attach(Slot(id), id, Box::new((*app).clone().with_length(u64::MAX)));
-    }
-    chip.run_cycles(cfg.warmup);
-    let snapshot = |chip: &Chip| -> Vec<PmuCounters> {
-        let read = |&id| *chip.pmu_of(id).expect("profiled apps never leave the chip");
-        ids.iter().map(read).collect()
-    };
-    let mut last = snapshot(&chip);
     let quanta = if apps.len() == 1 {
         cfg.st_quanta
     } else {
         cfg.smt_quanta
     };
-    let mut run = vec![Vec::with_capacity(quanta); apps.len()];
-    for _ in 0..quanta {
-        chip.run_cycles(cfg.quantum);
-        let now = snapshot(&chip);
-        for ((seq, now), last) in run.iter_mut().zip(&now).zip(&last) {
-            seq.push(now.delta_since(last));
-        }
-        last = now;
-    }
-    run
+    profiling_run(apps, &cfg.chip, cfg.warmup, cfg.quantum, quanta)
 }
 
 /// A profiling run read back from a recorded counter trace: the deltas of

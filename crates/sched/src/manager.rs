@@ -17,9 +17,10 @@
 //! * [`crate::run_service`] — the open system: bounded admission with
 //!   shedding, detach on completion, self-healing retries.
 //!
-//! The front ends pass only their three differences — what a completion
-//! does, the admission-queue bound, and how an evicted app recovers; the
-//! table in `docs/service.md` lists them.
+//! The front ends pass only a [`FrontEnd`]: the closed batch, or the open
+//! system with its admission-queue bound. That one choice decides what a
+//! completion does, how admission is bounded and how an evicted app
+//! recovers; the table in `docs/service.md` lists the differences.
 
 use crate::chipfaults::ChipFaultDriver;
 use crate::policy::{Policy, QuantumView};
@@ -236,14 +237,7 @@ pub fn run_workload_with_arrivals(
     } else {
         arrivals.to_vec()
     };
-    let mut run = QuantumLoop::new(
-        apps,
-        &arrivals,
-        cfg,
-        OnCompletion::Relaunch,
-        usize::MAX,
-        Recovery::Requeue,
-    );
+    let mut run = QuantumLoop::new(apps, &arrivals, cfg, FrontEnd::Closed);
     run.run(policy);
 
     // End-of-run accounting. An app the cap cut off mid-flight reports its
@@ -296,33 +290,30 @@ pub fn run_workload_with_arrivals(
     }
 }
 
-/// What a first-launch completion does (the first of the front ends'
-/// three differences).
+/// The front end a loop serves, and with it everything the two front ends
+/// do differently (the table in `docs/service.md`).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OnCompletion {
-    /// Closed batch (§V-B): record it; the chip relaunches the app in
-    /// place. The run stops before the boundary at which every app has
-    /// completed (or the cap is reached); every quantum samples in
-    /// ascending app-id order and consults the policy, even on an empty
-    /// chip.
-    Relaunch,
-    /// Open system: detach the app at the boundary. The run stops after
-    /// admission once the trace is drained (or the cap is reached),
-    /// records queue depth and occupancy at every boundary, samples in
-    /// slot order and skips the policy on an empty chip.
-    Detach,
-}
-
-/// What happens to an app that lost its thread (the third difference).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Recovery {
-    /// Closed batch: evacuees re-attach ahead of any arrival, from the same
-    /// boundary on. No planned crash/hang, no watchdog, no budget.
-    Requeue,
-    /// Open system: planned crash/hang faults, the watchdog, and a capped
-    /// retry budget with backoff ([`WATCHDOG_QUANTA`], [`MAX_RETRIES`],
-    /// [`RETRY_BACKOFF_QUANTA`]).
-    Retry,
+pub(crate) enum FrontEnd {
+    /// Closed batch (§V-B). A first-launch completion is recorded and the
+    /// chip relaunches the app in place; admission is unbounded; evacuees
+    /// re-attach ahead of any arrival, from the same boundary on (no
+    /// planned crash/hang, no watchdog, no budget). The run stops before
+    /// the boundary at which every app has completed (or the cap is
+    /// reached); every quantum samples in ascending app-id order and
+    /// consults the policy, even on an empty chip.
+    Closed,
+    /// Open system. A completed app is detached at the boundary; a full
+    /// admission queue of `queue_capacity` apps sheds the newest arrival;
+    /// an app that lost its thread gets the planned crash/hang faults, the
+    /// watchdog and a capped retry budget with backoff
+    /// ([`WATCHDOG_QUANTA`], [`MAX_RETRIES`], [`RETRY_BACKOFF_QUANTA`]).
+    /// The run stops after admission once the trace is drained (or the cap
+    /// is reached), records queue depth and occupancy at every boundary,
+    /// samples in slot order and skips the policy on an empty chip.
+    Open {
+        /// Admission-queue bound.
+        queue_capacity: usize,
+    },
 }
 
 /// The one quantum loop and the state it carries between boundaries.
@@ -330,12 +321,7 @@ pub(crate) struct QuantumLoop<'a> {
     apps: &'a [AppProfile],
     arrivals: &'a [u64],
     cfg: &'a ManagerConfig,
-    on_completion: OnCompletion,
-    /// Admission-queue bound (the second difference): a full queue sheds
-    /// the newest arrival; `usize::MAX` (closed batch) admits every due
-    /// app.
-    queue_capacity: usize,
-    recovery: Recovery,
+    front: FrontEnd,
     pub(crate) chip: Chip,
     session: SanitizingSession,
     injector: Option<FaultInjector>,
@@ -345,16 +331,17 @@ pub(crate) struct QuantumLoop<'a> {
     pub(crate) next_arrival: usize,
     /// Due apps waiting for a free slot, FIFO.
     pub(crate) queue: VecDeque<usize>,
-    /// Evicted apps waiting to re-enter, as `(due_quantum, app)`: under
-    /// `Requeue` due at once and attached ahead of the queue, under
-    /// `Retry` due after the (constant) backoff and appended to the queue.
+    /// Evicted apps waiting to re-enter, as `(due_quantum, app)`: in the
+    /// closed batch due at once and attached ahead of the queue, in the
+    /// open system due after the (constant) backoff and appended to the
+    /// queue.
     /// Due quanta are nondecreasing in push order.
     pub(crate) backlog: VecDeque<(u64, usize)>,
     /// Arrivals refused at the door (queue full), in arrival order.
     pub(crate) shed: Vec<usize>,
     /// Apps that exhausted their retry budget, in event order.
     pub(crate) failed: Vec<usize>,
-    /// `Retry` state per app: retries granted, and the watchdog's last
+    /// Open-system state per app: retries granted, and the watchdog's last
     /// observed retired-instruction counter, consecutive zero-progress
     /// quanta and whether the planned hang already fired.
     retries: Vec<u32>,
@@ -368,7 +355,7 @@ pub(crate) struct QuantumLoop<'a> {
     pub(crate) completed_at: Vec<Option<u64>>,
     pub(crate) completed: Vec<usize>,
     /// Queue depth and occupancy after admission at each boundary
-    /// ([`OnCompletion::Detach`] only).
+    /// ([`FrontEnd::Open`] only).
     pub(crate) queue_depth: Vec<usize>,
     pub(crate) occupancy: Vec<usize>,
     pub(crate) trace: Vec<QuantumRow>,
@@ -378,7 +365,7 @@ pub(crate) struct QuantumLoop<'a> {
     /// completed by [`QuantumLoop::run`] on exit.
     pub(crate) stats: RunStats,
     /// Stopped because the trace, the queue, the backlog and the chip
-    /// were all empty ([`OnCompletion::Detach`] only).
+    /// were all empty ([`FrontEnd::Open`] only).
     pub(crate) drained: bool,
 }
 
@@ -388,9 +375,7 @@ impl<'a> QuantumLoop<'a> {
         apps: &'a [AppProfile],
         arrivals: &'a [u64],
         cfg: &'a ManagerConfig,
-        on_completion: OnCompletion,
-        queue_capacity: usize,
-        recovery: Recovery,
+        front: FrontEnd,
     ) -> Self {
         let n = apps.len();
         let driver = cfg
@@ -403,9 +388,7 @@ impl<'a> QuantumLoop<'a> {
             apps,
             arrivals,
             cfg,
-            on_completion,
-            queue_capacity,
-            recovery,
+            front,
             chip: Chip::new(cfg.chip.clone()),
             session: SanitizingSession::new(cfg.quantum_cycles),
             injector: cfg.faults.as_ref().map(FaultInjector::new),
@@ -436,7 +419,7 @@ impl<'a> QuantumLoop<'a> {
     /// Runs quanta until the front end's stop condition or the cap, then
     /// completes the stats.
     pub(crate) fn run(&mut self, policy: &mut dyn Policy) {
-        let closed = self.on_completion == OnCompletion::Relaunch;
+        let closed = self.front == FrontEnd::Closed;
         let n = self.apps.len();
         let smt = self.cfg.chip.core.smt_ways as usize;
         let width = self.cfg.chip.core.dispatch_width;
@@ -571,7 +554,7 @@ impl<'a> QuantumLoop<'a> {
             if due > self.quantum {
                 break;
             }
-            if let Recovery::Requeue = self.recovery {
+            if self.front == FrontEnd::Closed {
                 let Some(slot) = first_free_slot(&self.chip) else {
                     break;
                 };
@@ -581,13 +564,17 @@ impl<'a> QuantumLoop<'a> {
             }
             self.backlog.pop_front();
         }
+        let capacity = match self.front {
+            FrontEnd::Closed => usize::MAX,
+            FrontEnd::Open { queue_capacity } => queue_capacity,
+        };
         let now = self.chip.cycle();
         while let Some(&k) = self.order.get(self.next_arrival) {
             if self.arrivals[k] > now {
                 break;
             }
             self.drain_queue();
-            if self.queue.len() < self.queue_capacity {
+            if self.queue.len() < capacity {
                 self.queue.push_back(k);
             } else if self.queue.is_empty() {
                 // Capacity 0: no waiting room, but an arrival that can
@@ -629,7 +616,7 @@ impl<'a> QuantumLoop<'a> {
     fn complete(&mut self, app: usize, cycle: u64) {
         self.completed_at[app] = Some(cycle);
         self.completed.push(app);
-        if self.on_completion == OnCompletion::Detach {
+        if self.front != FrontEnd::Closed {
             // The chip relaunched it at completion; that partial second
             // launch is discarded — the open system runs each app once.
             self.detach(app);
@@ -637,13 +624,13 @@ impl<'a> QuantumLoop<'a> {
         }
     }
 
-    /// `app` lost its thread (core outage, crash, hang). Under `Requeue`
-    /// it waits to re-attach; under `Retry` it gets a backed-off retry
-    /// while its budget lasts and is reported failed after. Progress is
-    /// censored either way: the next attach restarts the launch.
+    /// `app` lost its thread (core outage, crash, hang). In the closed
+    /// batch it waits to re-attach; in the open system it gets a backed-off
+    /// retry while its budget lasts and is reported failed after. Progress
+    /// is censored either way: the next attach restarts the launch.
     fn evict(&mut self, app: usize) {
         self.session.forget(app);
-        if self.recovery == Recovery::Requeue {
+        if self.front == FrontEnd::Closed {
             self.backlog.push_back((self.quantum, app));
             return;
         }
@@ -670,7 +657,7 @@ impl<'a> QuantumLoop<'a> {
     /// it reads only the public PMU, never the fault plan.
     fn recover(&mut self) {
         let plan = match self.cfg.chip_faults {
-            Some(plan) if self.recovery == Recovery::Retry => plan,
+            Some(plan) if self.front != FrontEnd::Closed => plan,
             _ => return,
         };
         for app in self.placed_ids() {

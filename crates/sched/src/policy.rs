@@ -657,8 +657,9 @@ impl Policy for Synpa {
 }
 
 /// A fixed pairing applied once at the first quantum and never revisited.
-/// Used by the exhaustive ground-truth search (`examples/exhaustive_pairing`)
-/// and handy for pinning down a known-good allocation.
+/// Used by the exhaustive ground-truth search
+/// (`crates/experiments/examples/exhaustive_pairing.rs`) and handy for
+/// pinning down a known-good allocation.
 pub struct StaticPairs {
     pairs: Vec<(usize, usize)>,
     applied: bool,

@@ -17,7 +17,7 @@
 //! admission), queue depth and occupancy over time, and the shed count
 //! under overload. See `docs/service.md` for the full rules.
 
-use crate::manager::{ManagerConfig, OnCompletion, QuantumLoop, QuantumRow, Recovery};
+use crate::manager::{FrontEnd, ManagerConfig, QuantumLoop, QuantumRow};
 use crate::policy::Policy;
 use crate::stats::RunStats;
 use synpa_apps::AppProfile;
@@ -178,14 +178,10 @@ pub fn run_service(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrival trace must be sorted by cycle"
     );
-    let mut run = QuantumLoop::new(
-        apps,
-        arrivals,
-        &cfg.manager,
-        OnCompletion::Detach,
-        cfg.queue_capacity,
-        Recovery::Retry,
-    );
+    let front = FrontEnd::Open {
+        queue_capacity: cfg.queue_capacity,
+    };
+    let mut run = QuantumLoop::new(apps, arrivals, &cfg.manager, front);
     run.run(policy);
 
     // Conservation: every arrival reaches exactly one terminal outcome

@@ -11,6 +11,7 @@
 
 use synpa::prelude::*;
 use synpa::sched::RunResult;
+use synpa_experiments::{threads, training_split};
 
 fn render(result: &RunResult, app: usize, names: &[String]) {
     println!(
@@ -70,14 +71,8 @@ fn main() {
         .unwrap_or(4); // leela_r (04), the paper's Fig. 7 subject
 
     println!("training model...");
-    let all = spec::catalog();
-    let training: Vec<AppProfile> = all
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 14 != 6 && i % 14 != 13)
-        .map(|(_, a)| a.clone())
-        .collect();
-    let model = train(&training, &TrainingConfig::default(), 8)
+    let (training, _) = training_split();
+    let model = train(&training, &TrainingConfig::default(), threads())
         .expect("catalog fits")
         .model;
 

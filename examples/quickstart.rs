@@ -7,20 +7,16 @@
 //! ```
 
 use synpa::prelude::*;
+use synpa_experiments::{threads, training_split};
 
 fn main() {
-    // 1. Train the regression model on ~80 % of the applications
-    //    (paper §IV-C). Takes a few seconds: 22 isolated profiles plus all
-    //    253 SMT pair runs on the simulator.
+    // 1. Train the regression model on the 22 training applications
+    //    (80 %, paper §IV-C). Takes a few seconds: 22 isolated profiles
+    //    plus all 253 SMT pair runs on the simulator.
     println!("training the 3-category model (paper §IV-C)...");
-    let all = spec::catalog();
-    let training_apps: Vec<AppProfile> = all
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 14 != 6 && i % 14 != 13) // hold out ~20 %
-        .map(|(_, a)| a.clone())
-        .collect();
-    let report = train(&training_apps, &TrainingConfig::default(), 8).expect("catalog fits");
+    let (training_apps, _) = training_split();
+    let report =
+        train(&training_apps, &TrainingConfig::default(), threads()).expect("catalog fits");
     println!("Table IV analogue (alpha, beta, gamma, rho):");
     for (name, c) in [
         ("full-dispatch", report.model.full_dispatch),

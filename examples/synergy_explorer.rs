@@ -6,47 +6,33 @@
 //! cargo run --release --example synergy_explorer            # full matrix
 //! ```
 
+use synpa::apps::{characterize_isolated, profiling_run};
 use synpa::prelude::*;
 use synpa::sim::ThreadProgram;
 
 const WARMUP: u64 = 60_000;
 const MEASURE: u64 = 100_000;
 
+fn app(name: &str) -> AppProfile {
+    spec::by_name(name).unwrap_or_else(|| die(name))
+}
+
 fn solo_ipc(name: &str) -> f64 {
-    let app = spec::by_name(name).unwrap_or_else(|| die(name));
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(Slot(0), 0, Box::new(app.with_length(u64::MAX)));
-    chip.run_cycles(WARMUP);
-    let start = *chip.pmu_of(0).expect("attached");
-    chip.run_cycles(MEASURE);
-    let d = chip.pmu_of(0).expect("attached").delta_since(&start);
-    d.inst_retired as f64 / d.cpu_cycles as f64
+    characterize_isolated(&app(name), WARMUP, MEASURE).ipc
 }
 
 /// Runs `a` and `b` together; returns each one's slowdown vs. solo and the
 /// measured dispatch-stall fractions.
 fn co_run(a: &str, b: &str, solo_a: f64, solo_b: f64) -> ((f64, Fractions), (f64, Fractions)) {
-    let mut chip = Chip::new(ChipConfig::thunderx2(1));
-    chip.attach(
-        Slot(0),
-        0,
-        Box::new(spec::by_name(a).unwrap().with_length(u64::MAX)),
-    );
-    chip.attach(
-        Slot(1),
-        1,
-        Box::new(spec::by_name(b).unwrap().with_length(u64::MAX)),
-    );
-    chip.run_cycles(WARMUP);
-    let start = [0, 1].map(|id| *chip.pmu_of(id).expect("attached"));
-    chip.run_cycles(MEASURE);
-    let d = [0, 1].map(|id| chip.pmu_of(id).expect("attached").delta_since(&start[id]));
-    let width = chip.config().core.dispatch_width;
-    let ipc = |i: usize| d[i].inst_retired as f64 / d[i].cpu_cycles as f64;
-    (
-        (solo_a / ipc(0), Fractions::from_pmu(&d[0], width)),
-        (solo_b / ipc(1), Fractions::from_pmu(&d[1], width)),
-    )
+    let cfg = ChipConfig::thunderx2(1);
+    let run = profiling_run(&[&app(a), &app(b)], &cfg, WARMUP, MEASURE, 1);
+    let width = cfg.core.dispatch_width;
+    let measured = |i: usize, solo: f64| {
+        let d = &run[i][0];
+        let ipc = d.inst_retired as f64 / d.cpu_cycles as f64;
+        (solo / ipc, Fractions::from_pmu(d, width))
+    };
+    (measured(0, solo_a), measured(1, solo_b))
 }
 
 fn die(name: &str) -> ! {
