@@ -5,9 +5,9 @@
 //! per quantum ([`record_run`], one `synpa_apps::profiling_run`).
 //! [`record`] performs every solo and pair run of a training set in one
 //! parallel step and keeps only the raw per-quantum counter deltas (a
-//! [`Recording`]). A counter trace captured
-//! elsewhere — on real hardware with `perf`, say — reads back into the
-//! same shape through [`run_from_trace`].
+//! [`Recording`]). A counter trace captured elsewhere — on real hardware
+//! with `perf`, say — reads back into the same shape through
+//! [`run_from_trace`].
 //!
 //! **Derive.** Everything a fit consumes is a pure function of those
 //! deltas and a category extractor `Fn(&PmuDelta) -> V`: the three

@@ -334,8 +334,7 @@ pub(crate) struct QuantumLoop<'a> {
     /// Evicted apps waiting to re-enter, as `(due_quantum, app)`: in the
     /// closed batch due at once and attached ahead of the queue, in the
     /// open system due after the (constant) backoff and appended to the
-    /// queue.
-    /// Due quanta are nondecreasing in push order.
+    /// queue. Due quanta are nondecreasing in push order.
     pub(crate) backlog: VecDeque<(u64, usize)>,
     /// Arrivals refused at the door (queue full), in arrival order.
     pub(crate) shed: Vec<usize>,
