@@ -23,6 +23,7 @@ fn main() {
         names = ["be1", "be3", "fb2", "fb7"].map(String::from).to_vec();
     }
     let (model, _) = trained_model();
+    let tcfg = TrainingConfig::default();
     let cfg = eval_config();
     let mut mgr = cfg.manager.clone();
     mgr.chip = mgr.chip.with_seed(cfg.base_seed);
@@ -34,7 +35,6 @@ fn main() {
             let mut policy = StaticPairs::new(pairs.clone());
             run_workload(&prepared.apps, &prepared.solo_ipc, &mut policy, &mgr).tt_cycles
         });
-        let tcfg = TrainingConfig::default();
         let st: Vec<_> = prepared
             .apps
             .iter()
