@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use synpa::prelude::*;
-use synpa::sched::{parallel_map, CellOutcome, GreedySynpa, PreparedWorkload};
+use synpa::sched::{calibrate_apps, parallel_map, CellOutcome, GreedySynpa, PreparedWorkload};
 
 /// One workload×policy cell of an evaluation sweep, in serializable form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -376,16 +376,18 @@ pub fn run_suite_sequential(spec: &SuiteSpec, model: SynpaModel) -> Vec<SuiteCel
 /// The sharded orchestrator: flattens the workload×policy grid into
 /// independent cells and runs the missing ones across `threads` workers.
 ///
-/// Two parallel stages, both order-preserving:
+/// Two stages, both order-preserving:
 ///
-/// 1. every workload with at least one uncached cell is calibrated
-///    (`prepare_workload`) — once, not once per policy;
+/// 1. the distinct apps of every workload with at least one uncached cell
+///    are calibrated into the config's memo (`calibrate_apps`) — once per
+///    app, not once per workload or policy — and those workloads are
+///    prepared from it;
 /// 2. every uncached cell runs `run_cell` and is persisted.
 ///
 /// Inside a cell, leftover parallelism is divided among the in-flight
 /// items: a 40-cell standard sweep pins cells to 1 thread (the grid
 /// saturates the workers), while a 2-cell full-chip run still parallelizes
-/// each cell's calibration and repetitions.
+/// each cell's repetitions.
 pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) -> Vec<SuiteCell> {
     let threads = threads.max(1);
     if let Some(dir) = spec.cache_dir.as_deref() {
@@ -421,15 +423,19 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
             missing_workloads.push(wi);
         }
     }
+    // All their distinct apps go through one parallel calibration first, so
+    // no two workers race to measure the same app; preparing the workloads
+    // then only reads the memo.
     let mut prep_cfg = spec.config.clone();
-    prep_cfg.threads = (threads / missing_workloads.len().max(1)).max(1);
-    let prepared: Vec<PreparedWorkload> = parallel_map(&missing_workloads, threads, |&wi| {
-        prepare_workload(&spec.workloads[wi], &prep_cfg)
-    });
-    let prepared_of: HashMap<usize, &PreparedWorkload> = missing_workloads
+    prep_cfg.threads = threads;
+    let apps: Vec<&str> = missing_workloads
         .iter()
-        .zip(&prepared)
-        .map(|(&wi, prep)| (wi, prep))
+        .flat_map(|&wi| spec.workloads[wi].apps.iter().map(String::as_str))
+        .collect();
+    calibrate_apps(&apps, &prep_cfg);
+    let prepared_of: HashMap<usize, PreparedWorkload> = missing_workloads
+        .iter()
+        .map(|&wi| (wi, prepare_workload(&spec.workloads[wi], &prep_cfg)))
         .collect();
 
     // Stage 2: run the missing cells, in parallel, and persist them.
@@ -443,7 +449,7 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
         let (wi, p) = grid[i];
         let w = &spec.workloads[wi];
         eprintln!("running {} under {} ...", w.name, p.name());
-        let outcome = run_cell(prepared_of[&wi], |seed| p.build(model, seed), &cell_cfg);
+        let outcome = run_cell(&prepared_of[&wi], |seed| p.build(model, seed), &cell_cfg);
         let cell = SuiteCell::from_outcome(w, p, &outcome);
         if let Some(dir) = spec.cache_dir.as_deref() {
             store_cell(dir, &cell_key(w, p, &spec.config, &model), &cell);
@@ -478,6 +484,21 @@ mod tests {
         let mut c = cfg();
         c.manager.chip.seed = 0xDEAD;
         assert_ne!(config_hash(&a), config_hash(&c));
+    }
+
+    #[test]
+    fn config_hash_ignores_the_calibration_memo() {
+        let a = cfg();
+        let empty = config_hash(&a);
+        // Populate `a`'s memo through a clone (clones share it), at a
+        // test-size window.
+        let mut clone = a.clone();
+        clone.target_window = 5_000;
+        clone.calibration_warmup = 1_000;
+        calibrate_apps(&["mcf"], &clone);
+        assert_eq!(a.calibrations.len(), 1);
+        assert_eq!(config_hash(&a), empty, "memo contents are not a setting");
+        assert_eq!(config_hash(&a), config_hash(&cfg()));
     }
 
     #[test]

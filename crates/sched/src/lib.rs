@@ -17,7 +17,7 @@
 //!   and how evicted apps recover (see `docs/service.md`);
 //! * [`RunStats`] — the one accounting record both front ends return;
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
-//!   experiment driver.
+//!   experiment driver, with calibration memoized per [`ExperimentConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +38,8 @@ pub use policy::{
     QuantumView, RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
-    cv, discard_outliers, prepare_workload, run_cell, CellOutcome, ExperimentConfig,
-    PreparedWorkload,
+    calibrate_apps, cv, discard_outliers, prepare_workload, run_cell, CalibrationMemo, CellOutcome,
+    ExperimentConfig, PreparedWorkload,
 };
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
 pub use stats::RunStats;

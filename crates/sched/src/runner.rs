@@ -8,12 +8,63 @@
 //!   discarded until the coefficient of variation falls below 5 %
 //!   (the paper's outlier rule).
 //! * Runs are independent and execute on worker threads.
+//! * Calibration is memoized per configuration: [`ExperimentConfig`] owns a
+//!   [`CalibrationMemo`] keyed by (app name, `calibration_warmup`,
+//!   `target_window`, the full `ChipConfig`), so every workload that
+//!   shares an app reuses its one solo run. Clones of a config share the
+//!   memo; a clone edited in any key field misses and recalibrates. A
+//!   config built afresh (`Default::default()`) starts with an empty memo.
 
 use crate::manager::{run_workload_with_arrivals, ManagerConfig, RunResult};
 use crate::policy::Policy;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use synpa_apps::{characterize_isolated_with, spec, AppProfile, Workload};
 use synpa_sim::{parallel_map, ThreadProgram};
+
+/// The paper's outlier rule: repetitions are discarded until the TT
+/// coefficient of variation falls below 5 %.
+const MAX_CV: f64 = 0.05;
+
+/// What a calibration depends on besides the app: warm-up, window and the
+/// chip configuration's `Debug` form (every field, f64s in round-trippable
+/// form).
+type CalibrationSetting = (u64, u64, String);
+
+/// Calibrated (launch target, solo IPC) per app name.
+type Calibrations = HashMap<String, (u64, f64)>;
+
+/// Calibrated (launch target, solo IPC) per setting and app, shared by
+/// every clone of one [`ExperimentConfig`]. Calibration is a pure function
+/// of setting and app, so a hit is bit-equal to a fresh measurement. Its
+/// `Debug` form does not show the contents, so a config's rendering (and
+/// any hash of it) is the same whether the memo is empty or populated.
+#[derive(Clone, Default)]
+pub struct CalibrationMemo(Arc<Mutex<HashMap<CalibrationSetting, Calibrations>>>);
+
+impl std::fmt::Debug for CalibrationMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CalibrationMemo")
+    }
+}
+
+impl CalibrationMemo {
+    /// Number of memoized calibrations, over every setting.
+    pub fn len(&self) -> usize {
+        self.lock().values().map(HashMap::len).sum()
+    }
+
+    /// True when nothing has been calibrated through this memo yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The map itself. Entries are only ever inserted whole, so a panic
+    /// elsewhere while the lock was held leaves nothing half-written.
+    fn lock(&self) -> MutexGuard<'_, HashMap<CalibrationSetting, Calibrations>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Experiment-level configuration.
 #[derive(Debug, Clone)]
@@ -27,12 +78,14 @@ pub struct ExperimentConfig {
     pub calibration_warmup: u64,
     /// Repetitions per workload×policy cell (paper: 9).
     pub reps: u32,
-    /// Maximum coefficient of variation accepted after outlier discard.
-    pub max_cv: f64,
     /// Base seed; rep *r* uses `base_seed + r`.
     pub base_seed: u64,
     /// Worker threads for parallel runs.
     pub threads: usize,
+    /// Calibrations already measured under this configuration (see the
+    /// module doc). Not a setting: it changes no result, only how often an
+    /// app's solo run is repeated.
+    pub calibrations: CalibrationMemo,
 }
 
 impl Default for ExperimentConfig {
@@ -42,11 +95,11 @@ impl Default for ExperimentConfig {
             target_window: 300_000,
             calibration_warmup: 60_000,
             reps: 9,
-            max_cv: 0.05,
             base_seed: 0xBEEF,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
+            calibrations: CalibrationMemo::default(),
         }
     }
 }
@@ -63,24 +116,35 @@ pub struct PreparedWorkload {
     pub solo_ipc: Vec<f64>,
 }
 
-/// Calibrates launch targets and solo IPC for every distinct app of
-/// `workload` (§V-B: "we executed each application in isolation for 60
-/// seconds and recorded its number of retired instructions").
+/// Launch target and solo IPC of each app in `names`, in order. Apps the
+/// config's memo does not hold yet are calibrated (§V-B: "we executed each
+/// application in isolation for 60 seconds and recorded its number of
+/// retired instructions") across `cfg.threads` workers and memoized.
 ///
-/// Calibration runs are independent, so distinct apps are measured across
-/// `cfg.threads` workers — at full-chip scale (56-app workloads drawing on
-/// up to 28 distinct apps) calibration is a material share of a cold cell.
-/// The result is identical for any thread count.
-pub fn prepare_workload(workload: &Workload, cfg: &ExperimentConfig) -> PreparedWorkload {
-    // Distinct names in first-appearance order (determinism: the order the
+/// Calibration runs are independent, so the misses run in parallel — at
+/// full-chip scale (56-app workloads drawing on up to 28 distinct apps)
+/// calibration is a material share of a cold cell. The result is identical
+/// for any thread count and any memo state. Two callers racing on the same
+/// miss both measure it and store equal values.
+pub fn calibrate_apps(names: &[&str], cfg: &ExperimentConfig) -> Vec<(u64, f64)> {
+    let setting = (
+        cfg.calibration_warmup,
+        cfg.target_window,
+        format!("{:?}", cfg.manager.chip),
+    );
+    // Distinct misses in first-appearance order (determinism: the order the
     // measurements are assembled in never depends on worker scheduling).
-    let mut distinct: Vec<&str> = Vec::new();
-    for name in &workload.apps {
-        if !distinct.contains(&name.as_str()) {
-            distinct.push(name.as_str());
+    let mut misses: Vec<&str> = Vec::new();
+    {
+        let memo = cfg.calibrations.lock();
+        let known = memo.get(&setting);
+        for &name in names {
+            if !misses.contains(&name) && !known.is_some_and(|k| k.contains_key(name)) {
+                misses.push(name);
+            }
         }
     }
-    let measured = parallel_map(&distinct, cfg.threads, |name| {
+    let measured = parallel_map(&misses, cfg.threads, |name| {
         let app = spec::by_name(name).unwrap_or_else(|| panic!("unknown app {name}"));
         let run = characterize_isolated_with(
             &app,
@@ -90,11 +154,23 @@ pub fn prepare_workload(workload: &Workload, cfg: &ExperimentConfig) -> Prepared
         );
         (run.retired.max(1), run.ipc)
     });
-    let cache: HashMap<&str, (u64, f64)> = distinct.into_iter().zip(measured).collect();
+    let mut memo = cfg.calibrations.lock();
+    let known = memo.entry(setting).or_default();
+    for (name, value) in misses.into_iter().zip(measured) {
+        known.insert(name.to_string(), value);
+    }
+    names.iter().map(|&name| known[name]).collect()
+}
+
+/// Calibrates launch targets and solo IPC for every distinct app of
+/// `workload` through the config's memo ([`calibrate_apps`]) and
+/// instantiates the workload.
+pub fn prepare_workload(workload: &Workload, cfg: &ExperimentConfig) -> PreparedWorkload {
+    let names: Vec<&str> = workload.apps.iter().map(String::as_str).collect();
+    let calibrated = calibrate_apps(&names, cfg);
     let mut apps = Vec::with_capacity(workload.apps.len());
     let mut solo_ipc = Vec::with_capacity(workload.apps.len());
-    for (k, name) in workload.apps.iter().enumerate() {
-        let (target, ipc) = cache[name.as_str()];
+    for (k, (name, &(target, ipc))) in workload.apps.iter().zip(&calibrated).enumerate() {
         // Heterogeneous launch targets: each position's calibrated target
         // is scaled individually (same app, same calibration run, shorter
         // or longer launch), so one chip mixes early-relaunching and
@@ -173,7 +249,7 @@ where
     });
 
     let tts: Vec<u64> = results.iter().map(|r| r.tt_cycles).collect();
-    let kept = discard_outliers(&tts, cfg.max_cv);
+    let kept = discard_outliers(&tts, MAX_CV);
     let kept_results: Vec<&RunResult> = kept.iter().map(|&i| &results[i]).collect();
     let kept_tts: Vec<u64> = kept.iter().map(|&i| tts[i]).collect();
     let n = prepared.apps.len();

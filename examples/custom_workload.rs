@@ -12,6 +12,7 @@
 use synpa::apps::Phase;
 use synpa::prelude::*;
 use synpa::sim::PhaseParams;
+use synpa_experiments::threads;
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -80,7 +81,7 @@ fn main() {
     training.push(gc_language_app());
     training.push(graph_app());
     println!("training on {} apps (incl. 2 custom)...", training.len());
-    let model = train(&training, &TrainingConfig::default(), 8)
+    let model = train(&training, &TrainingConfig::default(), threads())
         .expect("catalog fits")
         .model;
 
@@ -101,6 +102,7 @@ fn main() {
     // catalog by name).
     let cfg = ExperimentConfig {
         reps: 3,
+        threads: threads(),
         ..Default::default()
     };
     let mut apps = Vec::new();

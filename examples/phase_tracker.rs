@@ -78,6 +78,7 @@ fn main() {
 
     let cfg = ExperimentConfig {
         reps: 1,
+        threads: threads(),
         ..Default::default()
     };
     let workload = workload::by_name("fb2").unwrap();

@@ -32,6 +32,7 @@ fn main() {
     // 2. Run the paper's case-study workload fb2 under both policies.
     let cfg = ExperimentConfig {
         reps: 5,
+        threads: threads(),
         ..Default::default()
     };
     let workload = workload::by_name("fb2").expect("fb2 is in the suite");

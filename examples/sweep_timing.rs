@@ -33,18 +33,20 @@ fn main() {
         .into_iter()
         .take(n_workloads)
         .collect();
-    let config = ExperimentConfig {
-        target_window: 100_000,
-        calibration_warmup: 30_000,
-        reps,
-        ..Default::default()
-    };
     let cache = std::env::temp_dir().join("synpa-sweep-timing");
     let _ = std::fs::remove_dir_all(&cache);
+    // A new config per run: each starts with an empty calibration memo, so
+    // every cold timing includes calibration.
     let spec = |cache_dir| SuiteSpec {
         workloads: workloads.clone(),
         policies: vec![SuitePolicy::Linux, SuitePolicy::Synpa],
-        config: config.clone(),
+        config: ExperimentConfig {
+            target_window: 100_000,
+            calibration_warmup: 30_000,
+            reps,
+            threads: workers,
+            ..Default::default()
+        },
         cache_dir,
     };
 

@@ -50,9 +50,10 @@ fn different_seeds_diverge() {
 
 #[test]
 fn preparation_is_deterministic_too() {
-    let cfg = tiny_cfg(1);
+    // Two configs, so the second call calibrates again instead of reading
+    // the first one's memo.
     let w = workload::by_name("be0").unwrap();
-    let p1 = prepare_workload(&w, &cfg);
-    let p2 = prepare_workload(&w, &cfg);
+    let p1 = prepare_workload(&w, &tiny_cfg(1));
+    let p2 = prepare_workload(&w, &tiny_cfg(1));
     assert_eq!(format!("{p1:?}"), format!("{p2:?}"));
 }

@@ -63,3 +63,30 @@ fn warm_cache_reproduces_the_cold_result_byte_for_byte() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sharded_suite_is_identical_at_one_and_four_threads_on_a_shared_memo() {
+    let reference = run_suite_sequential(&mini_spec(None), model());
+    let reference_json = serde_json::to_string_pretty(&reference).unwrap();
+    // Both runs read and fill one calibration memo (`spec.config`'s), at
+    // the same time: whichever measures an app first, the other may read.
+    let spec = mini_spec(None);
+    let (one, four) = std::thread::scope(|s| {
+        let one = s.spawn(|| run_suite_sharded(&spec, model(), 1));
+        let four = s.spawn(|| run_suite_sharded(&spec, model(), 4));
+        (one.join().unwrap(), four.join().unwrap())
+    });
+    // A third run reads every calibration from the memo.
+    let warm = run_suite_sharded(&spec, model(), 4);
+    for (label, cells) in [("1 thread", one), ("4 threads", four), ("warm memo", warm)] {
+        assert_eq!(
+            serde_json::to_string_pretty(&cells).unwrap(),
+            reference_json,
+            "{label}: a shared memo must not change the sweep"
+        );
+    }
+    let mut apps: Vec<&String> = spec.workloads.iter().flat_map(|w| &w.apps).collect();
+    apps.sort();
+    apps.dedup();
+    assert_eq!(spec.config.calibrations.len(), apps.len());
+}
