@@ -32,7 +32,7 @@ use std::time::Instant;
 use synpa::apps::workload::WorkloadKind;
 use synpa::metrics::percentile;
 use synpa::prelude::*;
-use synpa_experiments::{canned_model, threads, trained_model, ScenarioArgs};
+use synpa_experiments::{canned_model, eval_config, threads, trained_model, ScenarioArgs};
 
 fn usage(reason: &str) -> ! {
     eprintln!("error: {reason}");
@@ -93,7 +93,7 @@ fn main() {
         },
         target_window,
         calibration_warmup: if smoke { 10_000 } else { 40_000 },
-        ..Default::default()
+        ..eval_config()
     };
     let service_cfg = ServiceConfig {
         manager: cfg.manager.clone(),

@@ -13,8 +13,8 @@
 //! * [`run_service`] — the open-system front end of the same loop:
 //!   streaming arrivals through a bounded admission queue, detach on
 //!   completion, re-pairing under churn, turnaround/sojourn latencies.
-//!   The two differ only in what a completion does, the admission bound
-//!   and how evicted apps recover (see `docs/service.md`);
+//!   The two differ only in completions, the admission bound, recovery
+//!   and per-quantum row logging (see `docs/service.md`);
 //! * [`RunStats`] — the one accounting record both front ends return;
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
 //!   experiment driver, with calibration memoized per [`ExperimentConfig`].

@@ -299,8 +299,9 @@ pub(crate) enum FrontEnd {
     /// re-attach ahead of any arrival, from the same boundary on (no
     /// planned crash/hang, no watchdog, no budget). The run stops before
     /// the boundary at which every app has completed (or the cap is
-    /// reached); every quantum samples in ascending app-id order and
-    /// consults the policy, even on an empty chip.
+    /// reached); every quantum samples in ascending app-id order, logs one
+    /// [`QuantumRow`] per sampled app and consults the policy, even on an
+    /// empty chip.
     Closed,
     /// Open system. A completed app is detached at the boundary; a full
     /// admission queue of `queue_capacity` apps sheds the newest arrival;
@@ -472,7 +473,7 @@ impl<'a> QuantumLoop<'a> {
             // 5. Sample the apps on the chip (unplaced apps must never
             //    reach the sanitizer: a held-over row for an app with no
             //    slot would poison the log and the policy view), log the
-            //    characterization, and let the policy re-pair them.
+            //    characterization (closed batch only), and re-pair them.
             let placement = self.chip.placement();
             if closed || !placement.is_empty() {
                 let mut ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
@@ -495,20 +496,22 @@ impl<'a> QuantumLoop<'a> {
                     let placed = placement.iter().find(|&&(a, _)| a == app);
                     placed.expect("only placed apps are sampled or moved").1
                 };
-                for &(app, ref delta) in &sanitized.samples {
-                    let core = slot_of(app).core(smt);
-                    let co_runner = placement
-                        .iter()
-                        .find(|&&(a, s)| a != app && s.core(smt) == core)
-                        .map_or(app, |&(a, _)| a);
-                    self.trace.push(QuantumRow {
-                        quantum: q,
-                        app,
-                        categories: Categories::from_delta(delta, width),
-                        co_runner,
-                        retired: delta.inst_retired,
-                        cycles: delta.cpu_cycles,
-                    });
+                if closed {
+                    for &(app, ref delta) in &sanitized.samples {
+                        let core = slot_of(app).core(smt);
+                        let co_runner = placement
+                            .iter()
+                            .find(|&&(a, s)| a != app && s.core(smt) == core)
+                            .map_or(app, |&(a, _)| a);
+                        self.trace.push(QuantumRow {
+                            quantum: q,
+                            app,
+                            categories: Categories::from_delta(delta, width),
+                            co_runner,
+                            retired: delta.inst_retired,
+                            cycles: delta.cpu_cycles,
+                        });
+                    }
                 }
                 // An empty availability mask is the healthy fast path
                 // (policies treat it as all-available).
@@ -783,6 +786,43 @@ mod tests {
             let partner = rows_q0.iter().find(|p| p.app == r.co_runner).unwrap();
             assert_eq!(partner.co_runner, r.app);
         }
+    }
+
+    /// The closed batch logs exactly one row per placed app per quantum
+    /// (Figs. 6/7 and Table V read them); the open system logs none.
+    #[test]
+    fn only_the_closed_batch_logs_rows_one_per_placed_app_per_quantum() {
+        let (apps, _) = small_workload();
+        let cfg = ManagerConfig::default();
+        // Staggered arrivals, so the placed set changes under the run.
+        let arrivals: Vec<u64> = (0..8).map(|k| k * 15_000).collect();
+        let mut closed = QuantumLoop::new(&apps, &arrivals, &cfg, FrontEnd::Closed);
+        closed.run(&mut RandomPairing::new(5));
+        assert!(closed.quantum > 0 && closed.completed.len() == 8);
+        let mut logged = 0;
+        for q in 0..closed.quantum {
+            // Healthy closed batch: an app stays placed from its attach on.
+            let boundary = q * cfg.quantum_cycles;
+            let placed: Vec<usize> = (0..apps.len())
+                .filter(|&k| closed.attached_at[k].is_some_and(|c| c <= boundary))
+                .collect();
+            let rows: Vec<usize> = closed
+                .trace
+                .iter()
+                .filter(|r| r.quantum == q)
+                .map(|r| r.app)
+                .collect();
+            assert_eq!(rows, placed, "quantum {q}");
+            logged += rows.len();
+        }
+        assert_eq!(closed.trace.len(), logged, "no row outside the run");
+        assert!(logged < 8 * closed.quantum as usize, "occupancy varied");
+
+        let front = FrontEnd::Open { queue_capacity: 8 };
+        let mut open = QuantumLoop::new(&apps, &arrivals, &cfg, front);
+        open.run(&mut RandomPairing::new(5));
+        assert!(open.drained && open.completed.len() == 8);
+        assert!(open.quantum > 0 && open.trace.is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! admission), queue depth and occupancy over time, and the shed count
 //! under overload. See `docs/service.md` for the full rules.
 
-use crate::manager::{FrontEnd, ManagerConfig, QuantumLoop, QuantumRow};
+use crate::manager::{FrontEnd, ManagerConfig, QuantumLoop};
 use crate::policy::Policy;
 use crate::stats::RunStats;
 use synpa_apps::AppProfile;
@@ -95,7 +95,7 @@ impl ServiceApp {
     }
 }
 
-/// Result of driving one arrival trace through the service.
+/// One arrival trace's service outcome; no per-quantum rows are kept.
 #[derive(Debug, Clone)]
 pub struct ServiceResult {
     /// Policy name.
@@ -118,8 +118,6 @@ pub struct ServiceResult {
     pub queue_depth: Vec<usize>,
     /// On-chip app count at each quantum boundary, after admission.
     pub occupancy: Vec<usize>,
-    /// Per-quantum characterization rows (same schema as the closed batch).
-    pub trace: Vec<QuantumRow>,
     /// Quanta executed.
     pub quanta: u64,
     /// Cycle the service stopped at.
@@ -221,7 +219,6 @@ pub fn run_service(
         failed: run.failed,
         queue_depth: run.queue_depth,
         occupancy: run.occupancy,
-        trace: run.trace,
     }
 }
 
