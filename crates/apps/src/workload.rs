@@ -74,7 +74,19 @@ impl Workload {
     }
 
     /// Launch-target scale of app `k` (1.0 when scales are unset).
+    ///
+    /// Panics when `target_scale` is set but not one scale per app: a
+    /// truncated vector is almost always a bug (a workload edited without
+    /// its scale list), and falling back to 1.0 would silently run the
+    /// tail at its calibrated target.
     pub fn target_scale(&self, k: usize) -> f64 {
+        let n = self.apps.len();
+        assert!(
+            self.target_scale.is_empty() || self.target_scale.len() == n,
+            "target_scale length {} does not match the workload's {n} apps \
+             (pass one scale per app, or an empty vector for calibrated targets)",
+            self.target_scale.len()
+        );
         self.target_scale.get(k).copied().unwrap_or(1.0)
     }
 }

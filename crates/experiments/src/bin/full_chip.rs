@@ -25,9 +25,8 @@
 //! and a heterogeneous-launch-target workload mixing half-length and
 //! double-length launches on one chip — the partial- and decorrelated-
 //! activity regimes where the per-core horizon engine pays off.
-//! `--engine` selects the cycle-advancement engine (`SYNPA_ENGINE` pins it
-//! environment-wide); both engines produce byte-identical scenario tables
-//! (CI diffs them).
+//! `--engine` selects the cycle-advancement engine; both engines produce
+//! byte-identical scenario tables (CI diffs them).
 
 use std::time::Instant;
 use synpa::metrics::{antt, fairness, stp, tt_speedup, workload_ipc};

@@ -68,8 +68,12 @@ pub fn training_split() -> (Vec<AppProfile>, Vec<AppProfile>) {
     (train_set, holdout)
 }
 
+/// On-disk envelope of the cached fit. The embedded key is [`model_key`]
+/// of the inputs the fit came from and is verified on load, as
+/// [`load_cell`] verifies a cell's key, so a stale fit is never trusted.
 #[derive(Serialize, Deserialize)]
 struct ModelOnDisk {
+    key: String,
     coeffs: [[f64; 4]; 3],
     mse: [f64; 3],
 }
@@ -78,24 +82,42 @@ struct ModelOnDisk {
 /// Returns the model and the held-out per-category MSE (§VI-A).
 pub fn trained_model() -> (SynpaModel, [f64; 3]) {
     let path = results_dir().join("model.json");
+    let (train_set, _) = training_split();
+    let cfg = TrainingConfig::default();
+    let key = model_key(&train_set, &cfg);
     if !fresh_requested() {
-        if let Some(m) = load_model(&path) {
+        if let Some(m) = load_model(&path, &key) {
             return m;
         }
     }
-    let (train_set, _) = training_split();
-    let report = train(&train_set, &TrainingConfig::default(), threads()).expect("catalog fits");
-    let m = report.model;
+    let report = train(&train_set, &cfg, threads()).expect("catalog fits");
+    store_model(&path, &key, &report.model, report.mse);
+    (report.model, report.mse)
+}
+
+/// Cache key of a fit: FNV-1a over the `Debug` forms of the training
+/// configuration and of every training profile, as [`cell_key`] hashes
+/// app profiles. A change to `TrainingConfig::default()`, to the training
+/// split or to an app profile in `spec` changes the key.
+fn model_key(train_set: &[AppProfile], cfg: &TrainingConfig) -> String {
+    let mut h = suite::fnv1a(suite::FNV_OFFSET, format!("{cfg:?}").as_bytes());
+    for app in train_set {
+        h = suite::fnv1a(h, format!("{app:?}").as_bytes());
+    }
+    format!("{h:016x}")
+}
+
+fn store_model(path: &Path, key: &str, m: &SynpaModel, mse: [f64; 3]) {
     let disk = ModelOnDisk {
+        key: key.to_string(),
         coeffs: [
             coeff_array(&m.full_dispatch),
             coeff_array(&m.frontend),
             coeff_array(&m.backend),
         ],
-        mse: report.mse,
+        mse,
     };
-    write_atomic(&path, &serde_json::to_string_pretty(&disk).unwrap());
-    (m, report.mse)
+    write_atomic(path, &serde_json::to_string_pretty(&disk).unwrap());
 }
 
 fn coeff_array(c: &CategoryCoeffs) -> [f64; 4] {
@@ -111,10 +133,12 @@ fn coeff_from(a: [f64; 4]) -> CategoryCoeffs {
     }
 }
 
-fn load_model(path: &Path) -> Option<(SynpaModel, [f64; 3])> {
+/// Loads the cached fit, returning `None` when the file is missing,
+/// unparseable or carries a different key.
+fn load_model(path: &Path, key: &str) -> Option<(SynpaModel, [f64; 3])> {
     let text = std::fs::read_to_string(path).ok()?;
     let disk: ModelOnDisk = serde_json::from_str(&text).ok()?;
-    Some((
+    (disk.key == key).then_some((
         SynpaModel {
             full_dispatch: coeff_from(disk.coeffs[0]),
             frontend: coeff_from(disk.coeffs[1]),
@@ -131,7 +155,7 @@ fn load_model(path: &Path) -> Option<(SynpaModel, [f64; 3])> {
 /// `lots`) abort with the accepted format instead of being silently
 /// ignored — an explicit pin that doesn't take effect would skew every
 /// measurement it was meant to control, exactly like an unknown
-/// `SYNPA_ENGINE` name.
+/// `--engine` name.
 pub fn threads() -> usize {
     threads_from_env().unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -277,6 +301,38 @@ mod tests {
             distinct.dedup();
             assert_eq!(distinct.len(), count, "n = {n}: duplicate pairings");
         }
+    }
+
+    #[test]
+    fn cached_model_loads_only_under_its_key() {
+        let dir = std::env::temp_dir().join("synpa-model-key-mismatch");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let model = canned_model();
+        store_model(&path, "right", &model, [0.5, 0.25, 0.125]);
+        let (loaded, mse) = load_model(&path, "right").expect("same key loads");
+        assert_eq!(format!("{loaded:?}"), format!("{model:?}"));
+        assert_eq!(mse, [0.5, 0.25, 0.125]);
+        assert!(load_model(&path, "wrong").is_none(), "stale fit rejected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn model_key_follows_the_training_inputs() {
+        let (train_set, _) = training_split();
+        let cfg = TrainingConfig::default();
+        let key = model_key(&train_set, &cfg);
+        assert_eq!(key, model_key(&train_set, &cfg), "deterministic");
+        let reseeded = TrainingConfig {
+            seed: cfg.seed + 1,
+            ..cfg.clone()
+        };
+        assert_ne!(key, model_key(&train_set, &reseeded), "config change");
+        assert_ne!(key, model_key(&train_set[1..], &cfg), "split change");
+        let mut retuned = train_set.clone();
+        retuned[0] = retuned[0].clone().with_length(12_345);
+        assert_ne!(key, model_key(&retuned, &cfg), "profile change");
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub fn canned_model() -> SynpaModel {
 }
 
 /// 64-bit FNV-1a, the cache-key hash. Stable across platforms and runs.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -170,7 +170,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Hash of everything in an [`ExperimentConfig`] that can change a cell's
 /// *result*: the whole config's `Debug` rendering, with the non-semantic

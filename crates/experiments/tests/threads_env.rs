@@ -3,7 +3,7 @@
 //! pin like `SYNPA_THREADS=1O` (typo for 10) used to fall back silently
 //! to machine parallelism, skewing every measurement the pin was meant to
 //! control; now it aborts with the accepted format, mirroring the strict
-//! `SYNPA_ENGINE` handling.
+//! `--engine` parsing.
 //!
 //! One test function on purpose: environment variables are process-global
 //! and the test harness runs functions concurrently.

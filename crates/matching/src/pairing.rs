@@ -241,7 +241,7 @@ pub fn exhaustive_min_pairing(costs: &[Vec<f64>]) -> Pairing {
 }
 
 /// Greedy baseline: repeatedly pair the two unpaired items with the lowest
-/// cost. Fast but suboptimal; used in the matching ablation bench.
+/// cost. Fast but suboptimal; timed against Blossom by `overhead_comparison`.
 #[allow(clippy::needless_range_loop)] // (u, v) index form mirrors the matrix
 pub fn greedy_min_pairing(costs: &[Vec<f64>]) -> Pairing {
     let n = check_square_even(costs);

@@ -10,7 +10,7 @@
 //!   needs five equations and six counters per pair estimate; SYNPA needs
 //!   three equations and four counters, which the paper credits with a
 //!   ~40 % lower pair-estimation overhead. [`IbmStyleModel`] exists so the
-//!   overhead benchmark can compare like for like.
+//!   `overhead_comparison` binary can compare like for like.
 
 use crate::categories::Categories;
 use crate::regression::CategoryCoeffs;
@@ -151,7 +151,7 @@ pub fn fit_ten(samples: &[TenSample], cfg: &TrainingConfig) -> TenFitReport {
 
 /// A stand-in for the IBM POWER8 symbiosis model of Feliu et al.: five
 /// equations (categories) per pair estimate instead of SYNPA's three.
-/// Used only by the overhead-comparison benchmark (§II's 40 % claim); the
+/// Used only by the `overhead_comparison` binary (§II's 40 % claim); the
 /// coefficient values are immaterial for measuring estimation cost.
 #[derive(Debug, Clone, Copy)]
 pub struct IbmStyleModel {
@@ -187,7 +187,7 @@ impl IbmStyleModel {
 
 /// Expands a three-category vector into the five-component form the
 /// IBM-style model consumes (padding with split halves; only used to feed
-/// the overhead bench with realistic magnitudes).
+/// `overhead_comparison` with realistic magnitudes).
 pub fn expand_to_five(c: &Categories) -> [f64; 5] {
     [
         c.full_dispatch,

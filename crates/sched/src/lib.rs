@@ -34,8 +34,8 @@ pub use manager::{
     QuantumRow, RunResult,
 };
 pub use policy::{
-    pairs_to_slots, units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy,
-    QuantumView, RandomPairing, StaticPairs, Synpa,
+    units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy, QuantumView,
+    RandomPairing, StaticPairs, Synpa,
 };
 pub use runner::{
     calibrate_apps, cv, discard_outliers, prepare_workload, run_cell, CalibrationMemo, CellOutcome,

@@ -134,17 +134,6 @@ pub trait Policy: Send {
     }
 }
 
-/// Assigns pairs to cores, keeping each pair on a core that already hosts
-/// one of its members when possible (minimizes migrations). Even-count
-/// convenience wrapper over [`units_to_slots`].
-pub fn pairs_to_slots(
-    pairs: &[(usize, usize)],
-    current: &[(usize, Slot)],
-    smt_ways: usize,
-) -> Vec<(usize, Slot)> {
-    units_to_slots(pairs, &[], current, smt_ways, &[])
-}
-
 /// Assigns allocation units — SMT pairs plus unpaired singles — to cores,
 /// keeping each unit on a core that already hosts one of its members when
 /// possible (minimizes migrations). A single occupies context 0 of its
@@ -850,7 +839,7 @@ mod tests {
     fn pairs_to_slots_is_a_valid_placement() {
         let placement = placement8();
         let pairs = vec![(0, 1), (2, 3), (4, 5), (6, 7)];
-        let out = pairs_to_slots(&pairs, &placement, 2);
+        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
         let mut slots: Vec<usize> = out.iter().map(|&(_, s)| s.0).collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..8).collect::<Vec<_>>());
@@ -869,7 +858,7 @@ mod tests {
         let placement = placement8();
         // Keep the exact same pairs: nobody should change cores.
         let pairs = vec![(0, 4), (1, 5), (2, 6), (3, 7)];
-        let out = pairs_to_slots(&pairs, &placement, 2);
+        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
         for &(app, slot) in &out {
             let old = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
             assert_eq!(slot.core(2), old.core(2), "app {app} should not move");
@@ -912,16 +901,6 @@ mod tests {
             let on_core = out.iter().filter(|&&(_, sl)| sl.core(2) == c).count();
             assert_eq!(on_core, 1, "single {s} shares core {c}");
         }
-    }
-
-    #[test]
-    fn units_to_slots_matches_pairs_to_slots_without_singles() {
-        let placement = placement8();
-        let pairs = vec![(0, 1), (2, 3), (4, 5), (6, 7)];
-        assert_eq!(
-            pairs_to_slots(&pairs, &placement, 2),
-            units_to_slots(&pairs, &[], &placement, 2, &[])
-        );
     }
 
     #[test]

@@ -449,4 +449,19 @@ mod tests {
         let prepared = prepare_workload(&w, &cfg);
         run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
     }
+
+    /// Regression: a `target_scale` shorter than the app list used to run
+    /// its tail at the calibrated target (scale 1.0) without a word.
+    #[test]
+    #[should_panic(expected = "target_scale length 7 does not match the workload's 8 apps")]
+    fn prepare_workload_rejects_a_truncated_target_scale() {
+        let cfg = ExperimentConfig {
+            target_window: 25_000,
+            calibration_warmup: 20_000,
+            ..Default::default()
+        };
+        let mut w = workload::by_name("fb2").unwrap();
+        w.target_scale = vec![0.5; 7];
+        prepare_workload(&w, &cfg);
+    }
 }

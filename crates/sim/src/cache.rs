@@ -21,7 +21,7 @@ use crate::config::CacheConfig;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     /// Line was present.
     Hit,
     /// Line was absent (and has now been filled).
@@ -30,22 +30,11 @@ pub enum Access {
 
 /// Per-requester hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio; 0 when there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A single-level set-associative cache with true-LRU replacement.
@@ -55,7 +44,7 @@ impl CacheStats {
 /// only by their address-space tags (callers give each thread a disjoint
 /// address region), so sharing and contention need no special casing.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     cfg: CacheConfig,
     sets: u64,
     set_shift: u32,
@@ -84,12 +73,9 @@ impl Cache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
-    /// Access statistics since construction.
+    /// Access statistics since construction. Read only by the debug-build
+    /// shared-touch check in `engine::checked_step` and by tests.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -184,17 +170,30 @@ impl Cache {
         self.stats.misses += 1;
         Access::Miss
     }
-
-    /// Invalidates everything (power-on state).
-    pub fn flush(&mut self) {
-        self.tags.fill(0);
-        self.stamps.fill(0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CacheStats {
+        /// Miss ratio; 0 when there were no accesses.
+        fn miss_ratio(&self) -> f64 {
+            if self.accesses == 0 {
+                0.0
+            } else {
+                self.misses as f64 / self.accesses as f64
+            }
+        }
+    }
+
+    impl Cache {
+        /// Invalidates everything (power-on state).
+        fn flush(&mut self) {
+            self.tags.fill(0);
+            self.stamps.fill(0);
+        }
+    }
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B lines = 512 B.

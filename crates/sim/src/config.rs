@@ -172,11 +172,10 @@ impl ChipConfig {
             migration_penalty: 200,
             cache_sample: 1,
             seed: 0x5EED_CAFE,
-            // PerCore by default; `SYNPA_ENGINE` pins a specific engine for
-            // timing comparisons without code changes (safe to honour here
-            // because both engines are bit-identical on every observable —
-            // the override can only change wall-clock time).
-            engine: EngineKind::from_env().unwrap_or(EngineKind::PerCore),
+            // PerCore by default; `with_engine` picks the other one (both
+            // are bit-identical on every observable, so the choice can only
+            // change wall-clock time).
+            engine: EngineKind::PerCore,
         }
     }
 
@@ -303,12 +302,7 @@ mod tests {
     #[test]
     fn with_engine_selects_engine() {
         let a = ChipConfig::thunderx2(4);
-        // The workspace default is percore, unless the developer has pinned
-        // an engine via SYNPA_ENGINE — honour the pin here so the suite
-        // stays green under it (the override's own semantics are covered
-        // by the dedicated `engine_env` integration binary).
-        let expected = EngineKind::from_env().unwrap_or(EngineKind::PerCore);
-        assert_eq!(a.engine, expected, "default engine");
+        assert_eq!(a.engine, EngineKind::PerCore, "default engine");
         let b = a.clone().with_engine(EngineKind::Reference);
         assert_eq!(b.engine, EngineKind::Reference);
         assert_eq!(a.seed, b.seed);

@@ -56,7 +56,7 @@ impl StepOutcome {
 }
 
 /// A physical core with `smt_ways` hardware-thread contexts.
-pub struct Core {
+pub(crate) struct Core {
     pub(crate) id: usize,
     pub(crate) l1i: Cache,
     pub(crate) l1d: Cache,

@@ -56,7 +56,7 @@ impl EngineKind {
     /// Every engine, in documentation order.
     pub const ALL: [EngineKind; 2] = [EngineKind::Reference, EngineKind::PerCore];
 
-    /// Stable lowercase name (CLI flags, bench labels, reports).
+    /// Stable lowercase name (CLI flags, reports).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
@@ -73,25 +73,6 @@ impl EngineKind {
             other => Err(format!(
                 "unknown engine '{other}' (valid: reference, percore)"
             )),
-        }
-    }
-
-    /// Reads the `SYNPA_ENGINE` environment override (mirroring
-    /// `SYNPA_THREADS`), so binaries and the differential test wall can pin
-    /// the engine without code changes. Returns `None` when the variable is
-    /// unset or empty; an unknown value aborts with the full valid list —
-    /// an explicit pin must never fall back silently. Because both engines
-    /// are bit-identical on every observable, the override can only change
-    /// wall-clock time, never a result.
-    pub fn from_env() -> Option<EngineKind> {
-        let v = std::env::var("SYNPA_ENGINE").ok()?;
-        let v = v.trim();
-        if v.is_empty() {
-            return None;
-        }
-        match EngineKind::parse(v) {
-            Ok(engine) => Some(engine),
-            Err(e) => panic!("SYNPA_ENGINE: {e}"),
         }
     }
 }

@@ -48,16 +48,12 @@ mod rng;
 mod stream;
 mod thread;
 
-pub use cache::{Access, Cache, CacheStats};
 pub use chip::{Chip, Slot};
 pub use config::{CacheConfig, ChipConfig, CoreConfig};
-pub use core::Core;
 pub use engine::{EngineKind, EngineStats};
 pub use faults::{parse_seed_rate, AppFault, ChipFaultConfig, CoreFault};
-pub use mem::Memory;
 pub use parallel::parallel_map;
 pub use pmu::{Event, ExtCounters, PmuCounters, PmuDelta};
 pub use program::{PhaseParams, ThreadProgram, UniformProgram};
-pub use rng::{Dither, SplitMix64};
-pub use stream::AddrStream;
+pub use rng::SplitMix64;
 pub use thread::{Completion, HwThread};

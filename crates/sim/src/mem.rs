@@ -8,7 +8,7 @@
 
 /// Timing-wheel based memory model. O(1) per access and per cycle.
 #[derive(Debug, Clone)]
-pub struct Memory {
+pub(crate) struct Memory {
     base_latency: u32,
     queue_penalty: f64,
     /// Completions indexed by `cycle & (WHEEL - 1)`.
@@ -71,12 +71,9 @@ impl Memory {
         latency.min((WHEEL - 2) as u32)
     }
 
-    /// Misses currently in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
-    /// Total accesses served.
+    /// Total accesses served. Read only by the debug-build shared-touch
+    /// check in `engine::checked_step` and by tests.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
@@ -108,9 +105,9 @@ mod tests {
         let mut m = Memory::new(10, 0.0);
         m.access(0);
         m.access(0);
-        assert_eq!(m.outstanding(), 2);
+        assert_eq!(m.outstanding, 2);
         m.tick(11);
-        assert_eq!(m.outstanding(), 0);
+        assert_eq!(m.outstanding, 0);
         // Latency is back to base.
         assert_eq!(m.access(11), 10);
     }
@@ -121,7 +118,7 @@ mod tests {
         m.access(0);
         m.tick(5);
         m.tick(5);
-        assert_eq!(m.outstanding(), 1);
+        assert_eq!(m.outstanding, 1);
     }
 
     #[test]
@@ -135,7 +132,7 @@ mod tests {
             }
         }
         m.tick(3 * WHEEL as u64 + 100);
-        assert_eq!(m.outstanding(), 0, "all accesses eventually complete");
+        assert_eq!(m.outstanding, 0, "all accesses eventually complete");
         assert!(m.accesses() > 0);
     }
 }

@@ -80,7 +80,7 @@ impl SplitMix64 {
 ///
 /// The accumulated error is bounded by 1 event, so long-run rates are exact.
 #[derive(Debug, Clone, Default)]
-pub struct Dither {
+pub(crate) struct Dither {
     acc: f64,
 }
 

@@ -12,7 +12,7 @@ use crate::rng::SplitMix64;
 
 /// Generator state for one access stream.
 #[derive(Debug, Clone)]
-pub struct AddrStream {
+pub(crate) struct AddrStream {
     /// Base of this stream's private address region.
     base: u64,
     /// Footprint in bytes; addresses stay in `[base, base + footprint)`.
@@ -60,11 +60,6 @@ impl AddrStream {
         if self.last >= self.base + self.footprint {
             self.last = self.base;
         }
-    }
-
-    /// Current footprint in bytes.
-    pub fn footprint(&self) -> u64 {
-        self.footprint
     }
 
     /// Next byte address.

@@ -44,7 +44,9 @@ fn icache_phase() -> PhaseParams {
     }
 }
 
-/// The LLC-thrashing mix the `simulator/*` benches use.
+/// LLC-thrashing demands: every L1D miss escalates past the (bypassed) L2
+/// into the shared LLC, so shared touches are frequent and every core
+/// rendezvouses often.
 fn llc_phase() -> PhaseParams {
     PhaseParams {
         mem_ratio: 0.3,
