@@ -16,6 +16,7 @@ use std::time::Instant;
 use synpa::matching::{
     exhaustive_min_pairing, greedy_min_pairing, min_cost_lower_bound, min_cost_pairing,
 };
+use synpa::metrics::percentile;
 use synpa::model::ablation::{expand_to_five, IbmStyleModel};
 use synpa::model::{Categories, CategoryCoeffs, SynpaModel};
 use synpa_experiments::trained_model;
@@ -32,13 +33,30 @@ fn estimate_pair(coeffs: &[CategoryCoeffs], st_i: &[f64], st_j: &[f64]) -> f64 {
         .sum()
 }
 
-/// Mean wall-clock nanoseconds of one call of `f` over `iters` calls.
-fn ns_per_iter<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+/// Timed samples per table cell; a cell reports their median, so one
+/// sample disturbed by the host cannot swing it.
+const SAMPLES: usize = 9;
+
+/// Wall-clock nanoseconds of `iters` calls of `f`: one sample.
+fn sample_ns<T>(iters: u32, mut f: impl FnMut() -> T) -> u64 {
     let t0 = Instant::now();
     for _ in 0..iters {
         black_box(f());
     }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Nanoseconds of one call in the median of `samples` (each of `iters`
+/// calls).
+fn median_per_iter(samples: &[u64], iters: u32) -> f64 {
+    percentile(samples, 50.0).expect("at least one sample") as f64 / iters as f64
+}
+
+/// Wall-clock nanoseconds of one call of `f`: the median of [`SAMPLES`]
+/// samples of `iters` calls.
+fn ns_per_iter<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+    let samples: Vec<u64> = (0..SAMPLES).map(|_| sample_ns(iters, &mut f)).collect();
+    median_per_iter(&samples, iters)
 }
 
 fn main() {
@@ -66,7 +84,7 @@ fn pair_estimation(model: &SynpaModel) {
             .collect();
         let iters = 2_000;
         let run = |coeffs: &[CategoryCoeffs], st: &[Vec<f64>]| {
-            ns_per_iter(iters, || {
+            sample_ns(iters, || {
                 let mut acc = 0.0;
                 for i in 0..n {
                     for j in 0..n {
@@ -80,8 +98,15 @@ fn pair_estimation(model: &SynpaModel) {
         };
         let st3: Vec<Vec<f64>> = st.iter().map(|c| c.as_array().to_vec()).collect();
         let st5: Vec<Vec<f64>> = st.iter().map(|c| expand_to_five(c).to_vec()).collect();
-        let synpa_ns = run(&synpa_coeffs, &st3);
-        let ibm_ns = run(&ibm_coeffs, &st5);
+        // The two models' samples alternate, so a slow stretch of the
+        // host lands on both sides of the ratio.
+        let (mut synpa, mut ibm) = (Vec::new(), Vec::new());
+        for _ in 0..SAMPLES {
+            synpa.push(run(&synpa_coeffs, &st3));
+            ibm.push(run(&ibm_coeffs, &st5));
+        }
+        let synpa_ns = median_per_iter(&synpa, iters);
+        let ibm_ns = median_per_iter(&ibm, iters);
         println!(
             "{n:>6} {synpa_ns:>14.0} {ibm_ns:>14.0} {:>9.2}",
             synpa_ns / ibm_ns

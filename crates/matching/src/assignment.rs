@@ -9,11 +9,8 @@
 //! matching's weight from above. `pairing::min_cost_lower_bound` turns
 //! that into a lower bound on the pairing cost.
 
-/// Reusable buffers for [`max_weight_assignment`], grown to the largest
-/// `n` seen and reset in place, so a per-quantum caller allocates nothing
-/// in the steady state.
-#[derive(Debug, Default)]
-pub(crate) struct AssignmentScratch {
+/// The state of one [`max_weight_assignment`] call.
+struct Search {
     /// Row-major `n × n` costs `w_max − w`, the diagonal priced out.
     cost: Vec<i64>,
     /// Row potentials.
@@ -43,7 +40,7 @@ const INF: i64 = i64::MAX / 4;
 const NONE: usize = usize::MAX;
 
 /// Returns the maximum total weight of a permutation `σ` without fixed
-/// points (`σ(u) ≠ u`) over the non-negative `weights[..n]`:
+/// points (`σ(u) ≠ u`) over the square, non-negative `weights`:
 /// `max Σ_u weights[u][σ(u)]`.
 ///
 /// Minimizes the non-negative costs `w_max − w` by shortest augmenting
@@ -52,37 +49,33 @@ const NONE: usize = usize::MAX;
 /// once per search). The diagonal is priced at `n·w_max + 1`, more than
 /// any fixed-point-free permutation costs in total, so the optimum never
 /// uses it. Needs `n ≥ 2`.
-pub(crate) fn max_weight_assignment(
-    s: &mut AssignmentScratch,
-    weights: &[Vec<i64>],
-    n: usize,
-) -> i64 {
+pub(crate) fn max_weight_assignment(weights: &[Vec<i64>]) -> i64 {
+    let n = weights.len();
     debug_assert!(n >= 2, "a derangement needs at least two items");
-    let w_max = weights[..n]
-        .iter()
-        .flat_map(|row| row[..n].iter().copied())
-        .max()
-        .unwrap_or(0);
+    let w_max = weights.iter().flatten().copied().max().unwrap_or(0);
     let diagonal = w_max * n as i64 + 1;
-    s.cost.clear();
-    for (i, row) in weights[..n].iter().enumerate() {
-        s.cost.extend(
-            row[..n]
-                .iter()
-                .enumerate()
-                .map(|(j, &w)| if i == j { diagonal } else { w_max - w }),
-        );
-    }
-    for buf in [&mut s.u, &mut s.v] {
-        buf.clear();
-        buf.resize(n, 0);
-    }
-    for buf in [&mut s.row_of, &mut s.col_of, &mut s.pred] {
-        buf.clear();
-        buf.resize(n, NONE);
-    }
+    let mut s = Search {
+        cost: weights
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(move |(j, &w)| if i == j { diagonal } else { w_max - w })
+            })
+            .collect(),
+        u: vec![0; n],
+        v: vec![0; n],
+        row_of: vec![NONE; n],
+        col_of: vec![NONE; n],
+        dist: Vec::with_capacity(n),
+        pred: vec![NONE; n],
+        unscanned: Vec::with_capacity(n),
+        row_seen: Vec::with_capacity(n),
+        col_seen: Vec::with_capacity(n),
+    };
     for row in 0..n {
-        let (sink, shortest) = shortest_augmenting_path(s, n, row);
+        let (sink, shortest) = shortest_augmenting_path(&mut s, n, row);
         // Re-price so every assigned edge stays tight and every reduced
         // cost non-negative.
         s.u[row] += shortest;
@@ -110,7 +103,7 @@ pub(crate) fn max_weight_assignment(
 /// Dijkstra over reduced costs from `row` to the nearest free column.
 /// Returns that column and its distance; `dist`, `pred` and the seen
 /// flags describe the search tree.
-fn shortest_augmenting_path(s: &mut AssignmentScratch, n: usize, row: usize) -> (usize, i64) {
+fn shortest_augmenting_path(s: &mut Search, n: usize, row: usize) -> (usize, i64) {
     s.unscanned.clear();
     s.unscanned.extend(0..n);
     for seen in [&mut s.row_seen, &mut s.col_seen] {
@@ -175,7 +168,6 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_small_matrices() {
-        let mut s = AssignmentScratch::default();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for n in 2..=7 {
             for _ in 0..40 {
@@ -191,7 +183,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                assert_eq!(max_weight_assignment(&mut s, &w, n), brute(&w), "{w:?}");
+                assert_eq!(max_weight_assignment(&w), brute(&w), "{w:?}");
             }
         }
     }
@@ -201,9 +193,6 @@ mod tests {
         // The diagonal dominates everything; a solver that used it would
         // report 3 * 100.
         let w = vec![vec![100, 1, 1], vec![1, 100, 1], vec![1, 1, 100]];
-        assert_eq!(
-            max_weight_assignment(&mut AssignmentScratch::default(), &w, 3),
-            3
-        );
+        assert_eq!(max_weight_assignment(&w), 3);
     }
 }

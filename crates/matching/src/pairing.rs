@@ -7,7 +7,7 @@
 //! integer maximization problem the blossom solver expects.
 
 use crate::assignment::max_weight_assignment;
-use crate::blossom::{max_weight_matching_in, with_shared_workspace, Workspace};
+use crate::blossom::max_weight_matching;
 
 /// A perfect pairing of `2k` items.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,44 +50,20 @@ pub(crate) fn pairing_from_mate(costs: &[Vec<f64>], mate: &[Option<usize>]) -> P
     }
 }
 
-/// Finds the minimum-total-cost perfect pairing via blossom matching,
-/// using `ws` for every intermediate buffer (the integer weight matrix and
-/// all solver state), so a per-quantum caller allocates nothing but the
-/// returned pairing.
-///
-/// `costs` must be square with even dimension; it is symmetrized by
-/// averaging `costs[u][v]` and `costs[v][u]`, which matches the paper's use
-/// (the cost of a pair is slowdown(i|j) + slowdown(j|i), same in both
-/// directions).
-pub(crate) fn min_cost_pairing_in(ws: &mut Workspace, costs: &[Vec<f64>]) -> Pairing {
-    let n = check_square_even(costs);
-    if n == 0 {
-        return Pairing {
-            pairs: Vec::new(),
-            total_cost: 0.0,
-        };
-    }
-    let (weights, _) = fill_int_weights(ws, costs);
-    let (_, mate) = max_weight_matching_in(ws, &weights[..n]);
-    ws.int_weights = weights;
-    pairing_from_mate(costs, &mate)
-}
-
 /// Converts a real-valued cost matrix into the non-negative integer
-/// maximization weights the blossom solver expects, filling the
-/// workspace's scratch matrix (taken out and returned; the caller puts it
-/// back after the solve), together with `max_c`, the largest off-diagonal
-/// symmetrized cost the transform is anchored at.
+/// maximization weights the blossom solver expects, together with
+/// `max_c`, the largest off-diagonal symmetrized cost the transform is
+/// anchored at.
 ///
 /// Maximize (max_c - cost): all transformed weights >= 1 so the maximum
 /// weight matching on the complete graph is perfect, and maximizing the
 /// transform minimizes total cost (the pair count is fixed at n/2).
 ///
 /// This is the *single* cost→weight transform in the crate: the solve
-/// (`min_cost_pairing_in`) and the lower bound (`min_cost_lower_bound`)
+/// ([`min_cost_pairing`]) and the lower bound ([`min_cost_lower_bound`])
 /// both go through it, so the bound is computed on exactly the integer
 /// problem the blossom solves.
-pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> (Vec<Vec<i64>>, f64) {
+pub(crate) fn fill_int_weights(costs: &[Vec<f64>]) -> (Vec<Vec<i64>>, f64) {
     let n = costs.len();
     let sym = |u: usize, v: usize| 0.5 * (costs[u][v] + costs[v][u]);
     let mut max_c = f64::MIN;
@@ -98,20 +74,19 @@ pub(crate) fn fill_int_weights(ws: &mut Workspace, costs: &[Vec<f64>]) -> (Vec<V
             }
         }
     }
-    let mut weights = std::mem::take(&mut ws.int_weights);
-    if weights.len() < n {
-        weights.resize_with(n, Vec::new);
-    }
-    for (u, row) in weights.iter_mut().enumerate().take(n) {
-        row.clear();
-        row.extend((0..n).map(|v| {
-            if u == v {
-                0
-            } else {
-                1 + ((max_c - sym(u, v)) * SCALE).round() as i64
-            }
-        }));
-    }
+    let weights = (0..n)
+        .map(|u| {
+            (0..n)
+                .map(|v| {
+                    if u == v {
+                        0
+                    } else {
+                        1 + ((max_c - sym(u, v)) * SCALE).round() as i64
+                    }
+                })
+                .collect()
+        })
+        .collect();
     (weights, max_c)
 }
 
@@ -139,21 +114,17 @@ const BOUND_MARGIN: f64 = 1e-9;
 /// SYNPA cost matrix tried, see `docs/matching.md`) the bound is within
 /// `n/2·1e-6` of the optimum; with odd cycles cheaper than any pairing
 /// (two cheap triangles) it is strictly below it. Same input contract as
-/// [`min_cost_pairing`]. Runs in the shared thread-local workspace, so
-/// repeated calls allocate nothing.
+/// [`min_cost_pairing`].
 pub fn min_cost_lower_bound(costs: &[Vec<f64>]) -> f64 {
     let n = check_square_even(costs);
     if n == 0 {
         return 0.0;
     }
-    with_shared_workspace(|ws| {
-        let (weights, max_c) = fill_int_weights(ws, costs);
-        let w_assign = max_weight_assignment(&mut ws.assignment, &weights, n);
-        ws.int_weights = weights;
-        let pairs = (n / 2) as f64;
-        let bound = (pairs * (1.0 + max_c * SCALE) - pairs * 0.5 - w_assign as f64 / 2.0) / SCALE;
-        bound - BOUND_MARGIN * pairs * (max_c.abs() + 1.0)
-    })
+    let (weights, max_c) = fill_int_weights(costs);
+    let w_assign = max_weight_assignment(&weights);
+    let pairs = (n / 2) as f64;
+    let bound = (pairs * (1.0 + max_c * SCALE) - pairs * 0.5 - w_assign as f64 / 2.0) / SCALE;
+    bound - BOUND_MARGIN * pairs * (max_c.abs() + 1.0)
 }
 
 /// How the SYNPA policy's pairing quanta were answered.
@@ -179,12 +150,20 @@ pub struct MatcherStats {
 /// Finds the minimum-total-cost perfect pairing via blossom matching.
 ///
 /// `costs` must be square with even dimension; it is symmetrized by
-/// averaging `costs[u][v]` and `costs[v][u]` (the cost of a pair is
-/// slowdown(i|j) + slowdown(j|i), same in both directions). Runs in a
-/// shared thread-local workspace: repeated calls on one thread (the SYNPA
-/// per-quantum decision path) are allocation-free in the steady state.
+/// averaging `costs[u][v]` and `costs[v][u]`, which matches the paper's use
+/// (the cost of a pair is slowdown(i|j) + slowdown(j|i), same in both
+/// directions).
 pub fn min_cost_pairing(costs: &[Vec<f64>]) -> Pairing {
-    with_shared_workspace(|ws| min_cost_pairing_in(ws, costs))
+    let n = check_square_even(costs);
+    if n == 0 {
+        return Pairing {
+            pairs: Vec::new(),
+            total_cost: 0.0,
+        };
+    }
+    let (weights, _) = fill_int_weights(costs);
+    let (_, mate) = max_weight_matching(&weights);
+    pairing_from_mate(costs, &mate)
 }
 
 /// Exhaustive minimum-cost perfect pairing by dynamic programming over

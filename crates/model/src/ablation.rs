@@ -172,19 +172,6 @@ impl Default for IbmStyleModel {
     }
 }
 
-impl IbmStyleModel {
-    /// Predicted CPI from five-component ST vectors (five multiply-heavy
-    /// equation evaluations — the unit of overhead the paper counts).
-    #[inline]
-    pub fn predict_cpi(&self, st_i: &[f64; 5], st_j: &[f64; 5]) -> f64 {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .map(|(k, c)| c.predict(st_i[k], st_j[k]))
-            .sum()
-    }
-}
-
 /// Expands a three-category vector into the five-component form the
 /// IBM-style model consumes (padding with split halves; only used to feed
 /// `overhead_comparison` with realistic magnitudes).
@@ -288,14 +275,6 @@ mod tests {
                 assert!(gap < 1e-9, "ten-category sum off by {gap}");
             }
         }
-    }
-
-    #[test]
-    fn ibm_model_runs_five_equations() {
-        let m = IbmStyleModel::default();
-        let v = m.predict_cpi(&[0.2; 5], &[0.3; 5]);
-        let one = m.coeffs[0].predict(0.2, 0.3);
-        assert!((v - 5.0 * one).abs() < 1e-12);
     }
 
     #[test]

@@ -28,15 +28,6 @@ pub(crate) enum Access {
     Miss,
 }
 
-/// Per-requester hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CacheStats {
-    /// Total lookups.
-    pub accesses: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-}
-
 /// A single-level set-associative cache with true-LRU replacement.
 ///
 /// Addresses are byte addresses; the cache hashes them to sets by the usual
@@ -52,8 +43,8 @@ pub(crate) struct Cache {
     tags: Vec<u64>,
     /// Monotonic last-touch stamp per way; smaller = older, 0 = invalid.
     stamps: Vec<u64>,
+    /// LRU clock: advanced once per lookup.
     clock: u64,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -69,15 +60,15 @@ impl Cache {
             tags: vec![0; (sets * cfg.ways as u64) as usize],
             stamps: vec![0; (sets * cfg.ways as u64) as usize],
             clock: 0,
-            stats: CacheStats::default(),
         }
     }
 
-    /// Access statistics since construction. Read only by the debug-build
-    /// shared-touch check in `engine::checked_step` and by tests.
+    /// Lookups since construction (the LRU clock). Read only by the
+    /// debug-build shared-touch check in `engine::checked_step` and by
+    /// tests.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    pub fn lookups(&self) -> u64 {
+        self.clock
     }
 
     /// Hit latency of this level.
@@ -125,19 +116,17 @@ impl Cache {
     /// Looks up `addr`; on miss the line is filled (allocate-on-miss),
     /// evicting the LRU way.
     ///
-    /// Every lookup advances the LRU clock (and `stats().accesses`), so
-    /// the access count doubles as an activity stamp: when this cache is
-    /// the shared LLC, a lookup is a cross-core *epoch event* whose global
-    /// order the horizon engine must — and does — preserve exactly (the
-    /// per-core engine cross-checks `StepOutcome::llc` against it).
+    /// Every lookup advances the LRU clock (`lookups()`), so the lookup
+    /// count doubles as an activity stamp: when this cache is the shared
+    /// LLC, a lookup is a cross-core *epoch event* whose global order the
+    /// horizon engine must — and does — preserve exactly (the per-core
+    /// engine cross-checks `StepOutcome::llc` against it).
     pub fn access(&mut self, addr: u64) -> Access {
         self.clock += 1;
-        self.stats.accesses += 1;
         let (base, tag) = self.locate(addr);
         if self.touch(base, tag) {
             return Access::Hit;
         }
-        self.stats.misses += 1;
         // First way with the minimum stamp: invalid ways (stamp 0) first,
         // then the least recently touched.
         let stamps = &self.stamps[base..base + self.cfg.ways as usize];
@@ -162,12 +151,10 @@ impl Cache {
     /// sets.
     pub fn access_no_alloc(&mut self, addr: u64) -> Access {
         self.clock += 1;
-        self.stats.accesses += 1;
         let (base, tag) = self.locate(addr);
         if self.touch(base, tag) {
             return Access::Hit;
         }
-        self.stats.misses += 1;
         Access::Miss
     }
 }
@@ -175,17 +162,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl CacheStats {
-        /// Miss ratio; 0 when there were no accesses.
-        fn miss_ratio(&self) -> f64 {
-            if self.accesses == 0 {
-                0.0
-            } else {
-                self.misses as f64 / self.accesses as f64
-            }
-        }
-    }
 
     impl Cache {
         /// Invalidates everything (power-on state).
@@ -248,34 +224,29 @@ mod tests {
         };
         // Solo: footprint 2 KiB fits in 4 KiB -> near-zero steady-state misses.
         let mut solo = Cache::new(cfg);
-        let solo_stats = {
-            for round in 0..50 {
-                for line in 0..32u64 {
-                    solo.access(line * 64);
-                    let _ = round;
-                }
+        let mut solo_misses = 0u64;
+        for _round in 0..50 {
+            for line in 0..32u64 {
+                solo_misses += u64::from(solo.access(line * 64) == Access::Miss);
             }
-            solo.stats()
-        };
+        }
         // Shared: two interleaved 2 KiB footprints (4 KiB total) in the same
         // 4 KiB array -> some steady-state misses remain.
         let mut shared = Cache::new(cfg);
+        let mut shared_misses = 0u64;
         for _round in 0..50 {
             for line in 0..32u64 {
-                shared.access(line * 64);
-                shared.access((1 << 30) + line * 64 + 32 * 64);
+                for addr in [line * 64, (1 << 30) + line * 64 + 32 * 64] {
+                    shared_misses += u64::from(shared.access(addr) == Access::Miss);
+                }
             }
         }
-        let shared_a_misses = shared.stats().misses;
-        assert!(
-            solo_stats.miss_ratio() < 0.05,
-            "solo miss ratio {}",
-            solo_stats.miss_ratio()
-        );
+        let solo_ratio = solo_misses as f64 / solo.lookups() as f64;
+        assert!(solo_ratio < 0.05, "solo miss ratio {solo_ratio}");
         // Interleaved total footprint equals capacity; with LRU and identical
         // sets the two streams coexist, but any skew evicts. We just require
         // more misses than the solo cold misses.
-        assert!(shared_a_misses >= solo_stats.misses);
+        assert!(shared_misses >= solo_misses);
     }
 
     #[test]
@@ -293,7 +264,6 @@ mod tests {
         ways: usize,
         sets: Vec<Vec<u64>>,
         line_shift: u32,
-        stats: CacheStats,
     }
 
     impl LruOracle {
@@ -302,12 +272,10 @@ mod tests {
                 ways: cfg.ways as usize,
                 sets: vec![Vec::new(); cfg.sets() as usize],
                 line_shift: cfg.line_bytes.trailing_zeros(),
-                stats: CacheStats::default(),
             }
         }
 
         fn lookup(&mut self, addr: u64, allocate: bool) -> Access {
-            self.stats.accesses += 1;
             let line = addr >> self.line_shift;
             let n_sets = self.sets.len() as u64;
             let (ways, set) = (self.ways, &mut self.sets[(line % n_sets) as usize]);
@@ -316,7 +284,6 @@ mod tests {
                 set.insert(0, line);
                 return Access::Hit;
             }
-            self.stats.misses += 1;
             if allocate {
                 set.truncate(ways - 1);
                 set.insert(0, line);
@@ -366,7 +333,6 @@ mod tests {
                         "op {} (access {:#x})", i, addr
                     ),
                 }
-                proptest::prop_assert_eq!(cache.stats(), oracle.stats);
             }
         }
     }
@@ -374,12 +340,27 @@ mod tests {
     #[test]
     fn stats_count_accesses_and_misses() {
         let mut c = small();
-        c.access(0x0);
-        c.access(0x0);
-        c.access(0x40);
-        let s = c.stats();
-        assert_eq!(s.accesses, 3);
-        assert_eq!(s.misses, 2);
-        assert!((s.miss_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        let misses = [0x0, 0x0, 0x40]
+            .into_iter()
+            .filter(|&addr| c.access(addr) == Access::Miss)
+            .count();
+        assert_eq!(c.lookups(), 3);
+        assert_eq!(misses, 2);
+    }
+
+    /// `engine::checked_step` detects an LLC touch by a change in
+    /// `lookups()`, so every lookup of either kind, hit or miss, must
+    /// advance it by exactly one.
+    #[test]
+    fn every_lookup_advances_lookups_by_one() {
+        let mut c = small();
+        for addr in [0x0, 0x0, 0x40, 0x100, 0x200, 0x0] {
+            let before = c.lookups();
+            c.access(addr);
+            assert_eq!(c.lookups(), before + 1, "access {addr:#x}");
+            let before = c.lookups();
+            c.access_no_alloc(addr ^ 0x40);
+            assert_eq!(c.lookups(), before + 1, "access_no_alloc {addr:#x}");
+        }
     }
 }

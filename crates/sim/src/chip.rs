@@ -45,9 +45,6 @@ pub struct Chip {
     /// engine, its core-cycles accounted as elided. Offline cores must be
     /// empty — evacuation is the scheduler's job, enforced by asserts.
     pub(crate) offline: Vec<bool>,
-    /// Per-core resume times, reused across `run_until` calls by the
-    /// per-core horizon engine so the quantum loop never allocates.
-    pub(crate) percore_resume: Vec<u64>,
     /// Diagnostic stepped/elided tallies (see [`EngineStats`]).
     pub(crate) stats: EngineStats,
 }
@@ -66,7 +63,6 @@ impl Chip {
             events: Vec::new(),
             slot_index: HashMap::new(),
             offline: vec![false; cores_n],
-            percore_resume: Vec::new(),
             stats: EngineStats::default(),
         }
     }

@@ -94,10 +94,6 @@ pub struct ChipConfig {
     /// Fixed pipeline-refill penalty charged when a thread migrates between
     /// cores (on top of the cold-cache effects it suffers naturally).
     pub migration_penalty: u32,
-    /// Only 1 out of `cache_sample` data accesses walks the real cache
-    /// hierarchy; the others reuse the last observed latency class. 1 = every
-    /// access is simulated. Higher values trade fidelity for speed.
-    pub cache_sample: u32,
     /// Base RNG seed; each hardware thread derives its own stream from it.
     pub seed: u64,
     /// Cycle-advancement engine used by `Chip::run_cycles`/`run_until`.
@@ -170,7 +166,6 @@ impl ChipConfig {
             dram_saturation_penalty: 800.0,
             dram_saturation_max: 450.0,
             migration_penalty: 200,
-            cache_sample: 1,
             seed: 0x5EED_CAFE,
             // PerCore by default; `with_engine` picks the other one (both
             // are bit-identical on every observable, so the choice can only

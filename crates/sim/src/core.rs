@@ -330,32 +330,21 @@ impl Core {
             let mut misses: u32 = 0;
             let mut worst_lat: u32 = 0;
             for _ in 0..m {
-                t.sample_tick += 1;
-                let (lat, missed) = if cfg.cache_sample <= 1
-                    || t.sample_tick % cfg.cache_sample == 0
-                {
-                    let addr = t.data_stream.next(&mut t.rng);
-                    t.pmu.ext.l1d_access += 1;
-                    // Streaming footprints far beyond a level bypass its
-                    // allocation (streaming-resistant replacement), so a
-                    // memory hog cannot flush its co-runner's working set.
-                    let bypass_l2 = t.phase.data_footprint > 4 * cfg.l2.size_bytes;
-                    // The LLC is shared by every thread on the chip: only
-                    // working sets that could plausibly hold a useful share
-                    // allocate; larger streams bypass so they cannot flush
-                    // the small-footprint apps that depend on it.
-                    let bypass_llc = t.phase.data_footprint > cfg.llc.size_bytes / 2;
-                    let r = data_access(l1d, l2, llc, mem, now, addr, bypass_l2, bypass_llc, out);
-                    if r.1 {
-                        t.pmu.ext.l1d_miss += 1;
-                    }
-                    t.last_data_latency = r.0;
-                    t.last_data_missed = r.1;
-                    r
-                } else {
-                    (t.last_data_latency, t.last_data_missed)
-                };
+                let addr = t.data_stream.next(&mut t.rng);
+                t.pmu.ext.l1d_access += 1;
+                // Streaming footprints far beyond a level bypass its
+                // allocation (streaming-resistant replacement), so a
+                // memory hog cannot flush its co-runner's working set.
+                let bypass_l2 = t.phase.data_footprint > 4 * cfg.l2.size_bytes;
+                // The LLC is shared by every thread on the chip: only
+                // working sets that could plausibly hold a useful share
+                // allocate; larger streams bypass so they cannot flush
+                // the small-footprint apps that depend on it.
+                let bypass_llc = t.phase.data_footprint > cfg.llc.size_bytes / 2;
+                let (lat, missed) =
+                    data_access(l1d, l2, llc, mem, now, addr, bypass_l2, bypass_llc, out);
                 if missed {
+                    t.pmu.ext.l1d_miss += 1;
                     misses += 1;
                 }
                 worst_lat = worst_lat.max(lat);

@@ -113,11 +113,11 @@ fn checked_step(
     events: &mut Vec<Completion>,
 ) -> crate::core::StepOutcome {
     #[cfg(debug_assertions)]
-    let before = (llc.stats().accesses, mem.accesses());
+    let before = (llc.lookups(), mem.accesses());
     let out = core.step(now, cfg, llc, mem, events);
     #[cfg(debug_assertions)]
     {
-        let after = (llc.stats().accesses, mem.accesses());
+        let after = (llc.lookups(), mem.accesses());
         debug_assert_eq!(out.llc, after.0 != before.0, "LLC touch misreported");
         debug_assert_eq!(out.dram, after.1 != before.1, "DRAM touch misreported");
     }
@@ -193,10 +193,7 @@ fn park_inert(core: &mut Core, cfg: &ChipConfig, first: u64, end: u64, elided: &
 /// resume times, stepped cores their fresh ones — so no separate O(cores)
 /// `min` scan runs per epoch.
 pub(crate) fn run_percore(chip: &mut Chip, end: u64) -> Vec<Completion> {
-    let n_cores = chip.cores.len();
-    let mut resume = std::mem::take(&mut chip.percore_resume);
-    resume.clear();
-    resume.resize(n_cores, chip.cycle);
+    let mut resume = vec![chip.cycle; chip.cores.len()];
     let (mut stepped, mut elided) = (0u64, 0u64);
     // Offline cores never become due: their whole window is elided up
     // front, which keeps the stepped+elided partition exact.
@@ -238,7 +235,6 @@ pub(crate) fn run_percore(chip: &mut Chip, end: u64) -> Vec<Completion> {
     chip.cycle = chip.cycle.max(end);
     chip.stats.stepped += stepped;
     chip.stats.elided += elided;
-    chip.percore_resume = resume;
     std::mem::take(&mut chip.events)
 }
 
@@ -367,16 +363,5 @@ mod tests {
         let reference = run(EngineKind::Reference);
         assert_eq!(reference[1].cpu_cycles, 20_000);
         assert_eq!(reference, run(EngineKind::PerCore));
-    }
-
-    #[test]
-    fn percore_resume_buffer_is_reused_across_quanta() {
-        let mut c = chip(EngineKind::PerCore, 2, 4);
-        c.run_cycles(1_000);
-        let cap = c.percore_resume.capacity();
-        for _ in 0..50 {
-            c.run_cycles(1_000);
-        }
-        assert_eq!(c.percore_resume.capacity(), cap, "no reallocation");
     }
 }

@@ -156,10 +156,6 @@ pub struct HwThread {
     pub(crate) pmu: PmuCounters,
     /// Cycle until which the thread pays a migration penalty.
     pub(crate) migrate_stall_until: u64,
-    /// Latency-class cache for sampled data accesses.
-    pub(crate) last_data_latency: u32,
-    pub(crate) last_data_missed: bool,
-    pub(crate) sample_tick: u32,
 }
 
 impl HwThread {
@@ -206,9 +202,6 @@ impl HwThread {
             rng: SplitMix64::new(seed ^ (app_id as u64).wrapping_mul(0x9E37_79B9)),
             pmu: PmuCounters::default(),
             migrate_stall_until: 0,
-            last_data_latency: 4,
-            last_data_missed: false,
-            sample_tick: 0,
         }
     }
 
