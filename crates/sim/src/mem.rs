@@ -14,6 +14,7 @@ pub(crate) struct Memory {
     /// Completions indexed by `cycle & (WHEEL - 1)`.
     wheel: Vec<u32>,
     outstanding: u32,
+    #[cfg(debug_assertions)]
     accesses: u64,
     now: u64,
 }
@@ -31,6 +32,7 @@ impl Memory {
             queue_penalty,
             wheel: vec![0; WHEEL],
             outstanding: 0,
+            #[cfg(debug_assertions)]
             accesses: 0,
             now: 0,
         }
@@ -60,7 +62,10 @@ impl Memory {
         let done = ((cycle + latency as u64) as usize) & (WHEEL - 1);
         self.wheel[done] += 1;
         self.outstanding += 1;
-        self.accesses += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.accesses += 1;
+        }
         latency
     }
 
@@ -71,9 +76,9 @@ impl Memory {
         latency.min((WHEEL - 2) as u32)
     }
 
-    /// Total accesses served. Read only by the debug-build shared-touch
-    /// check in `engine::checked_step` and by tests.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    /// Total accesses served. Counted only in debug builds, for the
+    /// shared-touch check in `engine::checked_step` and for tests.
+    #[cfg(debug_assertions)]
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
@@ -133,6 +138,7 @@ mod tests {
         }
         m.tick(3 * WHEEL as u64 + 100);
         assert_eq!(m.outstanding, 0, "all accesses eventually complete");
+        #[cfg(debug_assertions)]
         assert!(m.accesses() > 0);
     }
 }
