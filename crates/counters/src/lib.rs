@@ -26,7 +26,6 @@
 mod faults;
 mod replay;
 mod sanitize;
-mod source;
 
 pub use faults::{FaultConfig, FaultInjector, FaultKind, FaultRates, InjectedCounts};
 pub use replay::{read_trace, QuantumRecord, TraceError, TraceReplay, TraceWriter};

@@ -411,4 +411,54 @@ mod tests {
         assert_eq!(rows, [4, 2], "request order, no row for the missing app");
         assert_eq!(out.degraded, [9]);
     }
+
+    // The simulator's `Chip::pmu_of` read through the session, the same
+    // read path the quantum loop takes.
+    fn chip_with_one_app() -> synpa_sim::Chip {
+        use synpa_sim::{Chip, ChipConfig, PhaseParams, Slot, UniformProgram};
+        let mut chip = Chip::new(ChipConfig::thunderx2(1));
+        chip.attach(
+            Slot(0),
+            3,
+            Box::new(UniformProgram::new("a", PhaseParams::compute(), u64::MAX)),
+        );
+        chip
+    }
+
+    fn sample_cycles(session: &mut SanitizingSession, chip: &synpa_sim::Chip, quantum: u64) -> u64 {
+        let out = session.sample(&[3], quantum, |id| chip.pmu_of(id).copied());
+        assert!(out.is_clean());
+        assert_eq!(out.samples.len(), 1);
+        assert_eq!(out.samples[0].0, 3);
+        out.samples[0].1.cpu_cycles
+    }
+
+    #[test]
+    fn sampling_session_yields_deltas() {
+        let mut chip = chip_with_one_app();
+        let mut session = SanitizingSession::new(1000);
+        chip.run_cycles(500);
+        assert_eq!(sample_cycles(&mut session, &chip, 0), 500);
+        chip.run_cycles(250);
+        assert_eq!(
+            sample_cycles(&mut session, &chip, 1),
+            250,
+            "delta, not cumulative"
+        );
+    }
+
+    #[test]
+    fn forget_restarts_from_zero() {
+        let mut chip = chip_with_one_app();
+        let mut session = SanitizingSession::new(1000);
+        chip.run_cycles(100);
+        sample_cycles(&mut session, &chip, 0);
+        session.forget(3);
+        chip.run_cycles(50);
+        assert_eq!(
+            sample_cycles(&mut session, &chip, 1),
+            150,
+            "cumulative again after forget"
+        );
+    }
 }
