@@ -11,20 +11,20 @@ fn main() {
     for name in ["be1", "fe2", "fb2"] {
         let w = workload::by_name(name).unwrap();
         let prepared = prepare_workload(&w, &cfg);
-        let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
-        let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+        let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
+        let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
         println!("\nFig. 6 — workload {name}  (per app: linux | synpa, % of workload TT)");
         println!(
             "{:<14} {:>22} | {:>22}",
             "app", "FD%   FE%   BE%  time", "FD%   FE%   BE%  time"
         );
         for k in 0..8 {
-            let fmt = |cell: &synpa::sched::CellOutcome| {
+            let fmt = |(cell, rows): &(synpa::sched::CellOutcome, Vec<QuantumRow>)| {
                 let r = &cell.exemplar;
                 // Aggregate the app's categories over its run (cycle-weighted).
                 let mut acc = [0.0f64; 3];
                 let mut cycles = 0.0;
-                for row in r.trace.iter().filter(|t| t.app == k) {
+                for row in rows.iter().filter(|t| t.app == k) {
                     let f = row.categories.fractions();
                     for (a, x) in acc.iter_mut().zip(f) {
                         *a += x * row.cycles as f64;

@@ -12,13 +12,9 @@ fn main() {
     let prepared = prepare_workload(&w, &cfg);
     let leelas = [4usize, 5]; // the two leela_r instances (paper: 04, 05)
 
-    for (policy_name, cell) in [
-        ("linux", run_cell(&prepared, |_| Box::new(LinuxLike), &cfg)),
-        (
-            "synpa",
-            run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg),
-        ),
-    ] {
+    let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
+    let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+    for (policy_name, (cell, rows)) in [("linux", linux), ("synpa", synpa)] {
         for &app in &leelas {
             let r = &cell.exemplar;
             let path = results_dir().join(format!("fig7_{policy_name}_leela{app}.csv"));
@@ -28,10 +24,9 @@ fn main() {
             let mut fd_sum = 0.0;
             let mut be_sum = 0.0;
             let mut n = 0.0;
-            for row in r.trace.iter().filter(|t| t.app == app) {
+            for row in rows.iter().filter(|t| t.app == app) {
                 let f = row.categories.fractions();
-                let partner = r
-                    .trace
+                let partner = rows
                     .iter()
                     .find(|p| p.quantum == row.quantum && p.app == row.co_runner)
                     .unwrap();

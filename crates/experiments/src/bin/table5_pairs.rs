@@ -10,14 +10,13 @@ fn main() {
     let cfg = eval_config();
     let w = workload::by_name("fb2").unwrap();
     let prepared = prepare_workload(&w, &cfg);
-    let cell = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
-    let r = &cell.exemplar;
+    let (_, rows) = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
 
     // counts[x][y][b]: quanta app x spent paired with y while behaving as
     // frontend (b=0) or backend (b=1).
     let mut counts = [[[0u64; 2]; 8]; 8];
     let mut totals = [0u64; 8];
-    for row in &r.trace {
+    for row in &rows {
         let b = if row.is_frontend_behaving() { 0 } else { 1 };
         counts[row.app][row.co_runner][b] += 1;
         totals[row.app] += 1;

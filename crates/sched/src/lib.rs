@@ -13,11 +13,14 @@
 //! * [`run_service`] — the open-system front end of the same loop:
 //!   streaming arrivals through a bounded admission queue, detach on
 //!   completion, re-pairing under churn, turnaround/sojourn latencies.
-//!   The two differ only in completions, the admission bound, recovery
-//!   and per-quantum row logging (see `docs/service.md`);
+//!   The two differ only in completions, the admission bound and recovery
+//!   (see `docs/service.md`);
 //! * [`RunStats`] — the one accounting record both front ends return;
+//! * [`RowLog`] — a policy decorator that records one [`QuantumRow`] per
+//!   sampled app per quantum (Figs. 6/7, Table V); the loop keeps none;
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
-//!   experiment driver, with calibration memoized per [`ExperimentConfig`].
+//!   experiment driver, with calibration memoized per [`ExperimentConfig`]
+//!   ([`run_cell_with_rows`] also returns the exemplar's rows).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,16 +33,15 @@ mod service;
 mod stats;
 
 pub use manager::{
-    first_free_slot, run_workload, run_workload_with_arrivals, AppResult, ManagerConfig,
-    QuantumRow, RunResult,
+    first_free_slot, run_workload, run_workload_with_arrivals, AppResult, ManagerConfig, RunResult,
 };
 pub use policy::{
-    units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy, QuantumView,
-    RandomPairing, StaticPairs, Synpa,
+    units_to_slots, GreedySynpa, GuardrailStats, LinuxLike, OracleSynpa, Policy, QuantumRow,
+    QuantumView, RandomPairing, RowLog, StaticPairs, Synpa,
 };
 pub use runner::{
-    calibrate_apps, cv, discard_outliers, prepare_workload, run_cell, CalibrationMemo, CellOutcome,
-    ExperimentConfig, PreparedWorkload,
+    calibrate_apps, cv, discard_outliers, prepare_workload, run_cell, run_cell_with_rows,
+    CalibrationMemo, CellOutcome, ExperimentConfig, PreparedWorkload,
 };
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};
 pub use stats::RunStats;

@@ -4,9 +4,9 @@
 //! At every quantum boundary the loop applies the chip-fault plan, admits
 //! waiting apps onto free slots, advances the chip one quantum, handles
 //! first-launch completions, reads each placed app's PMU counters through
-//! the fault injector (under `--faults`) into the sanitizer, logs the
-//! characterization (the raw material for Figs. 6/7 and Table V), asks the
-//! policy for a placement and applies it.
+//! the fault injector (under `--faults`) into the sanitizer, asks the
+//! policy for a placement and applies it. The loop keeps no per-quantum
+//! rows; a caller that wants them wraps its policy in a [`crate::RowLog`].
 //! Two front ends configure it:
 //!
 //! * [`run_workload`] / [`run_workload_with_arrivals`] — the closed batch
@@ -29,33 +29,7 @@ use crate::stats::RunStats;
 use std::collections::VecDeque;
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultInjector, SanitizingSession};
-use synpa_model::Categories;
 use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
-
-/// One application's per-quantum log row.
-#[derive(Debug, Clone, Copy)]
-pub struct QuantumRow {
-    /// Quantum ordinal.
-    pub quantum: u64,
-    /// Application id (workload arrival index).
-    pub app: usize,
-    /// Measured SMT categories (CPI components) this quantum.
-    pub categories: Categories,
-    /// Co-runner app id during this quantum.
-    pub co_runner: usize,
-    /// Instructions retired this quantum.
-    pub retired: u64,
-    /// Cycles observed this quantum.
-    pub cycles: u64,
-}
-
-impl QuantumRow {
-    /// Dominant dispatch-stall behaviour this quantum: `true` if frontend
-    /// stalls exceed backend stalls (used by the Table V classification).
-    pub fn is_frontend_behaving(&self) -> bool {
-        self.categories.frontend > self.categories.backend
-    }
-}
 
 /// Final per-application result.
 #[derive(Debug, Clone)]
@@ -104,8 +78,6 @@ pub struct RunResult {
     pub tt_cycles: u64,
     /// Per-application outcomes, in arrival order.
     pub per_app: Vec<AppResult>,
-    /// Full per-quantum trace (Fig. 6/7, Table V raw data).
-    pub trace: Vec<QuantumRow>,
     /// Quanta executed.
     pub quanta: u64,
     /// Thread migrations performed (core changes).
@@ -286,7 +258,6 @@ pub fn run_workload_with_arrivals(
         quanta: run.quantum,
         migrations: run.migrations,
         stats: run.stats,
-        trace: run.trace,
     }
 }
 
@@ -299,9 +270,8 @@ pub(crate) enum FrontEnd {
     /// re-attach ahead of any arrival, from the same boundary on (no
     /// planned crash/hang, no watchdog, no budget). The run stops before
     /// the boundary at which every app has completed (or the cap is
-    /// reached); every quantum samples in ascending app-id order, logs one
-    /// [`QuantumRow`] per sampled app and consults the policy, even on an
-    /// empty chip.
+    /// reached); every quantum samples in ascending app-id order and
+    /// consults the policy, even on an empty chip.
     Closed,
     /// Open system. A completed app is detached at the boundary; a full
     /// admission queue of `queue_capacity` apps sheds the newest arrival;
@@ -358,7 +328,6 @@ pub(crate) struct QuantumLoop<'a> {
     /// ([`FrontEnd::Open`] only).
     pub(crate) queue_depth: Vec<usize>,
     pub(crate) occupancy: Vec<usize>,
-    pub(crate) trace: Vec<QuantumRow>,
     pub(crate) quantum: u64,
     pub(crate) migrations: u64,
     /// The run's accounting, filled where each event happens and
@@ -408,7 +377,6 @@ impl<'a> QuantumLoop<'a> {
             completed: Vec::new(),
             queue_depth: Vec::new(),
             occupancy: Vec::new(),
-            trace: Vec::new(),
             quantum: 0,
             migrations: 0,
             stats: RunStats::default(),
@@ -472,8 +440,7 @@ impl<'a> QuantumLoop<'a> {
             self.recover();
             // 5. Sample the apps on the chip (unplaced apps must never
             //    reach the sanitizer: a held-over row for an app with no
-            //    slot would poison the log and the policy view), log the
-            //    characterization (closed batch only), and re-pair them.
+            //    slot would poison the policy view) and re-pair them.
             let placement = self.chip.placement();
             if closed || !placement.is_empty() {
                 let mut ids: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
@@ -491,27 +458,6 @@ impl<'a> QuantumLoop<'a> {
                 });
                 if !sanitized.is_clean() {
                     self.stats.degraded_quanta += 1;
-                }
-                let slot_of = |app: usize| {
-                    let placed = placement.iter().find(|&&(a, _)| a == app);
-                    placed.expect("only placed apps are sampled or moved").1
-                };
-                if closed {
-                    for &(app, ref delta) in &sanitized.samples {
-                        let core = slot_of(app).core(smt);
-                        let co_runner = placement
-                            .iter()
-                            .find(|&&(a, s)| a != app && s.core(smt) == core)
-                            .map_or(app, |&(a, _)| a);
-                        self.trace.push(QuantumRow {
-                            quantum: q,
-                            app,
-                            categories: Categories::from_delta(delta, width),
-                            co_runner,
-                            retired: delta.inst_retired,
-                            cycles: delta.cpu_cycles,
-                        });
-                    }
                 }
                 // An empty availability mask is the healthy fast path
                 // (policies treat it as all-available).
@@ -532,7 +478,8 @@ impl<'a> QuantumLoop<'a> {
                 };
                 if let Some(new_placement) = policy.decide(&view) {
                     for &(app, new_slot) in &new_placement {
-                        if slot_of(app).core(smt) != new_slot.core(smt) {
+                        let old = self.chip.slot_of(app).expect("only placed apps are moved");
+                        if old.core(smt) != new_slot.core(smt) {
                             self.migrations += 1;
                         }
                     }
@@ -735,8 +682,21 @@ impl<'a> QuantumLoop<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{LinuxLike, RandomPairing};
+    use crate::policy::{LinuxLike, QuantumRow, RandomPairing, RowLog};
     use synpa_apps::spec;
+
+    /// [`run_workload`] with `policy` inside a [`RowLog`]: the result and
+    /// the rows the recorder saw.
+    fn run_with_rows(
+        apps: &[AppProfile],
+        solo: &[f64],
+        policy: &mut dyn Policy,
+        cfg: &ManagerConfig,
+    ) -> (RunResult, Vec<QuantumRow>) {
+        let mut log = RowLog::new(policy);
+        let result = run_workload(apps, solo, &mut log, cfg);
+        (result, log.rows)
+    }
 
     fn small_workload() -> (Vec<AppProfile>, Vec<f64>) {
         let names = [
@@ -778,8 +738,8 @@ mod tests {
     fn trace_rows_cover_every_app_every_quantum() {
         let (apps, solo) = small_workload();
         let cfg = ManagerConfig::default();
-        let result = run_workload(&apps, &solo, &mut LinuxLike, &cfg);
-        let rows_q0: Vec<_> = result.trace.iter().filter(|r| r.quantum == 0).collect();
+        let (_, rows) = run_with_rows(&apps, &solo, &mut LinuxLike, &cfg);
+        let rows_q0: Vec<_> = rows.iter().filter(|r| r.quantum == 0).collect();
         assert_eq!(rows_q0.len(), 8);
         // Co-runner symmetry within a quantum.
         for r in &rows_q0 {
@@ -788,16 +748,20 @@ mod tests {
         }
     }
 
-    /// The closed batch logs exactly one row per placed app per quantum
-    /// (Figs. 6/7 and Table V read them); the open system logs none.
+    /// Under the closed batch the recorder sees exactly one row per placed
+    /// app per quantum (Figs. 6/7 and Table V read them). Under either
+    /// front end it only observes: the run is the same without it.
     #[test]
-    fn only_the_closed_batch_logs_rows_one_per_placed_app_per_quantum() {
+    fn the_recorder_logs_one_row_per_placed_app_per_quantum() {
         let (apps, _) = small_workload();
         let cfg = ManagerConfig::default();
         // Staggered arrivals, so the placed set changes under the run.
         let arrivals: Vec<u64> = (0..8).map(|k| k * 15_000).collect();
         let mut closed = QuantumLoop::new(&apps, &arrivals, &cfg, FrontEnd::Closed);
-        closed.run(&mut RandomPairing::new(5));
+        let mut policy = RandomPairing::new(5);
+        let mut log = RowLog::new(&mut policy);
+        closed.run(&mut log);
+        let trace = log.rows;
         assert!(closed.quantum > 0 && closed.completed.len() == 8);
         let mut logged = 0;
         for q in 0..closed.quantum {
@@ -806,8 +770,7 @@ mod tests {
             let placed: Vec<usize> = (0..apps.len())
                 .filter(|&k| closed.attached_at[k].is_some_and(|c| c <= boundary))
                 .collect();
-            let rows: Vec<usize> = closed
-                .trace
+            let rows: Vec<usize> = trace
                 .iter()
                 .filter(|r| r.quantum == q)
                 .map(|r| r.app)
@@ -815,14 +778,31 @@ mod tests {
             assert_eq!(rows, placed, "quantum {q}");
             logged += rows.len();
         }
-        assert_eq!(closed.trace.len(), logged, "no row outside the run");
+        assert_eq!(trace.len(), logged, "no row outside the run");
         assert!(logged < 8 * closed.quantum as usize, "occupancy varied");
 
-        let front = FrontEnd::Open { queue_capacity: 8 };
-        let mut open = QuantumLoop::new(&apps, &arrivals, &cfg, front);
-        open.run(&mut RandomPairing::new(5));
-        assert!(open.drained && open.completed.len() == 8);
-        assert!(open.quantum > 0 && open.trace.is_empty());
+        // The recorder only observes: with or without it, either front
+        // end runs the same quanta, migrations, completions and stats.
+        let outcome = |front: FrontEnd, record: bool| {
+            let mut run = QuantumLoop::new(&apps, &arrivals, &cfg, front);
+            let mut policy = RandomPairing::new(5);
+            if record {
+                run.run(&mut RowLog::new(&mut policy));
+            } else {
+                run.run(&mut policy);
+            }
+            assert!(run.quantum > 0 && run.completed.len() == 8);
+            assert_eq!(run.drained, front != FrontEnd::Closed);
+            let s = (run.quantum, run.migrations, run.completed_at, run.stats);
+            format!("{s:?}")
+        };
+        for front in [FrontEnd::Closed, FrontEnd::Open { queue_capacity: 8 }] {
+            assert_eq!(
+                outcome(front, true),
+                outcome(front, false),
+                "recording changed the run"
+            );
+        }
     }
 
     #[test]
@@ -1099,12 +1079,12 @@ mod tests {
             max_quanta: 200,
             ..Default::default()
         };
-        let result = run_workload(&apps, &[1.0; 4], &mut LinuxLike, &cfg);
+        let (result, trace) = run_with_rows(&apps, &[1.0; 4], &mut LinuxLike, &cfg);
         assert!(result.capped && result.stats.apps_evacuated > 0);
         let last = result.quanta - 1;
         let mut checked = 0;
         for a in result.per_app.iter().filter(|a| !a.completed) {
-            let rows: Vec<&QuantumRow> = result.trace.iter().filter(|r| r.app == a.app).collect();
+            let rows: Vec<&QuantumRow> = trace.iter().filter(|r| r.app == a.app).collect();
             // The current thread's rows: the unbroken run ending at the cap.
             let run = rows
                 .iter()
@@ -1134,8 +1114,8 @@ mod tests {
     #[test]
     fn zero_rate_chip_faults_match_no_chip_faults() {
         let (apps, solo) = small_workload();
-        let plain = run_workload(&apps, &solo, &mut LinuxLike, &ManagerConfig::default());
-        let zero = run_workload(
+        let plain = run_with_rows(&apps, &solo, &mut LinuxLike, &ManagerConfig::default());
+        let zero = run_with_rows(
             &apps,
             &solo,
             &mut LinuxLike,

@@ -134,6 +134,84 @@ pub trait Policy: Send {
     }
 }
 
+/// One application's per-quantum row, as [`RowLog`] records it.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantumRow {
+    /// Quantum ordinal.
+    pub quantum: u64,
+    /// Application id (workload arrival index).
+    pub app: usize,
+    /// Measured SMT categories (CPI components) this quantum.
+    pub categories: Categories,
+    /// Co-runner app id during this quantum (the app itself when alone).
+    pub co_runner: usize,
+    /// Instructions retired this quantum.
+    pub retired: u64,
+    /// Cycles observed this quantum.
+    pub cycles: u64,
+}
+
+impl QuantumRow {
+    /// Dominant dispatch-stall behaviour this quantum: `true` if frontend
+    /// stalls exceed backend stalls (used by the Table V classification).
+    pub fn is_frontend_behaving(&self) -> bool {
+        self.categories.frontend > self.categories.backend
+    }
+}
+
+/// A [`Policy`] decorator that records one [`QuantumRow`] per sampled app
+/// per decision, in sample order (ascending app id in the closed batch),
+/// then delegates. A run without one keeps no rows.
+pub struct RowLog<'a> {
+    inner: &'a mut dyn Policy,
+    /// The rows recorded so far, in decision order.
+    pub rows: Vec<QuantumRow>,
+}
+
+impl<'a> RowLog<'a> {
+    /// Records around `inner`.
+    pub fn new(inner: &'a mut dyn Policy) -> Self {
+        let rows = Vec::new();
+        RowLog { inner, rows }
+    }
+}
+
+impl Policy for RowLog<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
+        let smt = view.smt_ways;
+        for &(app, ref delta) in view.samples {
+            let placed = view.placement.iter().find(|&&(a, _)| a == app);
+            let core = placed.expect("only placed apps are sampled").1.core(smt);
+            let co_runner = view
+                .placement
+                .iter()
+                .find(|&&(a, s)| a != app && s.core(smt) == core)
+                .map_or(app, |&(a, _)| a);
+            self.rows.push(QuantumRow {
+                quantum: view.quantum,
+                app,
+                categories: Categories::from_delta(delta, view.dispatch_width),
+                co_runner,
+                retired: delta.inst_retired,
+                cycles: delta.cpu_cycles,
+            });
+        }
+        self.inner.decide(view)
+    }
+
+    fn matcher_stats(&self) -> Option<MatcherStats> {
+        self.inner.matcher_stats()
+    }
+
+    fn guardrail_stats(&self) -> Option<GuardrailStats> {
+        self.inner.guardrail_stats()
+    }
+}
+
 /// Assigns allocation units — SMT pairs plus unpaired singles — to cores,
 /// keeping each unit on a core that already hosts one of its members when
 /// possible (minimizes migrations). A single occupies context 0 of its

@@ -16,7 +16,7 @@
 //!   config built afresh (`Default::default()`) starts with an empty memo.
 
 use crate::manager::{run_workload_with_arrivals, ManagerConfig, RunResult};
-use crate::policy::Policy;
+use crate::policy::{Policy, QuantumRow, RowLog};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use synpa_apps::{characterize_isolated_with, spec, AppProfile, Workload};
@@ -213,8 +213,8 @@ pub struct CellOutcome {
     pub app_speedup: Vec<f64>,
     /// Per-app names (arrival order).
     pub app_names: Vec<String>,
-    /// Full result of the first kept repetition (traces for Figs. 6/7 and
-    /// Table V).
+    /// Full result of the first kept repetition. Its per-quantum rows
+    /// (Figs. 6/7 and Table V) come from [`run_cell_with_rows`].
     pub exemplar: RunResult,
 }
 
@@ -230,27 +230,56 @@ pub fn run_cell<F>(
 where
     F: Fn(u64) -> Box<dyn Policy> + Sync,
 {
+    run_reps(prepared, make_policy, cfg, false).0
+}
+
+/// [`run_cell`], plus the exemplar's per-quantum rows: each repetition's
+/// policy runs inside a [`RowLog`], and the rows of the repetition kept as
+/// the exemplar are returned.
+pub fn run_cell_with_rows<F>(
+    prepared: &PreparedWorkload,
+    make_policy: F,
+    cfg: &ExperimentConfig,
+) -> (CellOutcome, Vec<QuantumRow>)
+where
+    F: Fn(u64) -> Box<dyn Policy> + Sync,
+{
+    run_reps(prepared, make_policy, cfg, true)
+}
+
+/// The repetitions behind both: rows are recorded only when `rows` is set.
+fn run_reps<F>(
+    prepared: &PreparedWorkload,
+    make_policy: F,
+    cfg: &ExperimentConfig,
+    rows: bool,
+) -> (CellOutcome, Vec<QuantumRow>)
+where
+    F: Fn(u64) -> Box<dyn Policy> + Sync,
+{
     assert!(
         cfg.reps >= 1,
         "ExperimentConfig::reps must be at least 1 (a cell reports its first kept repetition)"
     );
     let reps: Vec<u64> = (0..cfg.reps as u64).map(|r| cfg.base_seed + r).collect();
-    let results: Vec<RunResult> = parallel_map(&reps, cfg.threads, |&seed| {
+    let p = prepared;
+    let mut results = parallel_map(&reps, cfg.threads, |&seed| {
         let mut mgr = cfg.manager.clone();
         mgr.chip = mgr.chip.clone().with_seed(seed);
+        let run = |policy: &mut dyn Policy| {
+            run_workload_with_arrivals(&p.apps, &p.solo_ipc, policy, &mgr, &p.workload.arrivals)
+        };
         let mut policy = make_policy(seed);
-        run_workload_with_arrivals(
-            &prepared.apps,
-            &prepared.solo_ipc,
-            policy.as_mut(),
-            &mgr,
-            &prepared.workload.arrivals,
-        )
+        if !rows {
+            return (run(policy.as_mut()), Vec::new());
+        }
+        let mut log = RowLog::new(policy.as_mut());
+        (run(&mut log), log.rows)
     });
 
-    let tts: Vec<u64> = results.iter().map(|r| r.tt_cycles).collect();
+    let tts: Vec<u64> = results.iter().map(|r| r.0.tt_cycles).collect();
     let kept = discard_outliers(&tts, MAX_CV);
-    let kept_results: Vec<&RunResult> = kept.iter().map(|&i| &results[i]).collect();
+    let kept_results: Vec<&RunResult> = kept.iter().map(|&i| &results[i].0).collect();
     let kept_tts: Vec<u64> = kept.iter().map(|&i| tts[i]).collect();
     let n = prepared.apps.len();
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
@@ -276,12 +305,10 @@ where
         .collect();
     let tt_mean = mean(&kept_tts.iter().map(|&t| t as f64).collect::<Vec<_>>());
     let tt_cv = cv(&kept_tts);
-    CellOutcome {
+    let (exemplar, rows) = results.swap_remove(kept[0]);
+    let cell = CellOutcome {
         workload: prepared.workload.name.clone(),
-        policy: kept_results
-            .first()
-            .map(|r| r.policy.clone())
-            .unwrap_or_default(),
+        policy: exemplar.policy.clone(),
         tt_mean,
         tt_cv,
         discarded: tts.len() - kept.len(),
@@ -289,8 +316,9 @@ where
         app_ipc,
         app_speedup,
         app_names: prepared.apps.iter().map(|a| a.name().to_string()).collect(),
-        exemplar: results[kept[0]].clone(),
-    }
+        exemplar,
+    };
+    (cell, rows)
 }
 
 /// Coefficient of variation (σ/µ) of a sample.
@@ -426,12 +454,15 @@ mod tests {
         };
         let w = workload::by_name("fb2").unwrap();
         let prepared = prepare_workload(&w, &cfg);
-        let cell = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
+        let (cell, rows) = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
         assert_eq!(cell.policy, "linux");
         assert!(cell.tt_mean > 0.0);
         assert_eq!(cell.app_ipc.len(), 8);
         assert_eq!(cell.tt_runs.len() + cell.discarded, 3);
-        assert!(!cell.exemplar.trace.is_empty());
+        assert!(!rows.is_empty());
+        // The recorder only observes: the cell is the same without it.
+        let bare = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
+        assert_eq!(format!("{bare:?}"), format!("{cell:?}"));
     }
 
     /// Regression: `reps: 0` used to panic with an opaque index out of

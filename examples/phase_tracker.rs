@@ -10,15 +10,16 @@
 //! ```
 
 use synpa::prelude::*;
-use synpa::sched::RunResult;
+use synpa::sched::{CellOutcome, QuantumRow};
 use synpa_experiments::{threads, training_split};
 
-fn render(result: &RunResult, app: usize, names: &[String]) {
+fn render((cell, trace): &(CellOutcome, Vec<QuantumRow>), app: usize, names: &[String]) {
+    let result = &cell.exemplar;
     println!(
         "policy {:<6} app {app} ({}), TT {} cycles, {} quanta",
         result.policy, names[app], result.per_app[app].tt_cycles, result.quanta
     );
-    let rows: Vec<_> = result.trace.iter().filter(|r| r.app == app).collect();
+    let rows: Vec<_> = trace.iter().filter(|r| r.app == app).collect();
     // One character per quantum: the app's dominant category
     // (F frontend / B backend / d full-dispatch).
     let strip: String = rows
@@ -45,8 +46,7 @@ fn render(result: &RunResult, app: usize, names: &[String]) {
     let mut complementary = 0usize;
     let mut total = 0usize;
     for r in &rows {
-        if let Some(partner) = result
-            .trace
+        if let Some(partner) = trace
             .iter()
             .find(|p| p.quantum == r.quantum && p.app == r.co_runner)
         {
@@ -85,9 +85,9 @@ fn main() {
     println!("workload fb2: {:?}\n", workload.apps);
     let prepared = prepare_workload(&workload, &cfg);
 
-    let linux = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
-    render(&linux.exemplar, app, &workload.apps);
+    let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
+    render(&linux, app, &workload.apps);
     println!();
-    let synpa = run_cell(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
-    render(&synpa.exemplar, app, &workload.apps);
+    let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+    render(&synpa, app, &workload.apps);
 }

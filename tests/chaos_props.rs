@@ -52,10 +52,14 @@ fn mgr_cfg(engine: EngineKind, faults: Option<FaultConfig>) -> ManagerConfig {
     }
 }
 
-fn faulted_run(engine: EngineKind, faults: Option<FaultConfig>) -> RunResult {
+/// A faulted run and the per-quantum rows a [`RowLog`] recorded around its
+/// policy, so the `Debug` comparisons below cover every row too.
+fn faulted_run(engine: EngineKind, faults: Option<FaultConfig>) -> (RunResult, Vec<QuantumRow>) {
     let (apps, solo) = chip_filling_apps();
     let mut policy = Synpa::new(canned_model());
-    run_workload(&apps, &solo, &mut policy, &mgr_cfg(engine, faults))
+    let mut log = RowLog::new(&mut policy);
+    let result = run_workload(&apps, &solo, &mut log, &mgr_cfg(engine, faults));
+    (result, log.rows)
 }
 
 proptest! {
@@ -85,8 +89,8 @@ proptest! {
         let with = faulted_run(EngineKind::PerCore, Some(FaultConfig::uniform(seed, 0.0)));
         let without = faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
-        prop_assert_eq!(with.stats.injected_total(), 0);
-        prop_assert_eq!(with.stats.samples_degraded(), 0);
+        prop_assert_eq!(with.0.stats.injected_total(), 0);
+        prop_assert_eq!(with.0.stats.samples_degraded(), 0);
     }
 
     // Contract 3: the injector's per-kind counters equal an independent
@@ -99,7 +103,7 @@ proptest! {
         rate in 0.0f64..0.5,
     ) {
         let cfg = FaultConfig::uniform(seed, rate);
-        let result = faulted_run(EngineKind::PerCore, Some(cfg));
+        let (result, _) = faulted_run(EngineKind::PerCore, Some(cfg));
         let mut expected: InjectedCounts = Default::default();
         for q in 0..result.quanta {
             for app in 0..8 {
@@ -131,7 +135,7 @@ proptest! {
 fn low_rate_faults_cause_bounded_degradation() {
     for seed in [1u64, 2, 3, 0xD15EA5E] {
         let cfg = FaultConfig::uniform(seed, 0.05);
-        let r = faulted_run(EngineKind::PerCore, Some(cfg));
+        let (r, _) = faulted_run(EngineKind::PerCore, Some(cfg));
         let d = r.stats;
         let total = d.samples_ok + d.samples_degraded();
         assert!(

@@ -58,10 +58,17 @@ fn mgr_cfg(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -> ManagerC
     }
 }
 
-fn chip_faulted_run(engine: EngineKind, chip_faults: Option<ChipFaultConfig>) -> RunResult {
+/// A chip-faulted run and the per-quantum rows a [`RowLog`] recorded
+/// around its policy, so the `Debug` comparisons below cover every row too.
+fn chip_faulted_run(
+    engine: EngineKind,
+    chip_faults: Option<ChipFaultConfig>,
+) -> (RunResult, Vec<QuantumRow>) {
     let (apps, solo) = chip_filling_apps();
     let mut policy = Synpa::new(canned_model());
-    run_workload(&apps, &solo, &mut policy, &mgr_cfg(engine, chip_faults))
+    let mut log = RowLog::new(&mut policy);
+    let result = run_workload(&apps, &solo, &mut log, &mgr_cfg(engine, chip_faults));
+    (result, log.rows)
 }
 
 fn trace_profiles(trace: &ArrivalTrace) -> Vec<AppProfile> {
@@ -147,7 +154,7 @@ proptest! {
         let without = chip_faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(
-            with.stats.chip_faults_summary(),
+            with.0.stats.chip_faults_summary(),
             RunStats::default().chip_faults_summary()
         );
     }

@@ -21,10 +21,10 @@ fn tiny_cfg(base_seed: u64) -> ExperimentConfig {
 /// results.
 fn fingerprint(prepared: &PreparedWorkload, seed: u64) -> String {
     let cfg = tiny_cfg(seed);
-    let cell = run_cell(prepared, |s| Box::new(RandomPairing::new(s)), &cfg);
+    let (cell, rows) = run_cell_with_rows(prepared, |s| Box::new(RandomPairing::new(s)), &cfg);
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}",
-        cell.tt_runs, cell.app_ipc, cell.app_speedup, cell.exemplar, cell.discarded
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        cell.tt_runs, cell.app_ipc, cell.app_speedup, cell.exemplar, cell.discarded, rows
     )
 }
 

@@ -287,8 +287,9 @@ fn run_fingerprint(engine: EngineKind, policy_seed: u64) -> String {
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
-    let result: RunResult = run_workload(&apps, &solo, &mut policy, &cfg);
-    format!("{result:?}")
+    let mut log = RowLog::new(&mut policy);
+    let result: RunResult = run_workload(&apps, &solo, &mut log, &cfg);
+    format!("{result:?}{:?}", log.rows)
 }
 
 #[test]
@@ -321,8 +322,9 @@ fn arrivals_fingerprint(
         ..Default::default()
     };
     let mut policy = RandomPairing::new(policy_seed);
-    let result: RunResult = run_workload_with_arrivals(&apps, &solo, &mut policy, &cfg, arrivals);
-    format!("{result:?}")
+    let mut log = RowLog::new(&mut policy);
+    let result: RunResult = run_workload_with_arrivals(&apps, &solo, &mut log, &cfg, arrivals);
+    format!("{result:?}{:?}", log.rows)
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! recorded fails here, not only in a cross-commit table diff.
 
 use synpa::prelude::*;
-use synpa::sched::{run_workload_with_arrivals, QuantumRow};
+use synpa::sched::run_workload_with_arrivals;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -38,8 +38,9 @@ fn rows(arrivals: &[u64], seed: u64, cfg: &ManagerConfig) -> (Vec<QuantumRow>, u
         .collect();
     let solo = vec![1.0; apps.len()];
     let mut policy = RandomPairing::new(seed);
-    let result = run_workload_with_arrivals(&apps, &solo, &mut policy, cfg, arrivals);
-    (result.trace, result.migrations)
+    let mut log = RowLog::new(&mut policy);
+    let result = run_workload_with_arrivals(&apps, &solo, &mut log, cfg, arrivals);
+    (log.rows, result.migrations)
 }
 
 /// `Debug` prints every field (f64s in shortest-round-trip form), so an
