@@ -10,7 +10,7 @@
 //! ```
 
 use synpa::prelude::*;
-use synpa::sched::{CellOutcome, QuantumRow};
+use synpa::sched::CellOutcome;
 use synpa_experiments::{threads, training_split};
 
 fn render((cell, trace): &(CellOutcome, Vec<QuantumRow>), app: usize, names: &[String]) {
