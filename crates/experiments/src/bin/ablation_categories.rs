@@ -2,7 +2,7 @@
 //! split by stall cause) and found it *worse* than the 3-category model.
 //! Reproduces that comparison on held-out CPI prediction error.
 
-use synpa::model::ablation::{fit_ten, ten_samples, TEN_NAMES};
+use synpa::model::ablation::{fit_ten, three_and_ten, TEN_NAMES};
 use synpa::model::mse;
 use synpa::model::training::{fit_from_samples, record, HoldoutSplit, TrainingConfig};
 use synpa_experiments::{threads, training_split};
@@ -12,8 +12,8 @@ fn main() {
     let cfg = TrainingConfig::default();
 
     println!("recording the training runs...");
-    let recording = record(&train_apps, &cfg, threads());
-    let samples3 = recording.samples(cfg.categories());
+    let runs = record(&train_apps, &cfg, threads(), three_and_ten(&cfg));
+    let samples3: Vec<_> = runs.iter().flatten().map(|s| s.map(|v| v.0)).collect();
     let report3 = fit_from_samples(&samples3, &cfg).expect("collected samples fit");
     // Held-out MSE of the predicted total CPI under the 3-category model,
     // on the same shuffled hold-out quanta `fit_ten` scores the 10-category
@@ -31,7 +31,8 @@ fn main() {
         .unzip();
     let cpi3 = mse(&pred, &obs);
 
-    let report10 = fit_ten(&ten_samples(&recording, &cfg), &cfg);
+    let samples10: Vec<_> = runs.iter().flatten().map(|s| s.map(|v| v.1)).collect();
+    let report10 = fit_ten(&samples10, &cfg);
 
     println!("\n§VI-A — 3-category vs 10-category model (held-out CPI prediction)");
     println!("  3-category  total-CPI MSE: {cpi3:.4}");

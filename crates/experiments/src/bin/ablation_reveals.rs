@@ -8,28 +8,33 @@ use synpa_experiments::{threads, training_split};
 
 fn main() {
     let (train_apps, _) = training_split();
-    // The split only changes how counters become categories, so one
-    // recording serves all three designs.
-    let recording = record(&train_apps, &TrainingConfig::default(), threads());
+    let designs = [
+        ("all-to-backend", RevealsSplit::AllToBackend),
+        ("equal", RevealsSplit::Equal),
+        ("proportional", RevealsSplit::Proportional),
+    ];
+    let cfgs = designs.map(|(_, split)| TrainingConfig {
+        split,
+        ..Default::default()
+    });
+    // The split only changes how counters become categories, so one set of
+    // profiling runs serves all three designs: the extractor returns each
+    // quantum's categories under every split.
+    let extract = [0, 1, 2].map(|k| cfgs[k].categories());
+    let runs = record(&train_apps, &cfgs[0], threads(), |d| {
+        [0, 1, 2].map(|k| extract[k](d))
+    });
     println!("§III-B — where should the revealed stalls go?");
     println!(
         "{:<16} {:>12} {:>12} {:>12} {:>14}",
         "split", "MSE(FD)", "MSE(FE)", "MSE(BE)", "slowdown MSE"
     );
-    for (name, split) in [
-        ("all-to-backend", RevealsSplit::AllToBackend),
-        ("equal", RevealsSplit::Equal),
-        ("proportional", RevealsSplit::Proportional),
-    ] {
-        let cfg = TrainingConfig {
-            split,
-            ..Default::default()
-        };
-        let samples = recording.samples(cfg.categories());
-        let report = fit_from_samples(&samples, &cfg).expect("collected samples fit");
+    for (k, ((name, _), cfg)) in designs.iter().zip(&cfgs).enumerate() {
+        let samples: Vec<_> = runs.iter().flatten().map(|s| s.map(|v| v[k])).collect();
+        let report = fit_from_samples(&samples, cfg).expect("collected samples fit");
         // Held-out slowdown error (what pair selection actually consumes),
         // on the hold-out the per-category MSEs come from.
-        let (pred, obs): (Vec<f64>, Vec<f64>) = HoldoutSplit::new(&samples, &cfg)
+        let (pred, obs): (Vec<f64>, Vec<f64>) = HoldoutSplit::new(&samples, cfg)
             .eval()
             .iter()
             .map(|s| {

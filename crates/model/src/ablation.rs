@@ -14,7 +14,7 @@
 
 use crate::categories::Categories;
 use crate::regression::CategoryCoeffs;
-use crate::training::{HoldoutSplit, Recording, Sample, TrainingConfig};
+use crate::training::{HoldoutSplit, Sample, TrainingConfig};
 use synpa_sim::PmuDelta;
 
 /// Number of categories in the fine-grained ablation model.
@@ -91,11 +91,14 @@ impl TenCategoryModel {
 /// One ten-category training observation.
 pub type TenSample = Sample<[f64; TEN]>;
 
-/// Derives the ten-category samples of a recording — the same quanta, in
-/// the same order, as its three-category samples.
-pub fn ten_samples(recording: &Recording, cfg: &TrainingConfig) -> Vec<TenSample> {
-    let width = cfg.chip.core.dispatch_width;
-    recording.samples(|d| ten_categories(d, width))
+/// The combined extractor of the §VI-A comparison: each quantum's three
+/// categories under `cfg` and its ten components, so one set of profiling
+/// runs yields both models' samples, on the same quanta in the same order.
+pub fn three_and_ten(
+    cfg: &TrainingConfig,
+) -> impl Fn(&PmuDelta) -> (Categories, [f64; TEN]) + Sync {
+    let (three, width) = (cfg.categories(), cfg.chip.core.dispatch_width);
+    move |d| (three(d), ten_categories(d, width))
 }
 
 /// Fit report for the ten-category model.
@@ -120,19 +123,12 @@ pub fn fit_ten(samples: &[TenSample], cfg: &TrainingConfig) -> TenFitReport {
     let mut coeffs = Vec::with_capacity(TEN);
     let mut mse = Vec::with_capacity(TEN);
     for k in 0..TEN {
-        let tr: Vec<(f64, f64, f64)> = train_set
-            .iter()
-            .map(|s| (s.st_i[k], s.st_j[k], s.smt_ij[k]))
-            .collect();
+        let component = |s: &&TenSample| (s.st_i[k], s.st_j[k], s.smt_ij[k]);
         // Degenerate categories (e.g. a stall source that never fired in
         // training) fall back to a zero model - one of the reasons the
         // fine-grained model is fragile.
-        let c = CategoryCoeffs::fit(&tr).unwrap_or_default();
-        let te: Vec<(f64, f64, f64)> = test_set
-            .iter()
-            .map(|s| (s.st_i[k], s.st_j[k], s.smt_ij[k]))
-            .collect();
-        mse.push(c.mse(&te));
+        let c = CategoryCoeffs::fit(train_set.iter().map(component)).unwrap_or_default();
+        mse.push(c.mse(test_set.iter().map(component)));
         coeffs.push(c);
     }
     let model = TenCategoryModel { coeffs };
@@ -260,9 +256,9 @@ mod tests {
             .iter()
             .map(|n| synpa_apps::spec::by_name(n).unwrap())
             .collect();
-        let recording = crate::training::record(&apps, &cfg, 2);
-        let three = recording.samples(cfg.categories());
-        let ten = ten_samples(&recording, &cfg);
+        let runs = crate::training::record(&apps, &cfg, 2, three_and_ten(&cfg));
+        let three: Vec<_> = runs.iter().flatten().map(|s| s.map(|v| v.0)).collect();
+        let ten: Vec<_> = runs.iter().flatten().map(|s| s.map(|v| v.1)).collect();
         // 6 pairs (with self-pairs) × 6 quanta × 2 threads.
         assert_eq!(three.len(), 72);
         assert_eq!(ten.len(), three.len());

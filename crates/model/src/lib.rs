@@ -10,14 +10,15 @@
 //!   Table IV);
 //! * [`invert`] — Feliu-style model inversion recovering ST values from
 //!   SMT observations at runtime (§IV-B step 1);
-//! * [`training`] — the §IV-C pipeline, "record once, derive many": every
-//!   isolated and all-pairs SMT profiling run is simulated once and kept as
-//!   raw per-quantum counter deltas; profiles, instruction-aligned pair
-//!   samples and the shuffled hold-out split are derived from them under
-//!   any category extractor, then fitted by least squares;
+//! * [`training`] — the §IV-C pipeline, recording and deriving in one
+//!   pass: every isolated and all-pairs SMT profiling run is simulated once
+//!   and turned, as it finishes, into a profile or instruction-aligned pair
+//!   samples under any category extractor; the shuffled hold-out split is
+//!   then fitted by least squares from streamed normal equations;
 //! * [`ablation`] — the 10-category model the paper rejected (derived
-//!   from the same recording as the 3-category model) and the IBM-style
-//!   5-equation model used for the overhead comparison.
+//!   from the same profiling runs as the 3-category model, through one
+//!   combined extractor) and the IBM-style 5-equation model used for the
+//!   overhead comparison.
 //!
 //! ```no_run
 //! use synpa_apps::spec;

@@ -44,24 +44,28 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 }
 
 /// Ordinary least squares: finds `beta` minimizing `‖X beta − y‖²` via the
-/// normal equations. `rows` are the design-matrix rows; all must share the
-/// same width. Returns `None` when `XᵀX` is singular (e.g. degenerate data).
-pub fn least_squares(rows: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(rows.len(), y.len(), "one response per row");
-    let k = rows.first().map(|r| r.len()).unwrap_or(0);
-    if k == 0 || rows.len() < k {
-        return None;
-    }
-    let mut xtx = vec![vec![0.0; k]; k];
-    let mut xty = vec![0.0; k];
-    for (row, &yi) in rows.iter().zip(y) {
-        assert_eq!(row.len(), k, "ragged design matrix");
-        for a in 0..k {
+/// normal equations. `rows` yields each design-matrix row with its response;
+/// `XᵀX` and `Xᵀy` are accumulated row by row, so no design matrix is held.
+/// Returns `None` for fewer rows than columns or when `XᵀX` is singular
+/// (e.g. degenerate data).
+#[allow(clippy::needless_range_loop)] // row/col index form mirrors the math
+pub fn least_squares<const K: usize>(
+    rows: impl IntoIterator<Item = ([f64; K], f64)>,
+) -> Option<Vec<f64>> {
+    let mut xtx = vec![vec![0.0; K]; K];
+    let mut xty = vec![0.0; K];
+    let mut n = 0;
+    for (row, yi) in rows {
+        n += 1;
+        for a in 0..K {
             xty[a] += row[a] * yi;
-            for b in 0..k {
+            for b in 0..K {
                 xtx[a][b] += row[a] * row[b];
             }
         }
+    }
+    if K == 0 || n < K {
+        return None;
     }
     solve(xtx, xty)
 }
@@ -108,7 +112,7 @@ pub fn mse(pred: &[f64], obs: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -145,18 +149,38 @@ mod tests {
         assert!((x[1] - 5.0).abs() < 1e-12);
     }
 
+    /// Test-only copy of the row-materialized least squares the streamed
+    /// one replaced, kept as its differential oracle: every row is held in
+    /// a design matrix before `XᵀX` and `Xᵀy` are summed.
+    pub(crate) fn materialized_least_squares(rows: &[Vec<f64>], y: &[f64]) -> Option<Vec<f64>> {
+        assert_eq!(rows.len(), y.len(), "one response per row");
+        let k = rows.first().map(|r| r.len()).unwrap_or(0);
+        if k == 0 || rows.len() < k {
+            return None;
+        }
+        let mut xtx = vec![vec![0.0; k]; k];
+        let mut xty = vec![0.0; k];
+        for (row, &yi) in rows.iter().zip(y) {
+            assert_eq!(row.len(), k, "ragged design matrix");
+            for a in 0..k {
+                xty[a] += row[a] * yi;
+                for b in 0..k {
+                    xtx[a][b] += row[a] * row[b];
+                }
+            }
+        }
+        solve(xtx, xty)
+    }
+
     #[test]
     fn least_squares_recovers_exact_linear_model() {
         // y = 1 + 2a + 3b, noise-free.
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| {
-                let a = i as f64 * 0.1;
-                let b = (i % 5) as f64;
-                vec![1.0, a, b]
-            })
-            .collect();
-        let y: Vec<f64> = rows.iter().map(|r| 1.0 + 2.0 * r[1] + 3.0 * r[2]).collect();
-        let beta = least_squares(&rows, &y).unwrap();
+        let rows = (0..20).map(|i| {
+            let a = i as f64 * 0.1;
+            let b = (i % 5) as f64;
+            ([1.0, a, b], 1.0 + 2.0 * a + 3.0 * b)
+        });
+        let beta = least_squares(rows).unwrap();
         assert!((beta[0] - 1.0).abs() < 1e-9);
         assert!((beta[1] - 2.0).abs() < 1e-9);
         assert!((beta[2] - 3.0).abs() < 1e-9);
@@ -165,16 +189,55 @@ mod tests {
     #[test]
     fn least_squares_averages_noise() {
         // Constant model fitted to noisy data = mean.
-        let rows = vec![vec![1.0]; 4];
-        let y = vec![1.0, 2.0, 3.0, 4.0];
-        let beta = least_squares(&rows, &y).unwrap();
+        let rows = [1.0, 2.0, 3.0, 4.0].map(|y| ([1.0], y));
+        let beta = least_squares(rows).unwrap();
         assert!((beta[0] - 2.5).abs() < 1e-9);
     }
 
     #[test]
     fn least_squares_rejects_underdetermined() {
-        let rows = vec![vec![1.0, 2.0, 3.0]];
-        assert!(least_squares(&rows, &[1.0]).is_none());
+        assert!(least_squares([([1.0, 2.0, 3.0], 1.0)]).is_none());
+    }
+
+    /// Fits `rows` cut to width `K` by [`least_squares`] and by the
+    /// materialized oracle, as the bit patterns of the two solutions.
+    type Bits = Option<Vec<u64>>;
+    fn streamed_and_materialized<const K: usize>(rows: &[([f64; 4], f64)]) -> (Bits, Bits) {
+        let streamed = least_squares(rows.iter().map(|(r, y)| {
+            let mut row = [0.0; K];
+            row.copy_from_slice(&r[..K]);
+            (row, *y)
+        }));
+        let matrix: Vec<Vec<f64>> = rows.iter().map(|(r, _)| r[..K].to_vec()).collect();
+        let y: Vec<f64> = rows.iter().map(|&(_, y)| y).collect();
+        let oracle = materialized_least_squares(&matrix, &y);
+        let bits = |b: Option<Vec<f64>>| b.map(|b| b.iter().map(|x| x.to_bits()).collect());
+        (bits(streamed), bits(oracle))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn streamed_least_squares_matches_the_design_matrix(
+            width in 2usize..5,
+            raw in proptest::collection::vec(
+                ((-3.0f64..3.0, -3.0f64..3.0, -3.0f64..3.0), -10.0f64..10.0),
+                0..60,
+            ),
+        ) {
+            // Equation-1 rows: an intercept, two regressors and a product
+            // term, as the category fits build them.
+            let rows: Vec<([f64; 4], f64)> = raw
+                .iter()
+                .map(|&((a, b, c), y)| ([1.0, a, b, a * c], y))
+                .collect();
+            let (streamed, oracle) = match width {
+                2 => streamed_and_materialized::<2>(&rows),
+                3 => streamed_and_materialized::<3>(&rows),
+                _ => streamed_and_materialized::<4>(&rows),
+            };
+            proptest::prop_assert_eq!(streamed, oracle, "width {} over {} rows", width, rows.len());
+        }
     }
 
     #[test]

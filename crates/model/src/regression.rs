@@ -26,75 +26,68 @@ impl CategoryCoeffs {
         self.alpha + self.beta * c_st_i + self.gamma * c_st_j + self.rho * c_st_i * c_st_j
     }
 
+    /// Coefficients from the terms `[α, β, γ, ρ]`.
+    fn from_terms([alpha, beta, gamma, rho]: [f64; 4]) -> Self {
+        Self {
+            alpha,
+            beta,
+            gamma,
+            rho,
+        }
+    }
+
     /// Fits the coefficients by ordinary least squares on samples of
     /// `(C_st_i, C_st_j, C_smt_ij)`. Returns `None` for degenerate data.
-    pub fn fit(samples: &[(f64, f64, f64)]) -> Option<Self> {
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|&(ci, cj, _)| vec![1.0, ci, cj, ci * cj])
-            .collect();
-        let y: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
-        let beta = linalg::least_squares(&rows, &y)?;
-        Some(Self {
-            alpha: beta[0],
-            beta: beta[1],
-            gamma: beta[2],
-            rho: beta[3],
-        })
+    pub fn fit(samples: impl IntoIterator<Item = (f64, f64, f64)>) -> Option<Self> {
+        let rows = samples
+            .into_iter()
+            .map(|(ci, cj, s)| ([1.0, ci, cj, ci * cj], s));
+        linalg::least_squares(rows).map(|b| Self::from_terms([b[0], b[1], b[2], b[3]]))
     }
 
     /// Fits every subset variant of Equation 1 (γ and/or ρ forced to zero)
-    /// by least squares. Table IV of the paper shows exactly this structure
-    /// — the frontend category has γ = ρ = 0 and backend has ρ = 0 — and
-    /// §VI-A describes selecting the design "showing the most accurate
-    /// regression model", so the training pipeline picks among these
-    /// variants by held-out decision quality (see `training::fit_from_samples`).
-    pub fn fit_variants(samples: &[(f64, f64, f64)]) -> Vec<Self> {
-        let mut out = Vec::with_capacity(4);
-        for (use_gamma, use_rho) in [(true, true), (false, true), (true, false), (false, false)] {
-            let rows: Vec<Vec<f64>> = samples
-                .iter()
-                .map(|&(ci, cj, _)| {
-                    let mut r = vec![1.0, ci];
-                    if use_gamma {
-                        r.push(cj);
-                    }
-                    if use_rho {
-                        r.push(ci * cj);
-                    }
-                    r
-                })
-                .collect();
-            let y: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
-            let Some(beta) = linalg::least_squares(&rows, &y) else {
-                continue;
-            };
-            let mut k = 2;
-            let gamma = if use_gamma {
-                k += 1;
-                beta[k - 1]
-            } else {
-                0.0
-            };
-            let rho = if use_rho { beta[k] } else { 0.0 };
-            out.push(Self {
-                alpha: beta[0],
-                beta: beta[1],
-                gamma,
-                rho,
-            });
-        }
-        out
+    /// by least squares, one pass over `samples` each. Table IV of the
+    /// paper shows exactly this structure — the frontend category has
+    /// γ = ρ = 0 and backend has ρ = 0 — and §VI-A describes selecting the
+    /// design "showing the most accurate regression model", so the training
+    /// pipeline picks among these variants by held-out decision quality
+    /// (see `training::fit_from_samples`).
+    pub fn fit_variants<I>(samples: I) -> Vec<Self>
+    where
+        I: IntoIterator<Item = (f64, f64, f64)>,
+        I::IntoIter: Clone,
+    {
+        let samples = samples.into_iter();
+        let no_gamma = samples.clone().map(|(ci, cj, s)| ([1.0, ci, ci * cj], s));
+        let no_rho = samples.clone().map(|(ci, cj, s)| ([1.0, ci, cj], s));
+        let neither = samples.clone().map(|(ci, _, s)| ([1.0, ci], s));
+        [
+            Self::fit(samples),
+            linalg::least_squares(no_gamma).map(|b| Self::from_terms([b[0], b[1], 0.0, b[2]])),
+            linalg::least_squares(no_rho).map(|b| Self::from_terms([b[0], b[1], b[2], 0.0])),
+            linalg::least_squares(neither).map(|b| Self::from_terms([b[0], b[1], 0.0, 0.0])),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Mean squared prediction error over a sample set.
-    pub fn mse(&self, samples: &[(f64, f64, f64)]) -> f64 {
-        let pred: Vec<f64> = samples
-            .iter()
-            .map(|&(ci, cj, _)| self.predict(ci, cj))
-            .collect();
-        let obs: Vec<f64> = samples.iter().map(|&(_, _, s)| s).collect();
-        linalg::mse(&pred, &obs)
+    /// Mean squared prediction error over a sample set (0 when empty).
+    pub fn mse(&self, samples: impl IntoIterator<Item = (f64, f64, f64)>) -> f64 {
+        let mut n = 0usize;
+        let sum: f64 = samples
+            .into_iter()
+            .map(|(ci, cj, s)| {
+                n += 1;
+                let p = self.predict(ci, cj);
+                (p - s) * (p - s)
+            })
+            .sum();
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
+        }
     }
 }
 
@@ -180,19 +173,19 @@ mod tests {
                 (ci, cj, truth.predict(ci, cj))
             })
             .collect();
-        let fit = CategoryCoeffs::fit(&samples).unwrap();
+        let fit = CategoryCoeffs::fit(samples.iter().copied()).unwrap();
         assert!((fit.alpha - truth.alpha).abs() < 1e-9);
         assert!((fit.beta - truth.beta).abs() < 1e-9);
         assert!((fit.gamma - truth.gamma).abs() < 1e-9);
         assert!((fit.rho - truth.rho).abs() < 1e-9);
-        assert!(fit.mse(&samples) < 1e-18);
+        assert!(fit.mse(samples.iter().copied()) < 1e-18);
     }
 
     #[test]
     fn fit_rejects_degenerate_samples() {
         // All identical -> singular normal equations.
         let samples = vec![(1.0, 1.0, 2.0); 8];
-        assert!(CategoryCoeffs::fit(&samples).is_none());
+        assert!(CategoryCoeffs::fit(samples).is_none());
     }
 
     #[test]

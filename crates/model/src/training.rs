@@ -1,21 +1,20 @@
-//! The model-training pipeline of §IV-C: record once, derive many.
+//! The model-training pipeline of §IV-C: record and derive in one pass.
 //!
 //! **Record.** A profiling run is one application alone, or two sharing
 //! one SMT2 core, warmed up for `cfg.warmup` cycles and then sampled once
-//! per quantum ([`record_run`], one `synpa_apps::profiling_run`).
-//! [`record`] performs every solo and pair run of a training set in one
-//! parallel step and keeps only the raw per-quantum counter deltas (a
-//! [`Recording`]). A counter trace captured elsewhere — on real hardware
-//! with `perf`, say — reads back into the same shape through
-//! [`run_from_trace`].
+//! per quantum ([`record_run`], one `synpa_apps::profiling_run`). A
+//! counter trace captured elsewhere — on real hardware with `perf`, say —
+//! reads back into the same shape through [`run_from_trace`].
 //!
-//! **Derive.** Everything a fit consumes is a pure function of those
-//! deltas and a category extractor `Fn(&PmuDelta) -> V`: the three
-//! [`Categories`] at any [`RevealsSplit`] ([`TrainingConfig::categories`])
-//! or the ablation's ten components. Deriving never re-simulates, so one
-//! recording serves every extractor.
+//! **Derive.** Everything a fit consumes is a pure function of a run's
+//! raw per-quantum counter deltas and a category extractor
+//! `Fn(&PmuDelta) -> V`: the three [`Categories`] at any [`RevealsSplit`]
+//! ([`TrainingConfig::categories`]), the ablation's ten components, or a
+//! tuple or array of several, projected afterwards ([`Sample::map`]).
+//! [`record`] runs every solo and pair run of a training set and derives
+//! as each run finishes, so no run's deltas outlive its job:
 //! 1. [`Profile`]: each application's solo quanta, indexed by cumulative
-//!    retired instructions.
+//!    retired instructions (the solo runs go first).
 //! 2. [`pair_samples`]: each co-run quantum is mapped back to the solo
 //!    position that covers the same work (the paper's alignment by
 //!    committed instructions, at the quantum's midpoint), giving one
@@ -23,8 +22,9 @@
 //!
 //! **Fit.** [`HoldoutSplit`] shuffles the samples and holds out the last
 //! `1 − train_fraction`; [`fit_from_samples`] fits each category's
-//! Equation-1 coefficients on the rest and reports held-out MSE. Every fit
-//! and every ablation score uses that one split.
+//! Equation-1 coefficients on the rest, streaming each category's values
+//! into the normal equations, and reports held-out MSE. Every fit and
+//! every ablation score uses that one split.
 
 use crate::categories::{Categories, RevealsSplit};
 use crate::regression::{CategoryCoeffs, SynpaModel};
@@ -130,53 +130,28 @@ fn push_quantum(run: &mut Run, ids: &[usize], quantum: &[(usize, PmuDelta)]) {
     }
 }
 
-/// Every profiling run of one training set, as recorded.
-#[derive(Debug, Clone)]
-pub struct Recording {
-    /// Each application's solo run, in training-set order.
-    pub solo: Vec<Vec<PmuDelta>>,
-    /// The co-run of every unordered pair `(i, j)`, `i <= j` (two instances
-    /// of one application included), in row-major order.
-    pub pairs: Vec<((usize, usize), Run)>,
-}
-
-/// Records every solo and pair run of `apps` on up to `threads` workers
-/// (§IV-C: each application in isolation, then every pair on one core).
-pub fn record(apps: &[AppProfile], cfg: &TrainingConfig, threads: usize) -> Recording {
+/// Runs every solo and pair profiling run of `apps` on up to `threads`
+/// workers (§IV-C: each application in isolation, then every unordered
+/// pair `(i, j)`, `i <= j`, on one core, two instances of one application
+/// included) and derives their training samples under `extract`: each
+/// solo run becomes a [`Profile`], each pair job returns its
+/// [`pair_samples`]. One vector per pair run, in row-major pair order;
+/// `.iter().flatten()` walks every sample.
+pub fn record<V: Copy + Default + Send + Sync>(
+    apps: &[AppProfile],
+    cfg: &TrainingConfig,
+    threads: usize,
+    extract: impl Fn(&PmuDelta) -> V + Sync,
+) -> Vec<Vec<Sample<V>>> {
+    let profiles = parallel_map(apps, threads, |app| {
+        Profile::from_deltas(&record_run(&[app], cfg)[0], &extract)
+    });
     let n = apps.len();
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
-    let runs: Vec<Vec<&AppProfile>> = (0..n)
-        .map(|i| vec![&apps[i]])
-        .chain(pairs.iter().map(|&(i, j)| vec![&apps[i], &apps[j]]))
-        .collect();
-    let mut recorded = parallel_map(&runs, threads, |run| record_run(run, cfg)).into_iter();
-    let solo = recorded
-        .by_ref()
-        .take(n)
-        .map(|mut run| run.remove(0))
-        .collect();
-    Recording {
-        solo,
-        pairs: pairs.into_iter().zip(recorded).collect(),
-    }
-}
-
-impl Recording {
-    /// Derives every training sample under `extract`: the solo profiles,
-    /// then the mirrored samples of each co-run, pairs in recording order.
-    pub fn samples<V: Copy + Default>(&self, extract: impl Fn(&PmuDelta) -> V) -> Vec<Sample<V>> {
-        let profiles: Vec<Profile<V>> = self
-            .solo
-            .iter()
-            .map(|deltas| Profile::from_deltas(deltas, &extract))
-            .collect();
-        self.pairs
-            .iter()
-            .flat_map(|((i, j), run)| {
-                pair_samples([*i, *j], run, [&profiles[*i], &profiles[*j]], &extract)
-            })
-            .collect()
-    }
+    parallel_map(&pairs, threads, |&(i, j)| {
+        let run = record_run(&[&apps[i], &apps[j]], cfg);
+        pair_samples([i, j], &run, [&profiles[i], &profiles[j]], &extract)
+    })
 }
 
 /// The isolated-execution profile of one application: per-quantum values
@@ -259,6 +234,20 @@ pub struct Sample<V> {
     pub smt_ij: V,
 }
 
+impl<V> Sample<V> {
+    /// The same observation with every value projected by `f`, e.g. one
+    /// extractor's part of a combined one.
+    pub fn map<W>(&self, f: impl Fn(&V) -> W) -> Sample<W> {
+        Sample {
+            app_i: self.app_i,
+            app_j: self.app_j,
+            st_i: f(&self.st_i),
+            st_j: f(&self.st_j),
+            smt_ij: f(&self.smt_ij),
+        }
+    }
+}
+
 /// The three-category training observation the model fits on.
 pub type PairSample = Sample<Categories>;
 
@@ -300,8 +289,7 @@ pub fn pair_samples<V: Copy + Default>(
 /// The one train/hold-out split: the samples shuffled with `cfg.seed`, the
 /// first `train_fraction` of them (at least four) to fit on, the rest held
 /// out. Equal-length sample sets split at the same positions, so samples
-/// derived from one recording under different extractors are scored on the
-/// same quanta.
+/// projected from one combined extractor are scored on the same quanta.
 #[derive(Debug)]
 pub struct HoldoutSplit<'a, T> {
     /// Samples to fit on.
@@ -312,8 +300,8 @@ pub struct HoldoutSplit<'a, T> {
 
 impl<'a, T> HoldoutSplit<'a, T> {
     /// Shuffles and splits `samples`.
-    pub fn new(samples: &'a [T], cfg: &TrainingConfig) -> Self {
-        let mut shuffled: Vec<&T> = samples.iter().collect();
+    pub fn new(samples: impl IntoIterator<Item = &'a T>, cfg: &TrainingConfig) -> Self {
+        let mut shuffled: Vec<&T> = samples.into_iter().collect();
         shuffled.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
         let at = ((shuffled.len() as f64) * cfg.train_fraction).round() as usize;
         let at = at.clamp(4.min(shuffled.len()), shuffled.len());
@@ -384,43 +372,41 @@ impl std::fmt::Display for TrainingError {
 impl std::error::Error for TrainingError {}
 
 /// Trains the SYNPA model on the given applications (§IV-C end to end):
-/// records every profiling run on `threads` workers, derives the
+/// runs every profiling run on `threads` workers, derives the
 /// three-category samples and fits them.
 pub fn train(
     apps: &[AppProfile],
     cfg: &TrainingConfig,
     threads: usize,
 ) -> Result<FitReport, TrainingError> {
-    let samples = record(apps, cfg, threads).samples(cfg.categories());
-    fit_from_samples(&samples, cfg)
+    let runs = record(apps, cfg, threads, cfg.categories());
+    fit_from_samples(runs.iter().flatten(), cfg)
 }
 
 /// Fits the model from derived samples: the shared [`HoldoutSplit`],
 /// per-category least squares, held-out MSE.
-pub fn fit_from_samples(
-    samples: &[PairSample],
+pub fn fit_from_samples<'a>(
+    samples: impl IntoIterator<Item = &'a PairSample>,
     cfg: &TrainingConfig,
 ) -> Result<FitReport, TrainingError> {
-    if samples.is_empty() {
+    let split = HoldoutSplit::new(samples, cfg);
+    if split.train.is_empty() {
         return Err(TrainingError::NoSamples);
     }
-    let split = HoldoutSplit::new(samples, cfg);
-
-    let extract = |set: &[&PairSample], idx: usize| -> Vec<(f64, f64, f64)> {
-        set.iter()
-            .map(|s| {
-                (
-                    s.st_i.as_array()[idx],
-                    s.st_j.as_array()[idx],
-                    s.smt_ij.as_array()[idx],
-                )
-            })
-            .collect()
+    // Category `idx` of a sample, as `(st_i, st_j, smt_ij)`.
+    let category = |idx: usize| {
+        move |s: &&PairSample| {
+            (
+                s.st_i.as_array()[idx],
+                s.st_j.as_array()[idx],
+                s.smt_ij.as_array()[idx],
+            )
+        }
     };
 
     // Fit every subset variant (γ/ρ forced to zero or kept) per category.
     let variants: Vec<Vec<CategoryCoeffs>> = (0..3)
-        .map(|idx| CategoryCoeffs::fit_variants(&extract(&split.train, idx)))
+        .map(|idx| CategoryCoeffs::fit_variants(split.train.iter().map(category(idx))))
         .collect();
     if let Some(idx) = variants.iter().position(|v| v.is_empty()) {
         return Err(TrainingError::DegenerateCategory(idx));
@@ -471,9 +457,9 @@ pub fn fit_from_samples(
         return Err(TrainingError::DegenerateCategory(0));
     };
     let mse = [
-        model.full_dispatch.mse(&extract(eval_set, 0)),
-        model.frontend.mse(&extract(eval_set, 1)),
-        model.backend.mse(&extract(eval_set, 2)),
+        model.full_dispatch.mse(eval_set.iter().map(category(0))),
+        model.frontend.mse(eval_set.iter().map(category(1))),
+        model.backend.mse(eval_set.iter().map(category(2))),
     ];
     Ok(FitReport {
         model,
@@ -633,6 +619,145 @@ mod tests {
         let err = fit_from_samples(&[], &tiny_cfg()).unwrap_err();
         assert_eq!(err, TrainingError::NoSamples);
         assert!(err.to_string().contains("no training samples"));
+    }
+
+    /// Test-only copy of the pipeline the streaming one replaced, kept as
+    /// its differential oracle: every profiling run is recorded before any
+    /// is derived, all samples are materialized in one vector, and every
+    /// Equation-1 variant is fitted from a materialized design matrix.
+    fn record_everything_oracle(apps: &[AppProfile], cfg: &TrainingConfig) -> FitReport {
+        use crate::linalg::tests::materialized_least_squares;
+        let extract = cfg.categories();
+        let n = apps.len();
+        let solo: Vec<Run> = apps.iter().map(|a| record_run(&[a], cfg)).collect();
+        let pairs: Vec<((usize, usize), Run)> = (0..n)
+            .flat_map(|i| (i..n).map(move |j| (i, j)))
+            .map(|(i, j)| ((i, j), record_run(&[&apps[i], &apps[j]], cfg)))
+            .collect();
+        let profiles: Vec<StProfile> = solo
+            .iter()
+            .map(|run| Profile::from_deltas(&run[0], &extract))
+            .collect();
+        let samples: Vec<PairSample> = pairs
+            .iter()
+            .flat_map(|&((i, j), ref run)| {
+                pair_samples([i, j], run, [&profiles[i], &profiles[j]], &extract)
+            })
+            .collect();
+
+        let split = HoldoutSplit::new(&samples, cfg);
+        let columns = |set: &[&PairSample], idx: usize| -> Vec<(f64, f64, f64)> {
+            set.iter()
+                .map(|s| {
+                    let (i, j, smt) = (s.st_i.as_array(), s.st_j.as_array(), s.smt_ij.as_array());
+                    (i[idx], j[idx], smt[idx])
+                })
+                .collect()
+        };
+        let variants: Vec<Vec<CategoryCoeffs>> = (0..3)
+            .map(|idx| {
+                let cols = columns(&split.train, idx);
+                let y: Vec<f64> = cols.iter().map(|&(_, _, s)| s).collect();
+                let mut out = Vec::new();
+                for (use_gamma, use_rho) in
+                    [(true, true), (false, true), (true, false), (false, false)]
+                {
+                    let rows: Vec<Vec<f64>> = cols
+                        .iter()
+                        .map(|&(ci, cj, _)| {
+                            let mut r = vec![1.0, ci];
+                            if use_gamma {
+                                r.push(cj);
+                            }
+                            if use_rho {
+                                r.push(ci * cj);
+                            }
+                            r
+                        })
+                        .collect();
+                    let Some(b) = materialized_least_squares(&rows, &y) else {
+                        continue;
+                    };
+                    let gamma = if use_gamma { b[2] } else { 0.0 };
+                    let rho = if use_rho { b[b.len() - 1] } else { 0.0 };
+                    out.push(CategoryCoeffs {
+                        alpha: b[0],
+                        beta: b[1],
+                        gamma,
+                        rho,
+                    });
+                }
+                out
+            })
+            .collect();
+
+        let eval_set = split.eval();
+        let obs: Vec<f64> = eval_set
+            .iter()
+            .map(|s| s.smt_ij.cpi() / s.st_i.cpi().max(1e-9))
+            .collect();
+        let mut best: Option<(f64, SynpaModel)> = None;
+        for &full_dispatch in &variants[0] {
+            for &frontend in &variants[1] {
+                for &backend in &variants[2] {
+                    let m = SynpaModel {
+                        full_dispatch,
+                        frontend,
+                        backend,
+                    };
+                    let pred: Vec<f64> = eval_set
+                        .iter()
+                        .map(|s| m.predict_slowdown(&s.st_i, &s.st_j))
+                        .collect();
+                    let score = -crate::linalg::mse(&pred, &obs);
+                    if best.as_ref().map_or(true, |(b, _)| score > *b) {
+                        best = Some((score, m));
+                    }
+                }
+            }
+        }
+        let (_, model) = best.expect("every category fits");
+        let mse = [0, 1, 2].map(|idx| {
+            let cols = columns(eval_set, idx);
+            let coeffs = model.coeffs()[idx];
+            let pred: Vec<f64> = cols
+                .iter()
+                .map(|&(ci, cj, _)| coeffs.predict(ci, cj))
+                .collect();
+            let obs: Vec<f64> = cols.iter().map(|&(_, _, s)| s).collect();
+            crate::linalg::mse(&pred, &obs)
+        });
+        FitReport {
+            model,
+            mse,
+            train_samples: split.train.len(),
+            test_samples: split.test.len(),
+        }
+    }
+
+    #[test]
+    fn train_is_bit_equal_to_the_record_everything_oracle() {
+        let names = ["mcf", "nab_r", "gobmk", "hmmer"];
+        let apps: Vec<_> = names.iter().map(|n| spec::by_name(n).unwrap()).collect();
+        let cfg = tiny_cfg();
+        let bits = |r: &FitReport| -> Vec<u64> {
+            let coeffs = r.model.coeffs().map(|c| [c.alpha, c.beta, c.gamma, c.rho]);
+            coeffs
+                .iter()
+                .flatten()
+                .chain(&r.mse)
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let want = record_everything_oracle(&apps, &cfg);
+        for threads in [1, 3] {
+            let got = train(&apps, &cfg, threads).expect("diverse apps fit");
+            assert_eq!(bits(&got), bits(&want), "{threads} workers");
+            assert_eq!(
+                (got.train_samples, got.test_samples),
+                (want.train_samples, want.test_samples)
+            );
+        }
     }
 
     #[test]
