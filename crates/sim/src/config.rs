@@ -59,7 +59,9 @@ pub struct CoreConfig {
     /// mattering). Real SMT2 cores sit in between: a lone hog keeps most of
     /// the window, two hogs crush each other. Ablation knob.
     pub smt_window_cap: f64,
-    /// SMT contexts per core. The evaluation uses 2 (BIOS-configured SMT2).
+    /// SMT contexts per core. Must be 2 (BIOS-configured SMT2, the only
+    /// mode the paper evaluates): the core models exactly two contexts,
+    /// and building a chip with any other value panics.
     pub smt_ways: u32,
 }
 

@@ -55,23 +55,21 @@ impl StepOutcome {
     }
 }
 
-/// A physical core with `smt_ways` hardware-thread contexts.
+/// A physical core with two hardware-thread contexts (SMT2, the only
+/// configuration the paper evaluates).
 pub(crate) struct Core {
     pub(crate) id: usize,
     pub(crate) l1i: Cache,
     pub(crate) l1d: Cache,
     pub(crate) l2: Cache,
-    pub(crate) ctx: Vec<Option<HwThread>>,
+    pub(crate) ctx: [Option<HwThread>; 2],
     /// Injected dispatch-width derate (thermal throttle / partial failure):
     /// when set, the core dispatches at most `min(dispatch_width, limit)`
     /// µops per cycle.
     pub(crate) width_limit: Option<u32>,
     fetch_rr: usize,
-    /// Reusable ICOUNT-order scratch so the dispatch stage allocates
-    /// nothing on the per-cycle hot path.
-    dispatch_order: Vec<usize>,
     /// [`shared_caps`] per busy-context count (index 0 unused).
-    caps_by_active: Vec<(u32, u32, u32)>,
+    caps_by_active: [(u32, u32, u32); 3],
     /// Loads among `m` dispatched memory µops, per `m ≤ dispatch_width`.
     loads_by_mem: Vec<u32>,
 }
@@ -106,19 +104,21 @@ fn shared_caps(core: &crate::config::CoreConfig, active: u32) -> (u32, u32, u32)
 
 impl Core {
     /// Builds core `id` with cold private caches and empty contexts.
+    /// Panics unless `cfg.core.smt_ways` is 2.
     pub fn new(id: usize, cfg: &ChipConfig) -> Self {
+        assert_eq!(
+            cfg.core.smt_ways, 2,
+            "CoreConfig::smt_ways must be 2: the core models exactly two SMT contexts"
+        );
         Self {
             id,
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            ctx: (0..cfg.core.smt_ways).map(|_| None).collect(),
+            ctx: [None, None],
             width_limit: None,
             fetch_rr: 0,
-            dispatch_order: Vec::new(),
-            caps_by_active: (0..=cfg.core.smt_ways)
-                .map(|active| shared_caps(&cfg.core, active))
-                .collect(),
+            caps_by_active: [0, 1, 2].map(|active| shared_caps(&cfg.core, active)),
             loads_by_mem: (0..=cfg.core.dispatch_width)
                 .map(|m| ((m as f64 * LOAD_FRACTION).round() as u32).min(m))
                 .collect(),
@@ -197,7 +197,7 @@ impl Core {
         mem: &mut Memory,
     ) -> StepOutcome {
         let mut out = StepOutcome::default();
-        let (ways, rr) = (self.ctx.len(), self.fetch_rr);
+        let rr = self.fetch_rr;
         // Clear expired fetch blocks.
         for slot in self.ctx.iter_mut().flatten() {
             if slot.fetch_block != FetchBlock::None && now >= slot.fetch_block_until {
@@ -207,7 +207,7 @@ impl Core {
         // Round-robin among threads that want the port this cycle. A thread
         // with a full dispatch queue does not compete, so a compute-bound
         // co-runner leaves the port essentially free.
-        for i in (rr..ways).chain(0..rr) {
+        for i in [rr, 1 - rr] {
             let Some(t) = self.ctx[i].as_mut() else {
                 continue;
             };
@@ -232,7 +232,7 @@ impl Core {
                 t.fetch_block = FetchBlock::ICacheMiss;
                 t.fetch_block_until = now + lat as u64;
             }
-            self.fetch_rr = if i + 1 == ways { 0 } else { i + 1 };
+            self.fetch_rr = 1 - i;
             out.active = true;
             return out;
         }
@@ -249,53 +249,35 @@ impl Core {
         mem: &mut Memory,
         out: &mut StepOutcome,
     ) -> bool {
-        let ways = self.ctx.len();
         let mut any_dispatch = false;
         // ICOUNT-style priority: the thread with the smaller in-flight
         // window dispatches first, which is what keeps SMT fair-ish on real
-        // hardware; ties rotate with the cycle. The order lives in a
-        // reusable scratch buffer so the per-cycle hot path never
-        // allocates, and the usual two competing contexts need one
-        // compare-swap rather than a sort.
-        let mut order = std::mem::take(&mut self.dispatch_order);
-        order.clear();
-        order.extend((0..ways).filter(|&i| self.ctx[i].is_some()));
-        let key = |i: usize| {
-            (
-                self.ctx[i].as_ref().unwrap().rob_occ,
-                tie_rank(i, now, ways),
-            )
-        };
-        match order.len() {
-            0 | 1 => {}
-            2 => {
-                if key(order[1]) < key(order[0]) {
-                    order.swap(0, 1);
-                }
+        // hardware; ties go to context `now & 1`, so the favoured context
+        // alternates every cycle.
+        let (order, busy) = match (&self.ctx[0], &self.ctx[1]) {
+            (Some(a), Some(b)) => {
+                let b_first = (b.rob_occ, (now + 1) & 1) < (a.rob_occ, now & 1);
+                (if b_first { [1, 0] } else { [0, 1] }, 2)
             }
-            _ => order.sort_by_key(|&i| key(i)),
-        }
+            (Some(_), None) => ([0, 1], 1),
+            (None, Some(_)) => ([1, 0], 1),
+            (None, None) => return false,
+        };
+        let order = &order[..busy];
 
-        let mut total_rob: u32 = order
-            .iter()
-            .map(|&i| self.ctx[i].as_ref().unwrap().rob_occ)
-            .sum();
+        let mut total_rob: u32 = self.ctx.iter().flatten().map(|t| t.rob_occ).sum();
         let eff_width = self.effective_width(&cfg.core);
         let mut width_left = eff_width;
         // Hog cap: while both contexts are active no thread may hold more
         // than `smt_window_cap` of the shared window, so a frontend-bound
         // co-runner is never starved, yet two memory-bound threads still
         // contend for the remaining shared entries (convex interference).
-        let (rob_cap, lq_cap, sq_cap) = self.caps_by_active[order.len().max(1)];
+        let (rob_cap, lq_cap, sq_cap) = self.caps_by_active[busy];
 
-        for &i in &order {
+        for &i in order {
             // The co-runner's DRAM bandwidth demand (fills/cycle, EWMA):
             // together with our own it loads the core's shared miss path.
-            let other_dram_rate: f64 = (0..ways)
-                .filter(|&k| k != i)
-                .filter_map(|k| self.ctx[k].as_ref())
-                .map(|t| t.dram_rate)
-                .sum();
+            let other_dram_rate = self.ctx[1 - i].as_ref().map_or(0.0, |t| t.dram_rate);
             // Split borrow: caches vs. thread context.
             let (l1d, l2) = (&mut self.l1d, &mut self.l2);
             let t = self.ctx[i].as_mut().unwrap();
@@ -419,7 +401,6 @@ impl Core {
                 t.fetch_block_until = now + cfg.core.redirect_penalty as u64;
             }
         }
-        self.dispatch_order = order;
         any_dispatch
     }
 
@@ -435,19 +416,6 @@ impl Core {
             }
         }
         any
-    }
-}
-
-/// Rank of context `i` in the ICOUNT tie-break at cycle `now`: `(i + now)
-/// mod ways`, so the favoured context rotates every cycle. A mask, not a
-/// division, for the power-of-two context counts real cores have.
-#[inline]
-fn tie_rank(i: usize, now: u64, ways: usize) -> usize {
-    let sum = i + now as usize;
-    if ways.is_power_of_two() {
-        sum & (ways - 1)
-    } else {
-        sum % ways
     }
 }
 
@@ -694,6 +662,14 @@ mod tests {
             // active cycle.
             assert!(t.pmu.inst_spec <= t.pmu.cpu_cycles * cfg.core.dispatch_width as u64);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::smt_ways must be 2")]
+    fn rejects_other_smt_widths() {
+        let mut cfg = ChipConfig::thunderx2(1);
+        cfg.core.smt_ways = 4;
+        Core::new(0, &cfg);
     }
 
     #[test]
