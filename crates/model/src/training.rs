@@ -423,15 +423,16 @@ pub fn fit_from_samples<'a>(
     // applications, so the selection criterion is the held-out error of the
     // predicted slowdown (not per-category CPI error: that underweights
     // fast applications, whose mispredicted suffering is exactly what sends
-    // the matcher astray).
+    // the matcher astray). The observed slowdowns do not depend on the
+    // candidate, so they are computed once for every candidate scored.
+    let obs: Vec<f64> = eval_set
+        .iter()
+        .map(|s| s.smt_ij.cpi() / s.st_i.cpi().max(1e-9))
+        .collect();
     let score_model = |m: &SynpaModel| -> f64 {
         let pred: Vec<f64> = eval_set
             .iter()
             .map(|s| m.predict_slowdown(&s.st_i, &s.st_j))
-            .collect();
-        let obs: Vec<f64> = eval_set
-            .iter()
-            .map(|s| s.smt_ij.cpi() / s.st_i.cpi().max(1e-9))
             .collect();
         -crate::linalg::mse(&pred, &obs)
     };
