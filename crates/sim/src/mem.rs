@@ -42,9 +42,11 @@ impl Memory {
     ///
     /// The wheel's total content equals `outstanding` (completions are
     /// registered and retired in lockstep), so an idle memory — whether
-    /// idle on entry or drained mid-walk — jumps to `cycle` in O(1). The
-    /// horizon engine leans on this: after a long elided stretch the walk
-    /// costs only as many steps as there were completions to retire.
+    /// idle on entry or drained mid-walk — jumps to `cycle` in O(1). While
+    /// accesses are outstanding the walk steps once per cycle, so after a
+    /// long elided stretch it costs as many steps as there are cycles
+    /// until the last outstanding completion: at most the longest
+    /// outstanding latency, which `loaded_latency` clamps to `WHEEL - 2`.
     pub fn tick(&mut self, cycle: u64) {
         while self.outstanding > 0 && self.now < cycle {
             self.now += 1;
