@@ -1140,4 +1140,33 @@ mod tests {
         };
         assert!((r.individual_speedup() - 0.5).abs() < 1e-12);
     }
+
+    /// Slot indices `first_free_slot` hands out, attaching an app to each,
+    /// until it reports the chip full.
+    fn fill_order(chip: &mut Chip) -> Vec<usize> {
+        let mut order = Vec::new();
+        while let Some(slot) = first_free_slot(chip) {
+            let program =
+                synpa_sim::UniformProgram::new("p", synpa_sim::PhaseParams::compute(), 10_000);
+            chip.attach(slot, order.len(), Box::new(program));
+            order.push(slot.0);
+        }
+        order
+    }
+
+    #[test]
+    fn first_free_slot_fills_context_zero_of_every_core_first() {
+        let mut chip = Chip::new(ChipConfig::thunderx2(4));
+        assert_eq!(fill_order(&mut chip), [0, 2, 4, 6, 1, 3, 5, 7]);
+        assert_eq!(first_free_slot(&chip), None, "a full chip has no free slot");
+    }
+
+    #[test]
+    fn first_free_slot_skips_offline_cores() {
+        let mut chip = Chip::new(ChipConfig::thunderx2(4));
+        chip.set_core_offline(0);
+        chip.set_core_offline(2);
+        assert_eq!(fill_order(&mut chip), [2, 6, 3, 7]);
+        assert_eq!(first_free_slot(&chip), None);
+    }
 }
