@@ -387,10 +387,9 @@ impl ArrivalTrace {
         self.arrivals.last().copied().unwrap_or(0)
     }
 
-    /// The trace as a [`Workload`], so [`prepare_workload`]-style
-    /// calibration drivers work unchanged on open-system inputs.
-    ///
-    /// [`prepare_workload`]: https://docs.rs/synpa-sched
+    /// The trace as a [`Workload`], so calibration drivers written for
+    /// workloads (`synpa_sched::prepare_workload`) work unchanged on
+    /// open-system inputs.
     pub fn to_workload(&self) -> Workload {
         Workload {
             name: self.name.clone(),
@@ -442,6 +441,10 @@ fn exp_gap(rng: &mut StdRng, mean: f64) -> f64 {
 /// `1 / mean_gap_cycles`; sweeping the gap sweeps the service from a
 /// mostly-idle chip to saturation. Deterministic per
 /// `(kind, count, mean_gap_cycles, seed)`.
+///
+/// This is [`bursty_trace`] with `burstiness = 1.0`: storm and lull then
+/// share one mean gap (`x / 1.0` and `x * 1.0` are exact), so the period
+/// is never consulted.
 pub fn poisson_trace(
     name: &str,
     kind: WorkloadKind,
@@ -449,25 +452,7 @@ pub fn poisson_trace(
     mean_gap_cycles: f64,
     seed: u64,
 ) -> ArrivalTrace {
-    assert!(
-        mean_gap_cycles > 0.0,
-        "mean inter-arrival gap must be positive, got {mean_gap_cycles}"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut at = 0.0f64;
-    let mut apps = Vec::with_capacity(count);
-    let mut arrivals = Vec::with_capacity(count);
-    for _ in 0..count {
-        at += exp_gap(&mut rng, mean_gap_cycles);
-        arrivals.push(at as u64);
-        apps.push(trace_app(&mut rng, kind));
-    }
-    ArrivalTrace {
-        name: name.to_string(),
-        kind,
-        apps,
-        arrivals,
-    }
+    bursty_trace(name, kind, count, mean_gap_cycles, 1.0, 2, seed)
 }
 
 /// A bursty (diurnal) arrival trace: Poisson arrivals whose rate follows a

@@ -187,30 +187,6 @@ impl FaultConfig {
     }
 }
 
-fn map_fields(c: &PmuCounters, f: impl Fn(u64) -> u64) -> PmuCounters {
-    PmuCounters {
-        cpu_cycles: f(c.cpu_cycles),
-        inst_spec: f(c.inst_spec),
-        stall_frontend: f(c.stall_frontend),
-        stall_backend: f(c.stall_backend),
-        inst_retired: f(c.inst_retired),
-        ext: synpa_sim::ExtCounters {
-            stall_rob_full: f(c.ext.stall_rob_full),
-            stall_iq_full: f(c.ext.stall_iq_full),
-            stall_lsq_full: f(c.ext.stall_lsq_full),
-            stall_dcache: f(c.ext.stall_dcache),
-            stall_exec: f(c.ext.stall_exec),
-            stall_width: f(c.ext.stall_width),
-            stall_branch: f(c.ext.stall_branch),
-            stall_icache: f(c.ext.stall_icache),
-            l1d_access: f(c.ext.l1d_access),
-            l1d_miss: f(c.ext.l1d_miss),
-            l1i_access: f(c.ext.l1i_access),
-            l1i_miss: f(c.ext.l1i_miss),
-        },
-    }
-}
-
 /// Stateful fault driver on the per-quantum read path: passes each true
 /// reading through the plan and counts every injected fault by kind, so
 /// the accounting contract (injected = planned, per kind) is checkable.
@@ -255,9 +231,9 @@ impl FaultInjector {
                     FaultKind::Drop => None,
                     FaultKind::Freeze => Some(*last_out),
                     FaultKind::Stale => Some(*last_true),
-                    FaultKind::Rollback => Some(map_fields(&truth, |v| v / 2)),
+                    FaultKind::Rollback => Some(truth.zip_with(&truth, |v, _| v / 2)),
                     FaultKind::Zero => Some(PmuCounters::default()),
-                    FaultKind::Spike => Some(map_fields(&truth, |v| v.saturating_mul(1000))),
+                    FaultKind::Spike => Some(truth.zip_with(&truth, |v, _| v.saturating_mul(1000))),
                 }
             }
         };
@@ -355,7 +331,15 @@ mod tests {
                 rates: FaultRates::only(kind, 1.0),
             })
         };
-        let truth = truth_at(1);
+        // One extended event set, so a mapping that skips the `ext`
+        // block shows.
+        let truth = PmuCounters {
+            ext: synpa_sim::ExtCounters {
+                l1i_miss: 40,
+                ..Default::default()
+            },
+            ..truth_at(1)
+        };
 
         assert_eq!(single(FaultKind::Drop).read(0, 0, truth), None);
         assert_eq!(
@@ -364,8 +348,10 @@ mod tests {
         );
         let rolled = single(FaultKind::Rollback).read(0, 0, truth).unwrap();
         assert!(rolled.cpu_cycles < truth.cpu_cycles);
+        assert_eq!(rolled.ext.l1i_miss, 20);
         let spiked = single(FaultKind::Spike).read(0, 0, truth).unwrap();
         assert!(spiked.cpu_cycles > truth.cpu_cycles * 100);
+        assert_eq!(spiked.ext.l1i_miss, 40_000);
 
         // Freeze repeats the previously *returned* value; with no prior
         // read it returns zeroed counters.

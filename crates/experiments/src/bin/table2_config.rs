@@ -20,7 +20,7 @@ fn main() {
         (
             "SMT ways",
             "4 (BIOS: 2)".into(),
-            format!("{}", cfg.core.smt_ways),
+            format!("{}", synpa::sim::SMT_CONTEXTS),
         ),
         (
             "dispatch width",

@@ -279,7 +279,7 @@ pub fn load_cell(dir: &Path, key: &str) -> Option<SuiteCell> {
 /// Atomically publishes `text` at `path`: write a writer-private temp file
 /// in the same directory, then rename over the target. A concurrent reader
 /// or an interrupted run never observes a truncated file. Orphans left by
-/// killed writers are collected by [`sweep_stale_tmp`], which runs once
+/// killed writers are collected by `sweep_stale_tmp`, which runs once
 /// per directory per sweep/binary — not here, to keep publishes O(1).
 pub fn write_atomic(path: &Path, text: &str) {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

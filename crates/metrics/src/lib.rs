@@ -60,7 +60,7 @@ pub fn tt_speedup(tt_baseline: f64, tt_policy: f64) -> f64 {
     tt_baseline / tt_policy
 }
 
-/// Fairness of a workload execution (§VI-D, after [24]):
+/// Fairness of a workload execution (§VI-D, after the paper's \[24\]):
 /// `1 − σ(IS) / µ(IS)` over the individual speedups `IS_k = IPC_smt,k /
 /// IPC_solo,k`. 1 = perfectly fair; lower = some applications progress
 /// disproportionately slowly.

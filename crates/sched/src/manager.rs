@@ -29,7 +29,7 @@ use crate::stats::RunStats;
 use std::collections::VecDeque;
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultInjector, SanitizingSession};
-use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram};
+use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram, SMT_CONTEXTS};
 
 /// Final per-application result.
 #[derive(Debug, Clone)]
@@ -149,16 +149,15 @@ pub fn run_workload(
 /// app waiting until a slot frees. Cores out of service are skipped: a
 /// slot on an offlined core is not free capacity.
 pub fn first_free_slot(chip: &Chip) -> Option<Slot> {
-    let smt = chip.config().core.smt_ways as usize;
     let cores = chip.config().cores as usize;
     let occupied: std::collections::HashSet<usize> =
         chip.placement().iter().map(|&(_, s)| s.0).collect();
-    for ctx in 0..smt {
+    for ctx in 0..SMT_CONTEXTS {
         for core in 0..cores {
             if !chip.core_available(core) {
                 continue;
             }
-            let slot = Slot(core * smt + ctx);
+            let slot = Slot::new(core, ctx);
             if !occupied.contains(&slot.0) {
                 return Some(slot);
             }
@@ -389,7 +388,6 @@ impl<'a> QuantumLoop<'a> {
     pub(crate) fn run(&mut self, policy: &mut dyn Policy) {
         let closed = self.front == FrontEnd::Closed;
         let n = self.apps.len();
-        let smt = self.cfg.chip.core.smt_ways as usize;
         let width = self.cfg.chip.core.dispatch_width;
         loop {
             if closed && (self.quantum >= self.cfg.max_quanta || self.completed.len() == n) {
@@ -470,7 +468,7 @@ impl<'a> QuantumLoop<'a> {
                     quantum: q,
                     samples: &sanitized.samples,
                     placement: &placement,
-                    smt_ways: smt,
+                    smt_ways: SMT_CONTEXTS,
                     dispatch_width: width,
                     degraded: &sanitized.degraded,
                     availability: &availability,
@@ -479,7 +477,7 @@ impl<'a> QuantumLoop<'a> {
                 if let Some(new_placement) = policy.decide(&view) {
                     for &(app, new_slot) in &new_placement {
                         let old = self.chip.slot_of(app).expect("only placed apps are moved");
-                        if old.core(smt) != new_slot.core(smt) {
+                        if old.core() != new_slot.core() {
                             self.migrations += 1;
                         }
                     }

@@ -23,7 +23,10 @@ pub struct QuantumView<'a> {
     pub samples: &'a [(usize, PmuDelta)],
     /// Current placement (app id → slot).
     pub placement: &'a [(usize, Slot)],
-    /// SMT contexts per core.
+    /// SMT contexts per core: always 2, [`synpa_sim::SMT_CONTEXTS`]. The
+    /// quantum loop fills it from that constant and nothing in the
+    /// workspace reads it. It remains because the benchmark (`synbench/`,
+    /// a separate workspace) builds views by struct literal and copies it.
     pub smt_ways: usize,
     /// Dispatch width (needed for the category characterization).
     pub dispatch_width: u32,
@@ -52,9 +55,9 @@ impl QuantumView<'_> {
             std::collections::BTreeMap::new();
         for &(app, slot) in self.placement {
             by_core
-                .entry(slot.core(self.smt_ways))
+                .entry(slot.core())
                 .or_default()
-                .push((slot.ctx(self.smt_ways), app));
+                .push((slot.ctx(), app));
         }
         by_core
             .into_values()
@@ -74,10 +77,7 @@ impl QuantumView<'_> {
         let mut by_core: std::collections::BTreeMap<usize, Vec<usize>> =
             std::collections::BTreeMap::new();
         for &(app, slot) in self.placement {
-            by_core
-                .entry(slot.core(self.smt_ways))
-                .or_default()
-                .push(app);
+            by_core.entry(slot.core()).or_default().push(app);
         }
         by_core
             .into_values()
@@ -182,14 +182,13 @@ impl Policy for RowLog<'_> {
     }
 
     fn decide(&mut self, view: &QuantumView<'_>) -> Option<Vec<(usize, Slot)>> {
-        let smt = view.smt_ways;
         for &(app, ref delta) in view.samples {
             let placed = view.placement.iter().find(|&&(a, _)| a == app);
-            let core = placed.expect("only placed apps are sampled").1.core(smt);
+            let core = placed.expect("only placed apps are sampled").1.core();
             let co_runner = view
                 .placement
                 .iter()
-                .find(|&&(a, s)| a != app && s.core(smt) == core)
+                .find(|&&(a, s)| a != app && s.core() == core)
                 .map_or(app, |&(a, _)| a);
             self.rows.push(QuantumRow {
                 quantum: view.quantum,
@@ -229,14 +228,13 @@ pub fn units_to_slots(
     pairs: &[(usize, usize)],
     singles: &[usize],
     current: &[(usize, Slot)],
-    smt_ways: usize,
     availability: &[bool],
 ) -> Vec<(usize, Slot)> {
     let core_of = |app: usize| -> Option<usize> {
         current
             .iter()
             .find(|&&(a, _)| a == app)
-            .map(|&(_, s)| s.core(smt_ways))
+            .map(|&(_, s)| s.core())
     };
     let n_units = pairs.len() + singles.len();
     // Candidate cores in index order: with no mask the first `n_units`
@@ -297,10 +295,8 @@ pub fn units_to_slots(
         .flat_map(|i| {
             let c = candidates[assignment[i].unwrap()];
             match members(i) {
-                [Some(a), Some(b)] => {
-                    vec![(a, Slot(c * smt_ways)), (b, Slot(c * smt_ways + 1))]
-                }
-                [Some(a), None] => vec![(a, Slot(c * smt_ways))],
+                [Some(a), Some(b)] => vec![(a, Slot::new(c, 0)), (b, Slot::new(c, 1))],
+                [Some(a), None] => vec![(a, Slot::new(c, 0))],
                 _ => unreachable!("a unit has one or two members"),
             }
         })
@@ -408,13 +404,7 @@ fn place(
 ) -> Vec<(usize, Slot)> {
     let pairs: Vec<(usize, usize)> = idx_pairs.iter().map(|&(i, j)| (apps[i], apps[j])).collect();
     let singles: Vec<usize> = idx_singles.iter().map(|&i| apps[i]).collect();
-    units_to_slots(
-        &pairs,
-        &singles,
-        view.placement,
-        view.smt_ways,
-        view.availability,
-    )
+    units_to_slots(&pairs, &singles, view.placement, view.availability)
 }
 
 /// The Linux-CFS-like baseline of the paper (§VI-C): applications are
@@ -465,7 +455,6 @@ impl Policy for RandomPairing {
             &pairs,
             singles,
             view.placement,
-            view.smt_ways,
             view.availability,
         ))
     }
@@ -756,7 +745,6 @@ impl Policy for StaticPairs {
             &self.pairs,
             &[],
             view.placement,
-            view.smt_ways,
             view.availability,
         ))
     }
@@ -840,7 +828,7 @@ mod tests {
     fn placement8() -> Vec<(usize, Slot)> {
         // Linux arrival-order: app k pairs with app k+4 on core k.
         (0..4usize)
-            .flat_map(|k| [(k, Slot(2 * k)), (k + 4, Slot(2 * k + 1))])
+            .flat_map(|k| [(k, Slot::new(k, 0)), (k + 4, Slot::new(k, 1))])
             .collect()
     }
 
@@ -917,7 +905,7 @@ mod tests {
     fn pairs_to_slots_is_a_valid_placement() {
         let placement = placement8();
         let pairs = vec![(0, 1), (2, 3), (4, 5), (6, 7)];
-        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
+        let out = units_to_slots(&pairs, &[], &placement, &[]);
         let mut slots: Vec<usize> = out.iter().map(|&(_, s)| s.0).collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..8).collect::<Vec<_>>());
@@ -926,7 +914,7 @@ mod tests {
         assert_eq!(apps, (0..8).collect::<Vec<_>>());
         // Paired apps share a core.
         for &(a, b) in &pairs {
-            let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core(2);
+            let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core();
             assert_eq!(core(a), core(b));
         }
     }
@@ -936,10 +924,10 @@ mod tests {
         let placement = placement8();
         // Keep the exact same pairs: nobody should change cores.
         let pairs = vec![(0, 4), (1, 5), (2, 6), (3, 7)];
-        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
+        let out = units_to_slots(&pairs, &[], &placement, &[]);
         for &(app, slot) in &out {
             let old = placement.iter().find(|&&(a, _)| a == app).unwrap().1;
-            assert_eq!(slot.core(2), old.core(2), "app {app} should not move");
+            assert_eq!(slot.core(), old.core(), "app {app} should not move");
         }
     }
 
@@ -954,7 +942,7 @@ mod tests {
         assert_eq!(slots.len(), out.len(), "no slot hosts two apps");
         let mut per_core = std::collections::HashMap::new();
         for &(_, s) in out {
-            *per_core.entry(s.core(2)).or_insert(0) += 1;
+            *per_core.entry(s.core()).or_insert(0) += 1;
         }
         assert!(
             per_core.values().all(|&c| c <= 2),
@@ -967,16 +955,16 @@ mod tests {
         let placement = placement8();
         let pairs = vec![(0, 4), (1, 5), (2, 6)];
         let singles = vec![3, 7];
-        let out = units_to_slots(&pairs, &singles, &placement, 2, &[]);
+        let out = units_to_slots(&pairs, &singles, &placement, &[]);
         assert_eq!(out.len(), 8);
         assert_valid_odd_placement(&out, (0..8).collect());
-        let core = |x: usize| out.iter().find(|&&(a, _)| a == x).unwrap().1.core(2);
+        let core = |x: usize| out.iter().find(|&&(a, _)| a == x).unwrap().1.core();
         for &(a, b) in &pairs {
             assert_eq!(core(a), core(b));
         }
         for &s in &singles {
             let c = core(s);
-            let on_core = out.iter().filter(|&&(_, sl)| sl.core(2) == c).count();
+            let on_core = out.iter().filter(|&&(_, sl)| sl.core() == c).count();
             assert_eq!(on_core, 1, "single {s} shares core {c}");
         }
     }
@@ -987,8 +975,8 @@ mod tests {
         let pairs = vec![(0, 4), (1, 5), (2, 6)];
         let singles = vec![3];
         assert_eq!(
-            units_to_slots(&pairs, &singles, &placement, 2, &[]),
-            units_to_slots(&pairs, &singles, &placement, 2, &[true; 4])
+            units_to_slots(&pairs, &singles, &placement, &[]),
+            units_to_slots(&pairs, &singles, &placement, &[true; 4])
         );
     }
 
@@ -1007,12 +995,12 @@ mod tests {
         ];
         let avail = [true, false, true, true];
         let pairs = vec![(0, 1), (2, 3), (4, 5)];
-        let out = units_to_slots(&pairs, &[], &placement, 2, &avail);
+        let out = units_to_slots(&pairs, &[], &placement, &avail);
         assert_eq!(out.len(), 6);
         for &(app, slot) in &out {
-            assert!(avail[slot.core(2)], "app {app} placed on offline core");
+            assert!(avail[slot.core()], "app {app} placed on offline core");
         }
-        let core = |x: usize| out.iter().find(|&&(a, _)| a == x).unwrap().1.core(2);
+        let core = |x: usize| out.iter().find(|&&(a, _)| a == x).unwrap().1.core();
         assert_eq!(core(0), 0, "pair (0,1) stays on its core");
         assert_eq!(core(2), 2, "pair (2,3) stays on its core");
         assert_eq!(core(4), 3, "pair (4,5) takes the remaining core");
@@ -1024,7 +1012,7 @@ mod tests {
         let placement = placement8();
         let pairs = vec![(0, 4), (1, 5), (2, 6), (3, 7)];
         // 4 units but only 3 available cores: impossible by construction.
-        units_to_slots(&pairs, &[], &placement, 2, &[true, true, true, false]);
+        units_to_slots(&pairs, &[], &placement, &[true, true, true, false]);
     }
 
     #[test]
@@ -1162,7 +1150,7 @@ mod tests {
         for core in 0..4 {
             let on_core: Vec<usize> = decision
                 .iter()
-                .filter(|&&(_, s)| s.core(2) == core)
+                .filter(|&&(_, s)| s.core() == core)
                 .map(|&(a, _)| a)
                 .collect();
             assert_eq!(on_core.len(), 2);
@@ -1206,7 +1194,7 @@ mod tests {
         };
         let first = policy.decide(&view).expect("applies at quantum 0");
         let core =
-            |p: &[(usize, Slot)], x: usize| p.iter().find(|&&(a, _)| a == x).unwrap().1.core(2);
+            |p: &[(usize, Slot)], x: usize| p.iter().find(|&&(a, _)| a == x).unwrap().1.core();
         assert_eq!(core(&first, 0), core(&first, 1));
         assert!(policy.decide(&view).is_none(), "never re-applies");
     }
@@ -1421,7 +1409,7 @@ mod tests {
         for core in 0..4 {
             let on_core: Vec<usize> = decision
                 .iter()
-                .filter(|&&(_, s)| s.core(2) == core)
+                .filter(|&&(_, s)| s.core() == core)
                 .map(|&(a, _)| a)
                 .collect();
             assert!((on_core[0] < 4) != (on_core[1] < 4));
@@ -1468,7 +1456,7 @@ mod tests {
             };
             let mut next = policy.decide(&view).expect("every app has a true ST");
             let core_of = |p: &[(usize, Slot)], app: usize| {
-                p.iter().find(|&&(a, _)| a == app).unwrap().1.core(2)
+                p.iter().find(|&&(a, _)| a == app).unwrap().1.core()
             };
             let moved = (0..12)
                 .filter(|&a| core_of(&placement, a) != core_of(&next, a))
@@ -1515,7 +1503,7 @@ mod tests {
         // debug-asserts that the bound never exceeds the cost it solved).
         let mut policy = Synpa::new(model());
         let mut placement: Vec<(usize, Slot)> = (0..28usize)
-            .flat_map(|k| [(k, Slot(2 * k)), (k + 28, Slot(2 * k + 1))])
+            .flat_map(|k| [(k, Slot::new(k, 0)), (k + 28, Slot::new(k, 1))])
             .collect();
         let (mut migrations, mut checked) = (0, 0);
         for q in 0..140u64 {

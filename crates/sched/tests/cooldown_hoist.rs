@@ -64,7 +64,7 @@ fn hoisted_cooldown_gate_preserves_every_decision() {
     // interaction the hoist could have broken.
     policy.hysteresis = 0.0;
     let mut placement: Vec<(usize, Slot)> = (0..4usize)
-        .flat_map(|k| [(k, Slot(2 * k)), (k + 4, Slot(2 * k + 1))])
+        .flat_map(|k| [(k, Slot::new(k, 0)), (k + 4, Slot::new(k, 1))])
         .collect();
     let mut trace = String::new();
     let mut migrations = 0u64;

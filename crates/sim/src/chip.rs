@@ -12,19 +12,30 @@ use crate::pmu::PmuCounters;
 use crate::program::ThreadProgram;
 use crate::thread::{Completion, HwThread};
 
-/// A hardware-thread slot, addressed as `core * smt_ways + ctx`.
+/// SMT contexts per core. The paper runs the ThunderX2 in SMT2 mode only,
+/// and the pair model, the per-pair inversion and the Blossom pairing all
+/// assume two threads per core, so this is a constant, not a setting.
+pub const SMT_CONTEXTS: usize = 2;
+
+/// A hardware-thread slot, addressed as `core * SMT_CONTEXTS + ctx`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slot(pub usize);
 
 impl Slot {
-    /// Physical core index for a chip with `smt_ways` contexts per core.
-    pub fn core(&self, smt_ways: usize) -> usize {
-        self.0 / smt_ways
+    /// Context `ctx` (0 or 1) of `core`.
+    pub fn new(core: usize, ctx: usize) -> Self {
+        debug_assert!(ctx < SMT_CONTEXTS, "no context {ctx} on a two-context core");
+        Slot(core * SMT_CONTEXTS + ctx)
+    }
+
+    /// Physical core index.
+    pub fn core(&self) -> usize {
+        self.0 / SMT_CONTEXTS
     }
 
     /// Context index within the core.
-    pub fn ctx(&self, smt_ways: usize) -> usize {
-        self.0 % smt_ways
+    pub fn ctx(&self) -> usize {
+        self.0 % SMT_CONTEXTS
     }
 }
 
@@ -38,7 +49,7 @@ pub struct Chip {
     pub(crate) events: Vec<Completion>,
     /// `app_id → Slot` index kept in sync by `attach`/`detach`/
     /// `set_placement`, so the per-quantum scheduler lookups (`slot_of`,
-    /// `pmu_of`, `placement`) are O(1)/O(apps) instead of O(cores × smt).
+    /// `pmu_of`, `placement`) are O(1)/O(apps) instead of O(slots).
     slot_index: HashMap<usize, Slot>,
     /// Per-core availability: `true` = the core is out of service (failed
     /// or administratively offlined) and is excluded from stepping by every
@@ -77,13 +88,20 @@ impl Chip {
         self.cycle
     }
 
-    fn smt(&self) -> usize {
-        self.cfg.core.smt_ways as usize
-    }
-
     /// Total hardware-thread slots.
     pub fn slots(&self) -> usize {
-        self.cores.len() * self.smt()
+        self.cores.len() * SMT_CONTEXTS
+    }
+
+    /// The context `slot` names.
+    fn ctx_mut(&mut self, slot: Slot) -> &mut Option<HwThread> {
+        &mut self.cores[slot.core()].ctx[slot.ctx()]
+    }
+
+    /// The thread running `app_id`, if placed.
+    fn thread_of(&self, app_id: usize) -> Option<&HwThread> {
+        let slot = self.slot_of(app_id)?;
+        self.cores[slot.core()].ctx[slot.ctx()].as_ref()
     }
 
     /// Places a new application on `slot`. Panics if the slot is occupied
@@ -94,27 +112,26 @@ impl Chip {
             !self.slot_index.contains_key(&app_id),
             "app {app_id} already placed"
         );
-        let smt = self.smt();
         assert!(
-            !self.offline[slot.core(smt)],
+            !self.offline[slot.core()],
             "slot {slot:?} is on offline core {}",
-            slot.core(smt)
+            slot.core()
         );
-        let ctx = &mut self.cores[slot.core(smt)].ctx[slot.ctx(smt)];
-        assert!(ctx.is_none(), "slot {slot:?} already occupied");
-        *ctx = Some(HwThread::new(
+        let thread = HwThread::new(
             app_id,
             program,
             self.cfg.seed ^ (app_id as u64) << 17,
             self.cfg.l1d.line_bytes as u64,
-        ));
+        );
+        let ctx = self.ctx_mut(slot);
+        assert!(ctx.is_none(), "slot {slot:?} already occupied");
+        *ctx = Some(thread);
         self.slot_index.insert(app_id, slot);
     }
 
     /// Removes the thread on `slot`, returning it (if any).
     pub fn detach(&mut self, slot: Slot) -> Option<HwThread> {
-        let smt = self.smt();
-        let taken = self.cores[slot.core(smt)].ctx[slot.ctx(smt)].take();
+        let taken = self.ctx_mut(slot).take();
         if let Some(t) = taken.as_ref() {
             self.slot_index.remove(&t.app_id());
         }
@@ -143,7 +160,6 @@ impl Chip {
     /// Panics if the target placement maps two apps to one slot or names an
     /// app that is not currently placed.
     pub fn set_placement(&mut self, target: &[(usize, Slot)]) {
-        let smt = self.smt();
         {
             let mut seen = vec![false; self.slots()];
             for &(_, s) in target {
@@ -161,19 +177,19 @@ impl Chip {
                 )
             });
             let t = self.detach(src).unwrap();
-            moved.push((src.core(smt), dst, t));
+            moved.push((src.core(), dst, t));
         }
         for (old_core, dst, mut t) in moved {
             assert!(
-                !self.offline[dst.core(smt)],
+                !self.offline[dst.core()],
                 "target slot {dst:?} is on offline core {}",
-                dst.core(smt)
+                dst.core()
             );
-            if dst.core(smt) != old_core {
+            if dst.core() != old_core {
                 t.apply_migration(self.cycle, self.cfg.migration_penalty);
             }
             let app_id = t.app_id();
-            let ctx = &mut self.cores[dst.core(smt)].ctx[dst.ctx(smt)];
+            let ctx = self.ctx_mut(dst);
             assert!(
                 ctx.is_none(),
                 "target slot {dst:?} occupied by unlisted app"
@@ -257,11 +273,10 @@ impl Chip {
 
     /// Applications currently placed on `core`, in slot order.
     pub fn apps_on_core(&self, core: usize) -> Vec<usize> {
-        let smt = self.smt();
         let mut out: Vec<usize> = self
             .slot_index
             .iter()
-            .filter(|(_, s)| s.core(smt) == core)
+            .filter(|(_, s)| s.core() == core)
             .map(|(&a, _)| a)
             .collect();
         out.sort_unstable();
@@ -272,14 +287,13 @@ impl Chip {
     /// slot and its cycle counter but never retires or completes again.
     /// Panics if the app is not placed.
     pub fn hang_app(&mut self, app_id: usize) {
-        let smt = self.smt();
         let slot = self.slot_of(app_id).unwrap_or_else(|| {
             panic!(
                 "app {app_id} not placed (current placement: {:?})",
                 self.placement()
             )
         });
-        self.cores[slot.core(smt)].ctx[slot.ctx(smt)]
+        self.ctx_mut(slot)
             .as_mut()
             .expect("slot index consistent")
             .hang();
@@ -288,29 +302,17 @@ impl Chip {
     /// True when the thread running `app_id` has been wedged by
     /// [`Chip::hang_app`].
     pub fn is_hung(&self, app_id: usize) -> bool {
-        let smt = self.smt();
-        self.slot_of(app_id)
-            .and_then(|slot| self.cores[slot.core(smt)].ctx[slot.ctx(smt)].as_ref())
-            .map(|t| t.is_hung())
-            .unwrap_or(false)
+        self.thread_of(app_id).is_some_and(|t| t.is_hung())
     }
 
     /// PMU counters of the thread running `app_id`.
     pub fn pmu_of(&self, app_id: usize) -> Option<&PmuCounters> {
-        let smt = self.smt();
-        let slot = self.slot_of(app_id)?;
-        self.cores[slot.core(smt)].ctx[slot.ctx(smt)]
-            .as_ref()
-            .map(|t| t.pmu())
+        self.thread_of(app_id).map(|t| t.pmu())
     }
 
     /// Launch count of `app_id` (completed executions, paper §V-B).
     pub fn launches_of(&self, app_id: usize) -> Option<u64> {
-        let smt = self.smt();
-        let slot = self.slot_of(app_id)?;
-        self.cores[slot.core(smt)].ctx[slot.ctx(smt)]
-            .as_ref()
-            .map(|t| t.launches())
+        self.thread_of(app_id).map(|t| t.launches())
     }
 }
 

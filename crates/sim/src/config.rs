@@ -7,6 +7,7 @@
 //! preserves the shape of every result (see `docs/simulation.md`, "Clock
 //! and capacity scaling").
 
+use crate::chip::SMT_CONTEXTS;
 use crate::engine::EngineKind;
 
 /// Geometry of one cache level.
@@ -59,10 +60,6 @@ pub struct CoreConfig {
     /// mattering). Real SMT2 cores sit in between: a lone hog keeps most of
     /// the window, two hogs crush each other. Ablation knob.
     pub smt_window_cap: f64,
-    /// SMT contexts per core. Must be 2 (BIOS-configured SMT2, the only
-    /// mode the paper evaluates): the core models exactly two contexts,
-    /// and building a chip with any other value panics.
-    pub smt_ways: u32,
 }
 
 /// Whole-chip parameters.
@@ -136,7 +133,6 @@ impl ChipConfig {
                 mshrs_per_thread: 8,
                 redirect_penalty: 14,
                 smt_window_cap: 0.6,
-                smt_ways: 2,
             },
             l1i: CacheConfig {
                 size_bytes: 4 * 1024,
@@ -184,26 +180,9 @@ impl ChipConfig {
         Self::thunderx2(28)
     }
 
-    /// Returns a copy with a different core count, rescaling the shared
-    /// LLC by the same per-core-share rule as [`ChipConfig::thunderx2`]
-    /// (keeping set counts powers of two); per-core resources are
-    /// untouched. Panics if the LLC is not a whole number of per-core
-    /// shares (a custom size that cannot be rescaled without truncating).
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        let share = self.llc.size_bytes / llc_shares(self.cores);
-        assert!(
-            share > 0 && share * llc_shares(self.cores) == self.llc.size_bytes,
-            "LLC size {} is not a whole per-core share; set it explicitly",
-            self.llc.size_bytes
-        );
-        self.llc.size_bytes = share * llc_shares(cores);
-        self.cores = cores;
-        self
-    }
-
     /// Total hardware-thread slots on the chip.
     pub fn hw_threads(&self) -> usize {
-        (self.cores * self.core.smt_ways) as usize
+        self.cores as usize * SMT_CONTEXTS
     }
 
     /// Returns a copy with a different seed (used for experiment repetitions).
@@ -244,7 +223,6 @@ mod tests {
         assert_eq!(c.core.iq_size, 60);
         assert_eq!(c.core.load_queue, 64);
         assert_eq!(c.core.store_queue, 36);
-        assert_eq!(c.core.smt_ways, 2);
     }
 
     #[test]
@@ -259,7 +237,6 @@ mod tests {
         assert_eq!(full.cores, 28);
         assert_eq!(full.hw_threads(), 56);
         assert_eq!(full.core, ChipConfig::thunderx2(4).core, "same uarch");
-        assert_eq!(ChipConfig::thunderx2(4).with_cores(28), full);
     }
 
     #[test]

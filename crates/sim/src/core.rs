@@ -104,12 +104,7 @@ fn shared_caps(core: &crate::config::CoreConfig, active: u32) -> (u32, u32, u32)
 
 impl Core {
     /// Builds core `id` with cold private caches and empty contexts.
-    /// Panics unless `cfg.core.smt_ways` is 2.
     pub fn new(id: usize, cfg: &ChipConfig) -> Self {
-        assert_eq!(
-            cfg.core.smt_ways, 2,
-            "CoreConfig::smt_ways must be 2: the core models exactly two SMT contexts"
-        );
         Self {
             id,
             l1i: Cache::new(cfg.l1i),
@@ -662,14 +657,6 @@ mod tests {
             // active cycle.
             assert!(t.pmu.inst_spec <= t.pmu.cpu_cycles * cfg.core.dispatch_width as u64);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "CoreConfig::smt_ways must be 2")]
-    fn rejects_other_smt_widths() {
-        let mut cfg = ChipConfig::thunderx2(1);
-        cfg.core.smt_ways = 4;
-        Core::new(0, &cfg);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod rng;
 mod stream;
 mod thread;
 
-pub use chip::{Chip, Slot};
+pub use chip::{Chip, Slot, SMT_CONTEXTS};
 pub use config::{CacheConfig, ChipConfig, CoreConfig};
 pub use engine::{EngineKind, EngineStats};
 pub use faults::{parse_seed_rate, AppFault, ChipFaultConfig, CoreFault};

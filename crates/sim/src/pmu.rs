@@ -110,43 +110,32 @@ impl PmuCounters {
     /// release-mode wrap to ~2^64; callers that care can compare snapshots
     /// with [`PmuCounters::is_monotonic_since`] and flag the sample.
     pub fn delta_since(&self, earlier: &PmuCounters) -> PmuDelta {
-        PmuDelta {
-            cpu_cycles: self.cpu_cycles.saturating_sub(earlier.cpu_cycles),
-            inst_spec: self.inst_spec.saturating_sub(earlier.inst_spec),
-            stall_frontend: self.stall_frontend.saturating_sub(earlier.stall_frontend),
-            stall_backend: self.stall_backend.saturating_sub(earlier.stall_backend),
-            inst_retired: self.inst_retired.saturating_sub(earlier.inst_retired),
+        self.zip_with(earlier, u64::saturating_sub)
+    }
+
+    /// `f(self.x, other.x)` for every counter `x`, extended events
+    /// included: the one place that lists all of them.
+    pub fn zip_with(&self, other: &PmuCounters, f: impl Fn(u64, u64) -> u64) -> PmuCounters {
+        let (a, b) = (&self.ext, &other.ext);
+        PmuCounters {
+            cpu_cycles: f(self.cpu_cycles, other.cpu_cycles),
+            inst_spec: f(self.inst_spec, other.inst_spec),
+            stall_frontend: f(self.stall_frontend, other.stall_frontend),
+            stall_backend: f(self.stall_backend, other.stall_backend),
+            inst_retired: f(self.inst_retired, other.inst_retired),
             ext: ExtCounters {
-                stall_rob_full: self
-                    .ext
-                    .stall_rob_full
-                    .saturating_sub(earlier.ext.stall_rob_full),
-                stall_iq_full: self
-                    .ext
-                    .stall_iq_full
-                    .saturating_sub(earlier.ext.stall_iq_full),
-                stall_lsq_full: self
-                    .ext
-                    .stall_lsq_full
-                    .saturating_sub(earlier.ext.stall_lsq_full),
-                stall_dcache: self
-                    .ext
-                    .stall_dcache
-                    .saturating_sub(earlier.ext.stall_dcache),
-                stall_exec: self.ext.stall_exec.saturating_sub(earlier.ext.stall_exec),
-                stall_width: self.ext.stall_width.saturating_sub(earlier.ext.stall_width),
-                stall_branch: self
-                    .ext
-                    .stall_branch
-                    .saturating_sub(earlier.ext.stall_branch),
-                stall_icache: self
-                    .ext
-                    .stall_icache
-                    .saturating_sub(earlier.ext.stall_icache),
-                l1d_access: self.ext.l1d_access.saturating_sub(earlier.ext.l1d_access),
-                l1d_miss: self.ext.l1d_miss.saturating_sub(earlier.ext.l1d_miss),
-                l1i_access: self.ext.l1i_access.saturating_sub(earlier.ext.l1i_access),
-                l1i_miss: self.ext.l1i_miss.saturating_sub(earlier.ext.l1i_miss),
+                stall_rob_full: f(a.stall_rob_full, b.stall_rob_full),
+                stall_iq_full: f(a.stall_iq_full, b.stall_iq_full),
+                stall_lsq_full: f(a.stall_lsq_full, b.stall_lsq_full),
+                stall_dcache: f(a.stall_dcache, b.stall_dcache),
+                stall_exec: f(a.stall_exec, b.stall_exec),
+                stall_width: f(a.stall_width, b.stall_width),
+                stall_branch: f(a.stall_branch, b.stall_branch),
+                stall_icache: f(a.stall_icache, b.stall_icache),
+                l1d_access: f(a.l1d_access, b.l1d_access),
+                l1d_miss: f(a.l1d_miss, b.l1d_miss),
+                l1i_access: f(a.l1i_access, b.l1i_access),
+                l1i_miss: f(a.l1i_miss, b.l1i_miss),
             },
         }
     }

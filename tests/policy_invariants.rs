@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use synpa::model::{Categories, CategoryCoeffs, SynpaModel};
 use synpa::prelude::*;
 use synpa::sched::{units_to_slots, GreedySynpa, QuantumView};
-use synpa::sim::PmuCounters;
+use synpa::sim::{PmuCounters, SMT_CONTEXTS};
 
 fn test_model() -> SynpaModel {
     SynpaModel {
@@ -61,7 +61,7 @@ fn assert_valid_placement(placement: &[(usize, Slot)], n: usize) {
 /// exactly once, no slot reused, at most two apps per SMT2 core. Odd
 /// counts necessarily leave one app alone on a core — that is legal, not
 /// an error (the open-system service runs at odd occupancy routinely).
-fn assert_valid_partial_placement(placement: &[(usize, Slot)], n: usize, smt: usize) {
+fn assert_valid_partial_placement(placement: &[(usize, Slot)], n: usize) {
     let mut apps: Vec<usize> = placement.iter().map(|&(a, _)| a).collect();
     apps.sort_unstable();
     assert_eq!(apps, (0..n).collect::<Vec<_>>(), "every app exactly once");
@@ -71,11 +71,11 @@ fn assert_valid_partial_placement(placement: &[(usize, Slot)], n: usize, smt: us
     assert_eq!(slots.len(), n, "no slot hosts two apps");
     let mut per_core = std::collections::HashMap::new();
     for &(_, s) in placement {
-        *per_core.entry(s.core(smt)).or_insert(0usize) += 1;
+        *per_core.entry(s.core()).or_insert(0usize) += 1;
     }
     assert!(
-        per_core.values().all(|&c| c <= smt),
-        "a core can host at most {smt} threads"
+        per_core.values().all(|&c| c <= SMT_CONTEXTS),
+        "a core can host at most {SMT_CONTEXTS} threads"
     );
 }
 
@@ -129,14 +129,14 @@ proptest! {
         };
         let mut random = RandomPairing::new(seed);
         let decision = random.decide(&view).unwrap();
-        assert_valid_partial_placement(&decision, 7, 2);
+        assert_valid_partial_placement(&decision, 7);
         let mut synpa = Synpa::new(test_model()).without_damping();
         if let Some(decision) = synpa.decide(&view) {
-            assert_valid_partial_placement(&decision, 7, 2);
+            assert_valid_partial_placement(&decision, 7);
             let singles: usize = {
                 let mut per_core = std::collections::HashMap::new();
                 for &(_, s) in &decision {
-                    *per_core.entry(s.core(2)).or_insert(0usize) += 1;
+                    *per_core.entry(s.core()).or_insert(0usize) += 1;
                 }
                 per_core.values().filter(|&&c| c == 1).count()
             };
@@ -166,10 +166,10 @@ proptest! {
     fn pairs_to_slots_never_splits_pairs(perm in proptest::sample::subsequence((0..8usize).collect::<Vec<_>>(), 8).prop_shuffle()) {
         let placement: Vec<(usize, Slot)> = (0..8usize).map(|a| (a, Slot(a))).collect();
         let pairs: Vec<(usize, usize)> = perm.chunks(2).map(|c| (c[0], c[1])).collect();
-        let out = units_to_slots(&pairs, &[], &placement, 2, &[]);
+        let out = units_to_slots(&pairs, &[], &placement, &[]);
         assert_valid_placement(&out, 8);
         for &(a, b) in &pairs {
-            let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core(2);
+            let core = |x: usize| out.iter().find(|&&(ap, _)| ap == x).unwrap().1.core();
             prop_assert_eq!(core(a), core(b), "pair ({}, {}) split", a, b);
         }
     }
@@ -248,7 +248,7 @@ proptest! {
                 for core in 0..4 {
                     let members: Vec<usize> = pl
                         .iter()
-                        .filter(|&&(_, s)| s.core(2) == core)
+                        .filter(|&&(_, s)| s.core() == core)
                         .map(|&(a, _)| a)
                         .collect();
                     total += model.pair_cost(&st[members[0]], &st[members[1]]);
