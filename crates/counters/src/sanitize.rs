@@ -25,6 +25,7 @@
 //! fault schedule yields a byte-identical classification sequence on
 //! every engine/thread combination (`docs/robustness.md`).
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use synpa_sim::{PmuCounters, PmuDelta};
 
@@ -48,7 +49,7 @@ pub enum SampleStatus {
 }
 
 /// Running tally of sample classifications.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SampleHealth {
     /// Samples classified [`SampleStatus::Ok`].
     pub ok: u64,

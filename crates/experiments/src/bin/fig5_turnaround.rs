@@ -11,12 +11,13 @@ fn main() {
     let mut by_kind: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for w in synpa::apps::workload::standard_suite() {
         let (linux, synpa) = cells_of(&cells, &w.name);
+        let kind = w.kind.to_string();
         let sp = tt_speedup(linux.tt_mean, synpa.tt_mean);
-        by_kind.entry(linux.kind.clone()).or_default().push(sp);
+        by_kind.entry(kind.clone()).or_default().push(sp);
         println!(
             "{:<6} {:<9} {:>8.3}  {}",
             w.name,
-            linux.kind,
+            kind,
             sp,
             bar(sp - 0.9, 80.0)
         );

@@ -14,13 +14,14 @@ fn main() {
     let mut by_kind: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for w in synpa::apps::workload::standard_suite() {
         let (linux, synpa) = cells_of(&cells, &w.name);
+        let kind = w.kind.to_string();
         let fl = fairness(&linux.app_speedup);
         let fs = fairness(&synpa.app_speedup);
         let delta = (fs / fl - 1.0) * 100.0;
-        by_kind.entry(linux.kind.clone()).or_default().push(delta);
+        by_kind.entry(kind.clone()).or_default().push(delta);
         println!(
             "{:<6} {:<9} {:>8.3} {:>8.3} {:>+7.1}%",
-            w.name, linux.kind, fl, fs, delta
+            w.name, kind, fl, fs, delta
         );
     }
     println!("\naverage fairness improvement (paper: ~25% overall, biggest in mixed):");

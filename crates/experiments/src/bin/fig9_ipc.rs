@@ -14,13 +14,14 @@ fn main() {
     let mut by_kind: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for w in synpa::apps::workload::standard_suite() {
         let (linux, synpa) = cells_of(&cells, &w.name);
+        let kind = w.kind.to_string();
         let il = workload_ipc(&linux.app_ipc);
         let is = workload_ipc(&synpa.app_ipc);
-        by_kind.entry(linux.kind.clone()).or_default().push(is / il);
+        by_kind.entry(kind.clone()).or_default().push(is / il);
         println!(
             "{:<6} {:<9} {:>8.3} {:>8.3} {:>9.3}",
             w.name,
-            linux.kind,
+            kind,
             il,
             is,
             is / il

@@ -176,7 +176,7 @@ fn main() {
             over_progressed(&synpa.app_speedup, fairness),
             over_progressed(&synpa.app_speedup, antt),
             stp(&synpa.app_speedup),
-            synpa.migrations,
+            synpa.exemplar.migrations,
         );
         println!(
             "{:<6} {:<8} linux fairness {:.3}, IPC geomean linux {:.3} vs synpa {:.3}",
@@ -187,7 +187,7 @@ fn main() {
             over_progressed(&synpa.app_ipc, workload_ipc),
         );
         // The accounting lines below read the exemplar repetition's stats.
-        let (linux, synpa) = (&linux.stats, &synpa.stats);
+        let (linux, synpa) = (&linux.exemplar.stats, &synpa.exemplar.stats);
         // Matching-layer accounting: how many pairing quanta the lower
         // bound answered without a blossom solve.
         let rate = if synpa.matcher_calls == 0 {

@@ -27,10 +27,10 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 pub use suite::{
     canned_model, cell_key, config_hash, load_cell, run_suite_sequential, run_suite_sharded,
-    store_cell, write_atomic, SuiteCell, SuitePolicy, SuiteSpec,
+    store_cell, write_atomic, SuitePolicy, SuiteSpec,
 };
-use synpa::model::CategoryCoeffs;
 use synpa::prelude::*;
+use synpa::sched::CellOutcome;
 
 /// Directory where experiment outputs and caches are written. On first
 /// call per process it also collects temp files a killed run left
@@ -74,7 +74,7 @@ pub fn training_split() -> (Vec<AppProfile>, Vec<AppProfile>) {
 #[derive(Serialize, Deserialize)]
 struct ModelOnDisk {
     key: String,
-    coeffs: [[f64; 4]; 3],
+    model: SynpaModel,
     mse: [f64; 3],
 }
 
@@ -107,45 +107,22 @@ fn model_key(train_set: &[AppProfile], cfg: &TrainingConfig) -> String {
     format!("{h:016x}")
 }
 
-fn store_model(path: &Path, key: &str, m: &SynpaModel, mse: [f64; 3]) {
+fn store_model(path: &Path, key: &str, model: &SynpaModel, mse: [f64; 3]) {
     let disk = ModelOnDisk {
         key: key.to_string(),
-        coeffs: [
-            coeff_array(&m.full_dispatch),
-            coeff_array(&m.frontend),
-            coeff_array(&m.backend),
-        ],
+        model: *model,
         mse,
     };
     write_atomic(path, &serde_json::to_string_pretty(&disk).unwrap());
 }
 
-fn coeff_array(c: &CategoryCoeffs) -> [f64; 4] {
-    [c.alpha, c.beta, c.gamma, c.rho]
-}
-
-fn coeff_from(a: [f64; 4]) -> CategoryCoeffs {
-    CategoryCoeffs {
-        alpha: a[0],
-        beta: a[1],
-        gamma: a[2],
-        rho: a[3],
-    }
-}
-
 /// Loads the cached fit, returning `None` when the file is missing,
-/// unparseable or carries a different key.
+/// unparseable (corrupted or in an older format) or carries a different
+/// key.
 fn load_model(path: &Path, key: &str) -> Option<(SynpaModel, [f64; 3])> {
     let text = std::fs::read_to_string(path).ok()?;
     let disk: ModelOnDisk = serde_json::from_str(&text).ok()?;
-    (disk.key == key).then_some((
-        SynpaModel {
-            full_dispatch: coeff_from(disk.coeffs[0]),
-            frontend: coeff_from(disk.coeffs[1]),
-            backend: coeff_from(disk.coeffs[2]),
-        },
-        disk.mse,
-    ))
+    (disk.key == key).then_some((disk.model, disk.mse))
 }
 
 /// Worker threads for parallel runs.
@@ -207,7 +184,7 @@ pub fn eval_config() -> ExperimentConfig {
 /// (milliseconds when warm); `results/suite.json` is a write-only aggregate
 /// for external consumers, never trusted as a cache. `SYNPA_FRESH=1` drops
 /// the cell cache before running.
-pub fn evaluation_suite() -> Vec<SuiteCell> {
+pub fn evaluation_suite() -> Vec<CellOutcome> {
     let cells_dir = results_dir().join("cells");
     let (model, _) = trained_model();
     let spec = SuiteSpec {
@@ -223,7 +200,10 @@ pub fn evaluation_suite() -> Vec<SuiteCell> {
 }
 
 /// Finds the two cells (linux, synpa) of one workload in suite results.
-pub fn cells_of<'a>(cells: &'a [SuiteCell], workload: &str) -> (&'a SuiteCell, &'a SuiteCell) {
+pub fn cells_of<'a>(
+    cells: &'a [CellOutcome],
+    workload: &str,
+) -> (&'a CellOutcome, &'a CellOutcome) {
     let linux = cells
         .iter()
         .find(|c| c.workload == workload && c.policy == "linux")
@@ -315,6 +295,23 @@ mod tests {
         assert_eq!(format!("{loaded:?}"), format!("{model:?}"));
         assert_eq!(mse, [0.5, 0.25, 0.125]);
         assert!(load_model(&path, "wrong").is_none(), "stale fit rejected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cached_model_in_the_coefficient_array_format_is_rejected() {
+        let dir = std::env::temp_dir().join("synpa-model-array-format");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let (train_set, _) = training_split();
+        let key = model_key(&train_set, &TrainingConfig::default());
+        let arrays = format!(
+            r#"{{"key": "{key}", "coeffs": [[0.05, 1.0, 0.05, 0.1], [0.03, 1.0, 0.0, 0.2],
+            [0.1, 1.0, 0.1, 0.8]], "mse": [0.5, 0.25, 0.125]}}"#
+        );
+        std::fs::write(&path, arrays).unwrap();
+        assert!(load_model(&path, &key).is_none(), "old format refit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

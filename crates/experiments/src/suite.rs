@@ -19,55 +19,6 @@ use std::path::{Path, PathBuf};
 use synpa::prelude::*;
 use synpa::sched::{calibrate_apps, parallel_map, CellOutcome, GreedySynpa, PreparedWorkload};
 
-/// One workload×policy cell of an evaluation sweep, in serializable form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SuiteCell {
-    /// Workload name (`be0`..`fb9`, or `fc*` for full-chip scenarios).
-    pub workload: String,
-    /// Workload family (`backend`/`frontend`/`mixed`).
-    pub kind: String,
-    /// Policy name (`linux`/`synpa`/...).
-    pub policy: String,
-    /// Mean turnaround time over kept repetitions (cycles).
-    pub tt_mean: f64,
-    /// Coefficient of variation of the kept repetitions.
-    pub tt_cv: f64,
-    /// Repetitions discarded by the outlier rule.
-    pub discarded: usize,
-    /// Application names, arrival order.
-    pub app_names: Vec<String>,
-    /// Mean per-app IPC.
-    pub app_ipc: Vec<f64>,
-    /// Mean per-app individual speedup (vs. isolated execution).
-    pub app_speedup: Vec<f64>,
-    /// Migrations in the exemplar repetition.
-    pub migrations: u64,
-    /// The exemplar repetition's run accounting (matcher, sample health
-    /// and injected faults, chip faults, censored apps). `RunStats` has no
-    /// serde defaults, so a cell cached before one of its counters existed
-    /// is recomputed rather than loaded with fabricated zeros.
-    pub stats: RunStats,
-}
-
-impl SuiteCell {
-    /// Converts a raw cell outcome into the serializable suite row.
-    pub fn from_outcome(workload: &Workload, policy: SuitePolicy, cell: &CellOutcome) -> Self {
-        SuiteCell {
-            workload: workload.name.clone(),
-            kind: workload.kind.to_string(),
-            policy: policy.name().to_string(),
-            tt_mean: cell.tt_mean,
-            tt_cv: cell.tt_cv,
-            discarded: cell.discarded,
-            app_names: cell.app_names.clone(),
-            app_ipc: cell.app_ipc.clone(),
-            app_speedup: cell.app_speedup.clone(),
-            migrations: cell.exemplar.migrations,
-            stats: cell.exemplar.stats,
-        }
-    }
-}
-
 /// Policy selector for suite cells (the policies a sweep can grid over).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuitePolicy {
@@ -265,12 +216,15 @@ pub fn cell_key(
 #[derive(Serialize, Deserialize)]
 struct CachedCell {
     key: String,
-    cell: SuiteCell,
+    cell: CellOutcome,
 }
 
 /// Loads one cached cell, returning `None` when the file is missing,
-/// unparseable (corrupted) or carries a different key.
-pub fn load_cell(dir: &Path, key: &str) -> Option<SuiteCell> {
+/// unparseable (corrupted or in an older schema) or carries a different
+/// key. `CellOutcome` and the records inside it have no serde defaults,
+/// so a cell cached before one of their fields existed is recomputed
+/// rather than loaded with fabricated zeros.
+pub fn load_cell(dir: &Path, key: &str) -> Option<CellOutcome> {
     let text = std::fs::read_to_string(dir.join(format!("{key}.json"))).ok()?;
     let cached: CachedCell = serde_json::from_str(&text).ok()?;
     (cached.key == key).then_some(cached.cell)
@@ -346,7 +300,7 @@ pub(crate) fn sweep_stale_tmp(dir: &Path) {
 
 /// Persists one cell under its key (creates the directory as needed);
 /// publication is atomic.
-pub fn store_cell(dir: &Path, key: &str, cell: &SuiteCell) {
+pub fn store_cell(dir: &Path, key: &str, cell: &CellOutcome) {
     std::fs::create_dir_all(dir).expect("create cell cache dir");
     let envelope = CachedCell {
         key: key.to_string(),
@@ -361,13 +315,13 @@ pub fn store_cell(dir: &Path, key: &str, cell: &SuiteCell) {
 /// The pre-sharding reference loop: prepare each workload once, run its
 /// policies in grid order, no caching. Kept as the determinism oracle the
 /// sharded orchestrator is tested against.
-pub fn run_suite_sequential(spec: &SuiteSpec, model: SynpaModel) -> Vec<SuiteCell> {
+pub fn run_suite_sequential(spec: &SuiteSpec, model: SynpaModel) -> Vec<CellOutcome> {
     let mut cells = Vec::with_capacity(spec.workloads.len() * spec.policies.len());
     for w in &spec.workloads {
         let prepared = prepare_workload(w, &spec.config);
         for &p in &spec.policies {
-            let outcome = run_cell(&prepared, |seed| p.build(model, seed), &spec.config);
-            cells.push(SuiteCell::from_outcome(w, p, &outcome));
+            let cell = run_cell(&prepared, |seed| p.build(model, seed), &spec.config);
+            cells.push(cell);
         }
     }
     cells
@@ -388,7 +342,7 @@ pub fn run_suite_sequential(spec: &SuiteSpec, model: SynpaModel) -> Vec<SuiteCel
 /// items: a 40-cell standard sweep pins cells to 1 thread (the grid
 /// saturates the workers), while a 2-cell full-chip run still parallelizes
 /// each cell's repetitions.
-pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) -> Vec<SuiteCell> {
+pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) -> Vec<CellOutcome> {
     let threads = threads.max(1);
     if let Some(dir) = spec.cache_dir.as_deref() {
         // SYNPA_FRESH drops the cell cache here, in the one place that owns
@@ -407,7 +361,7 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
         .collect();
 
     // Probe the cache for every cell.
-    let cached: Vec<Option<SuiteCell>> = grid
+    let cached: Vec<Option<CellOutcome>> = grid
         .iter()
         .map(|&(wi, p)| {
             let dir = spec.cache_dir.as_deref()?;
@@ -442,15 +396,14 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
     let mut cell_cfg = spec.config.clone();
     cell_cfg.threads = (threads / missing_cells.max(1)).max(1);
     let indices: Vec<usize> = (0..grid.len()).collect();
-    let computed: Vec<Option<SuiteCell>> = parallel_map(&indices, threads, |&i| {
+    let computed: Vec<Option<CellOutcome>> = parallel_map(&indices, threads, |&i| {
         if cached[i].is_some() {
             return None;
         }
         let (wi, p) = grid[i];
         let w = &spec.workloads[wi];
         eprintln!("running {} under {} ...", w.name, p.name());
-        let outcome = run_cell(&prepared_of[&wi], |seed| p.build(model, seed), &cell_cfg);
-        let cell = SuiteCell::from_outcome(w, p, &outcome);
+        let cell = run_cell(&prepared_of[&wi], |seed| p.build(model, seed), &cell_cfg);
         if let Some(dir) = spec.cache_dir.as_deref() {
             store_cell(dir, &cell_key(w, p, &spec.config, &model), &cell);
         }
@@ -468,6 +421,7 @@ pub fn run_suite_sharded(spec: &SuiteSpec, model: SynpaModel, threads: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synpa::sched::RunResult;
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig::default()
@@ -631,18 +585,25 @@ mod tests {
     fn load_rejects_mismatched_key() {
         let dir = std::env::temp_dir().join("synpa-suite-key-mismatch");
         let _ = std::fs::remove_dir_all(&dir);
-        let cell = SuiteCell {
+        let cell = CellOutcome {
             workload: "w".into(),
-            kind: "mixed".into(),
             policy: "linux".into(),
             tt_mean: 1.0,
             tt_cv: 0.0,
+            tt_runs: vec![],
             discarded: 0,
-            app_names: vec![],
             app_ipc: vec![],
             app_speedup: vec![],
-            migrations: 0,
-            stats: RunStats::default(),
+            app_names: vec![],
+            exemplar: RunResult {
+                policy: "linux".into(),
+                tt_cycles: 1,
+                per_app: vec![],
+                quanta: 0,
+                migrations: 0,
+                capped: false,
+                stats: RunStats::default(),
+            },
         };
         store_cell(&dir, "right", &cell);
         std::fs::rename(dir.join("right.json"), dir.join("wrong.json")).unwrap();

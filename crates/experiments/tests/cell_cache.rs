@@ -8,9 +8,9 @@
 
 use std::path::{Path, PathBuf};
 use synpa::prelude::*;
+use synpa::sched::{CellOutcome, RunResult};
 use synpa_experiments::{
-    cell_key, config_hash, load_cell, run_suite_sharded, store_cell, SuiteCell, SuitePolicy,
-    SuiteSpec,
+    cell_key, config_hash, load_cell, run_suite_sharded, store_cell, SuitePolicy, SuiteSpec,
 };
 
 fn model() -> SynpaModel {
@@ -43,19 +43,26 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// A cell that no real run could produce, used to prove cache hits.
-fn sentinel() -> SuiteCell {
-    SuiteCell {
+fn sentinel() -> CellOutcome {
+    CellOutcome {
         workload: "fb2".into(),
-        kind: "mixed".into(),
         policy: "linux".into(),
         tt_mean: 123_456_789.0,
         tt_cv: 0.0,
+        tt_runs: vec![123_456_789],
         discarded: 0,
-        app_names: vec!["sentinel".into()],
         app_ipc: vec![1.0],
         app_speedup: vec![1.0],
-        migrations: 77,
-        stats: RunStats::default(),
+        app_names: vec!["sentinel".into()],
+        exemplar: RunResult {
+            policy: "linux".into(),
+            tt_cycles: 123_456_789,
+            per_app: vec![],
+            quanta: 0,
+            migrations: 77,
+            capped: false,
+            stats: RunStats::default(),
+        },
     }
 }
 
@@ -152,11 +159,14 @@ fn cell_cached_without_censored_apps_is_not_trusted() {
 fn capped_cell_counts_its_censored_apps() {
     let dir = temp_dir("censored-count");
     let healthy = run_suite_sharded(&spec(&dir, mini_config()), model(), 1);
-    assert_eq!(healthy[0].stats.censored, 0);
+    assert_eq!(healthy[0].exemplar.stats.censored, 0);
     let mut capped = mini_config();
     capped.manager.max_quanta = 2;
     let cut = run_suite_sharded(&spec(&dir, capped), model(), 1);
-    assert_eq!(cut[0].stats.censored, cut[0].app_names.len() as u64);
+    assert_eq!(
+        cut[0].exemplar.stats.censored,
+        cut[0].app_names.len() as u64
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -179,6 +189,39 @@ fn cell_cached_in_the_flat_counter_schema_is_recomputed() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(format!("{key}.json")), flat).unwrap();
     assert!(load_cell(&dir, &key).is_none(), "flat-schema cell rejected");
+    let cells = run_suite_sharded(&spec(&dir, cfg), model(), 1);
+    assert_ne!(cells[0].tt_mean, sentinel().tt_mean, "cell recomputed");
+    assert_eq!(
+        load_cell(&dir, &key),
+        Some(cells[0].clone()),
+        "and rewritten"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell cached as the suite's own row record (top-level `kind` and
+/// `migrations`, flat `samples_*` and `fallback_*` counters in `stats`)
+/// is recomputed, never loaded: the cache stores `CellOutcome` itself,
+/// which has no serde defaults.
+#[test]
+fn cell_cached_as_a_suite_row_is_recomputed() {
+    let dir = temp_dir("suite-row");
+    let cfg = mini_config();
+    let w = workload::by_name("fb2").unwrap();
+    let key = cell_key(&w, SuitePolicy::Linux, &cfg, &model());
+    let row = format!(
+        r#"{{"key": "{key}", "cell": {{"workload": "fb2", "kind": "mixed", "policy": "linux",
+        "tt_mean": 123456789.0, "tt_cv": 0.0, "discarded": 0, "app_names": ["sentinel"],
+        "app_ipc": [1.0], "app_speedup": [1.0], "migrations": 77, "stats": {{
+        "samples_ok": 0, "samples_clamped": 0, "samples_held": 0, "samples_missing": 0,
+        "degraded_quanta": 0, "injected": [0, 0, 0, 0, 0, 0], "fallback_entries": 0,
+        "fallback_quanta": 0, "matcher_calls": 0, "matcher_bound": 0, "matcher_solves": 0,
+        "cores_offlined": 0, "cores_transient": 0, "cores_throttled": 0, "apps_evacuated": 0,
+        "apps_crashed": 0, "apps_hung": 0, "retries": 0, "failed": 0, "censored": 0}}}}}}"#
+    );
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{key}.json")), row).unwrap();
+    assert!(load_cell(&dir, &key).is_none(), "suite-row cell rejected");
     let cells = run_suite_sharded(&spec(&dir, cfg), model(), 1);
     assert_ne!(cells[0].tt_mean, sentinel().tt_mean, "cell recomputed");
     assert_eq!(

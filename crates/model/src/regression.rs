@@ -3,10 +3,11 @@
 
 use crate::categories::Categories;
 use crate::linalg;
+use serde::{Deserialize, Serialize};
 
 /// Coefficients of Equation 1 for one category:
 /// `C_smt[i,j] = α + β·C_st[i] + γ·C_st[j] + ρ·C_st[i]·C_st[j]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CategoryCoeffs {
     /// Independent (bias-reduction) term.
     pub alpha: f64,
@@ -93,7 +94,7 @@ impl CategoryCoeffs {
 
 /// The full SYNPA model: one Equation-1 instance per category
 /// (Table IV of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SynpaModel {
     /// Full-dispatch-cycles category.
     pub full_dispatch: CategoryCoeffs,

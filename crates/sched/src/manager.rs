@@ -26,13 +26,14 @@ use crate::chipfaults::ChipFaultDriver;
 use crate::policy::{Policy, QuantumView};
 use crate::service::{MAX_RETRIES, RETRY_BACKOFF_QUANTA, WATCHDOG_QUANTA};
 use crate::stats::RunStats;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use synpa_apps::AppProfile;
 use synpa_counters::{FaultConfig, FaultInjector, SanitizingSession};
 use synpa_sim::{AppFault, Chip, ChipConfig, ChipFaultConfig, Slot, ThreadProgram, SMT_CONTEXTS};
 
 /// Final per-application result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppResult {
     /// Workload arrival index.
     pub app: usize,
@@ -69,7 +70,7 @@ impl AppResult {
 }
 
 /// Result of running one workload under one policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Policy name.
     pub policy: String,
@@ -655,20 +656,14 @@ impl<'a> QuantumLoop<'a> {
     /// ledger, the injector's per-kind counts, the policy's matcher and
     /// guardrail counters — and the apps left without a terminal outcome.
     fn finish_stats(&mut self, policy: &dyn Policy) {
-        let health = self.session.totals();
         let matcher = policy.matcher_stats().unwrap_or_default();
-        let guard = policy.guardrail_stats().unwrap_or_default();
         let s = &mut self.stats;
-        s.samples_ok = health.ok;
-        s.samples_clamped = health.clamped;
-        s.samples_held = health.held;
-        s.samples_missing = health.missing;
+        s.samples = self.session.totals();
         s.injected = self
             .injector
             .as_ref()
             .map_or_else(Default::default, |i| i.injected());
-        s.fallback_entries = guard.fallback_entries;
-        s.fallback_quanta = guard.fallback_quanta;
+        s.guardrails = policy.guardrail_stats().unwrap_or_default();
         s.matcher_calls = matcher.calls;
         s.matcher_bound = matcher.certificate_hits;
         s.matcher_solves = matcher.cold_solves;

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use synpa_matching::{min_cost_lower_bound, min_cost_pairing, MatcherStats, Pairing};
@@ -103,7 +104,7 @@ impl QuantumView<'_> {
 /// Degraded-mode guardrail counters of an estimate-driven policy (how
 /// often it refused to act on bad samples). Baselines report `None` from
 /// [`Policy::guardrail_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GuardrailStats {
     /// Times the policy entered fallback (hold pairing, no migrations).
     pub fallback_entries: u64,

@@ -17,6 +17,7 @@
 
 use crate::manager::{run_workload_with_arrivals, ManagerConfig, RunResult};
 use crate::policy::{Policy, QuantumRow, RowLog};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use synpa_apps::{characterize_isolated_with, spec, AppProfile, Workload};
@@ -193,7 +194,7 @@ pub fn prepare_workload(workload: &Workload, cfg: &ExperimentConfig) -> Prepared
 }
 
 /// Aggregated outcome of one workload×policy cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellOutcome {
     /// Workload name.
     pub workload: String,

@@ -8,8 +8,9 @@
 //! state, so the record is engine- and thread-count-independent like every
 //! other result field.
 
+use crate::policy::GuardrailStats;
 use serde::{Deserialize, Serialize};
-use synpa_counters::{FaultKind, InjectedCounts};
+use synpa_counters::{FaultKind, InjectedCounts, SampleHealth};
 
 /// Counters of one run: sample health, injected faults, policy guardrails,
 /// the pairing matcher, execution faults and recovery, and censoring.
@@ -19,23 +20,15 @@ use synpa_counters::{FaultKind, InjectedCounts};
 /// zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunStats {
-    /// Samples classified Ok.
-    pub samples_ok: u64,
-    /// Samples clamped (non-monotonic snapshot, saturated delta).
-    pub samples_clamped: u64,
-    /// Samples held over from the last good delta.
-    pub samples_held: u64,
-    /// Samples missing outright (no row reached the policy).
-    pub samples_missing: u64,
+    /// The sanitizer's classification of every sample.
+    pub samples: SampleHealth,
     /// Quanta with at least one non-Ok sample.
     pub degraded_quanta: u64,
     /// Counter faults injected, indexed by `kind as usize`.
     pub injected: InjectedCounts,
-    /// Times the policy entered fallback (0 for policies without
+    /// The policy's fallback counts (zero for policies without
     /// guardrails).
-    pub fallback_entries: u64,
-    /// Quanta the policy spent in fallback.
-    pub fallback_quanta: u64,
+    pub guardrails: GuardrailStats,
     /// Pairing quanta (decisions that reached pair selection; 0 for
     /// policies without a matcher). Always `matcher_bound +
     /// matcher_solves`.
@@ -75,11 +68,6 @@ impl RunStats {
         self.injected.iter().sum()
     }
 
-    /// Samples that were anything but Ok.
-    pub fn samples_degraded(&self) -> u64 {
-        self.samples_clamped + self.samples_held + self.samples_missing
-    }
-
     /// One-line counter-fault summary (the `faults:` row of the experiment
     /// tables): injected per kind, classification totals, fallback counts.
     pub fn faults_summary(&self) -> String {
@@ -93,12 +81,12 @@ impl RunStats {
              missing {}, fallback entries {} quanta {}",
             self.injected_total(),
             self.degraded_quanta,
-            self.samples_ok,
-            self.samples_clamped,
-            self.samples_held,
-            self.samples_missing,
-            self.fallback_entries,
-            self.fallback_quanta,
+            self.samples.ok,
+            self.samples.clamped,
+            self.samples.held,
+            self.samples.missing,
+            self.guardrails.fallback_entries,
+            self.guardrails.fallback_quanta,
         )
     }
 

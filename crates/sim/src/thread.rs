@@ -225,11 +225,6 @@ impl HwThread {
         self.launches
     }
 
-    /// Instructions retired within the current launch.
-    pub fn retired_in_launch(&self) -> u64 {
-        self.retired_in_launch
-    }
-
     /// Wedges the thread (injected hang): it keeps its slot and its cycle
     /// counter, but never fetches, retires or completes again. Irreversible
     /// for the thread's lifetime — recovery is detach-and-relaunch.

@@ -90,7 +90,7 @@ proptest! {
         let without = faulted_run(EngineKind::PerCore, None);
         prop_assert_eq!(format!("{with:?}"), format!("{without:?}"));
         prop_assert_eq!(with.0.stats.injected_total(), 0);
-        prop_assert_eq!(with.0.stats.samples_degraded(), 0);
+        prop_assert_eq!(with.0.stats.samples.degraded(), 0);
     }
 
     // Contract 3: the injector's per-kind counters equal an independent
@@ -137,17 +137,17 @@ fn low_rate_faults_cause_bounded_degradation() {
         let cfg = FaultConfig::uniform(seed, 0.05);
         let (r, _) = faulted_run(EngineKind::PerCore, Some(cfg));
         let d = r.stats;
-        let total = d.samples_ok + d.samples_degraded();
+        let total = d.samples.ok + d.samples.degraded();
         assert!(
-            d.samples_ok * 2 > total,
+            d.samples.ok * 2 > total,
             "seed {seed}: healthy samples must dominate at 5% rate ({d:?})"
         );
         assert!(
-            d.samples_degraded() <= d.injected_total() * 3 + 4,
+            d.samples.degraded() <= d.injected_total() * 3 + 4,
             "seed {seed}: degradation must stay proportional to injection ({d:?})"
         );
         assert_eq!(
-            d.fallback_entries, 0,
+            d.guardrails.fallback_entries, 0,
             "seed {seed}: 5% noise must never trip the fallback guardrail ({d:?})"
         );
     }
