@@ -32,9 +32,9 @@ pub enum WorkloadKind {
 impl std::fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WorkloadKind::BackendIntensive => write!(f, "backend"),
-            WorkloadKind::FrontendIntensive => write!(f, "frontend"),
-            WorkloadKind::Mixed => write!(f, "mixed"),
+            WorkloadKind::BackendIntensive => f.pad("backend"),
+            WorkloadKind::FrontendIntensive => f.pad("frontend"),
+            WorkloadKind::Mixed => f.pad("mixed"),
         }
     }
 }
@@ -517,6 +517,14 @@ mod tests {
                 assert!(expected_group(a).is_some(), "unknown app {a} in {}", w.name);
             }
         }
+    }
+
+    /// Regression: `Display` wrote with `write!`, which ignores the
+    /// caller's width, so `full_chip`'s `{:<8}` kind column never padded.
+    #[test]
+    fn kind_display_honours_width() {
+        assert_eq!(format!("{:<8}|", WorkloadKind::Mixed), "mixed   |");
+        assert_eq!(WorkloadKind::BackendIntensive.to_string(), "backend");
     }
 
     #[test]

@@ -3,23 +3,29 @@
 //! application of the workload.
 
 use synpa::prelude::*;
-use synpa_experiments::{eval_config, trained_model};
+use synpa::sched::CellOutcome;
+use synpa_experiments::{cached_cells, cells_of, eval_config, trained_model, SuitePolicy};
 
 fn main() {
     let (model, _) = trained_model();
     let cfg = eval_config();
-    for name in ["be1", "fe2", "fb2"] {
-        let w = workload::by_name(name).unwrap();
-        let prepared = prepare_workload(&w, &cfg);
-        let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
-        let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+    let names = ["be1", "fe2", "fb2"];
+    let workloads: Vec<Workload> = names.map(|n| workload::by_name(n).unwrap()).into();
+    let cells = cached_cells(workloads.clone(), &SuitePolicy::PAPER, &cfg, model);
+    for (name, w) in names.into_iter().zip(&workloads) {
+        let prepared = prepare_workload(w, &cfg);
+        let rows =
+            |cell, p: SuitePolicy| exemplar_rows(&prepared, |s| p.build(model, s), &cfg, cell);
+        let (linux, synpa) = cells_of(&cells, name);
+        let linux = (linux, rows(linux, SuitePolicy::Linux));
+        let synpa = (synpa, rows(synpa, SuitePolicy::Synpa));
         println!("\nFig. 6 — workload {name}  (per app: linux | synpa, % of workload TT)");
         println!(
             "{:<14} {:>22} | {:>22}",
             "app", "FD%   FE%   BE%  time", "FD%   FE%   BE%  time"
         );
         for k in 0..8 {
-            let fmt = |(cell, rows): &(synpa::sched::CellOutcome, Vec<QuantumRow>)| {
+            let fmt = |(cell, rows): &(&CellOutcome, Vec<QuantumRow>)| {
                 let r = &cell.exemplar;
                 // Aggregate the app's categories over its run (cycle-weighted).
                 let mut acc = [0.0f64; 3];

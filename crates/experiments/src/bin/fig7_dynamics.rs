@@ -3,18 +3,19 @@
 //! category of the co-runner. Emits CSV for plotting.
 
 use synpa::prelude::*;
-use synpa_experiments::{eval_config, results_dir, trained_model};
+use synpa_experiments::{cached_cells, eval_config, results_dir, trained_model, SuitePolicy};
 
 fn main() {
     let (model, _) = trained_model();
     let cfg = eval_config();
     let w = workload::by_name("fb2").unwrap();
+    let cells = cached_cells(vec![w.clone()], &SuitePolicy::PAPER, &cfg, model);
     let prepared = prepare_workload(&w, &cfg);
     let leelas = [4usize, 5]; // the two leela_r instances (paper: 04, 05)
 
-    let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
-    let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
-    for (policy_name, (cell, rows)) in [("linux", linux), ("synpa", synpa)] {
+    for (p, cell) in SuitePolicy::PAPER.into_iter().zip(&cells) {
+        let policy_name = p.name();
+        let rows = exemplar_rows(&prepared, |s| p.build(model, s), &cfg, cell);
         for &app in &leelas {
             let r = &cell.exemplar;
             let path = results_dir().join(format!("fig7_{policy_name}_leela{app}.csv"));

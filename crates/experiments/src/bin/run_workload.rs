@@ -6,12 +6,13 @@
 //! ```
 //!
 //! Policies: `linux`, `synpa`, `greedy` (SYNPA with greedy matching),
-//! `random`, `oracle`.
+//! `random`, `oracle`. Every policy but `oracle` reads and fills the cell
+//! cache under `results/cells/` that the figure binaries share.
 
 use synpa::metrics::{fairness, workload_ipc};
 use synpa::model::training::{st_profile, TrainingConfig};
 use synpa::prelude::*;
-use synpa_experiments::{eval_config, trained_model, SuitePolicy};
+use synpa_experiments::{cached_cells, eval_config, trained_model, SuitePolicy};
 
 fn usage() -> ! {
     eprintln!("usage: run_workload <workload> <linux|synpa|greedy|random|oracle> [--reps N]");
@@ -38,6 +39,7 @@ fn main() {
         cfg.reps = args
             .get(pos + 1)
             .and_then(|v| v.parse().ok())
+            .filter(|&n| n >= 1)
             .unwrap_or_else(|| usage());
     }
 
@@ -46,12 +48,12 @@ fn main() {
         usage();
     };
     println!("workload {wl_name}: {:?}", w.apps);
-    let prepared = prepare_workload(&w, &cfg);
     let (model, _) = trained_model();
 
     // `oracle` needs per-app isolated profiles, which `SuitePolicy` cannot
-    // express; every other policy goes through the shared suite selector.
+    // express; every other policy goes through the shared cell cache.
     let cell = if policy_name == "oracle" {
+        let prepared = prepare_workload(&w, &cfg);
         let tcfg = TrainingConfig::default();
         let st: Vec<(usize, Categories)> = prepared
             .apps
@@ -65,7 +67,7 @@ fn main() {
             &cfg,
         )
     } else if let Some(p) = SuitePolicy::parse(policy_name) {
-        run_cell(&prepared, |seed| p.build(model, seed), &cfg)
+        cached_cells(vec![w], &[p], &cfg, model).remove(0)
     } else {
         usage()
     };

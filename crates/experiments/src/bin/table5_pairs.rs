@@ -3,14 +3,16 @@
 //! top, backend at the bottom), plus the synergistic-pair share.
 
 use synpa::prelude::*;
-use synpa_experiments::{eval_config, trained_model};
+use synpa_experiments::{cached_cells, eval_config, trained_model, SuitePolicy};
 
 fn main() {
     let (model, _) = trained_model();
     let cfg = eval_config();
     let w = workload::by_name("fb2").unwrap();
+    let p = SuitePolicy::Synpa;
+    let cells = cached_cells(vec![w.clone()], &[p], &cfg, model);
     let prepared = prepare_workload(&w, &cfg);
-    let (_, rows) = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
+    let rows = exemplar_rows(&prepared, |s| p.build(model, s), &cfg, &cells[0]);
 
     // counts[x][y][b]: quanta app x spent paired with y while behaving as
     // frontend (b=0) or backend (b=1).

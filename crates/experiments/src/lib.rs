@@ -6,8 +6,8 @@
 //! * the canonical train/holdout application split (§IV-C's 80 %),
 //! * the perfect-pairing enumerator behind the exhaustive ground truth,
 //! * a disk-cached trained model so binaries don't retrain redundantly,
-//! * the sharded, per-cell-cached 20-workload × {linux, synpa} evaluation
-//!   sweep shared by Figs. 5, 8 and 9 (see [`suite`]),
+//! * the sharded, per-cell-cached evaluation cells shared by Figs. 5–9,
+//!   Table V and `run_workload` (see [`cached_cells`] and [`suite`]),
 //! * the command-line flags the scenario binaries share (see [`args`]),
 //! * small table-formatting helpers.
 //!
@@ -173,30 +173,32 @@ pub fn eval_config() -> ExperimentConfig {
     }
 }
 
-/// Runs (or loads) the full 20-workload × {linux, synpa} sweep that backs
-/// Figs. 5, 8 and 9.
-///
-/// Cells are sharded across [`threads`] workers and individually cached
-/// under `results/cells/`, keyed by (workload, policy, config-hash, seed) —
-/// so an interrupted or partially invalidated sweep only recomputes what is
-/// missing, and a methodology or model change invalidates exactly the
-/// affected cells. The sweep is always assembled from the cell cache
-/// (milliseconds when warm); `results/suite.json` is a write-only aggregate
-/// for external consumers, never trusted as a cache. `SYNPA_FRESH=1` drops
-/// the cell cache before running.
-pub fn evaluation_suite() -> Vec<CellOutcome> {
-    let cells_dir = results_dir().join("cells");
-    let (model, _) = trained_model();
+/// Runs (or loads) the cells of `workloads` × `policies` under `cfg`,
+/// sharded across [`threads`] workers ([`run_suite_sharded`]) and each
+/// cached under `results/cells/`. Binaries that pass [`eval_config`] and
+/// [`trained_model`] share these cells. The sweep runs on a clone of `cfg`,
+/// so `cfg` keeps the calibrations it made. `SYNPA_FRESH=1` drops the cell
+/// cache before running.
+pub fn cached_cells(
+    workloads: Vec<Workload>,
+    policies: &[SuitePolicy],
+    cfg: &ExperimentConfig,
+    model: SynpaModel,
+) -> Vec<CellOutcome> {
     let spec = SuiteSpec {
-        workloads: workload::standard_suite(),
-        policies: vec![SuitePolicy::Linux, SuitePolicy::Synpa],
-        config: eval_config(),
-        cache_dir: Some(cells_dir),
+        workloads,
+        policies: policies.to_vec(),
+        config: cfg.clone(),
+        cache_dir: Some(results_dir().join("cells")),
     };
-    let cells = run_suite_sharded(&spec, model, threads());
-    let path = results_dir().join("suite.json");
-    write_atomic(&path, &serde_json::to_string_pretty(&cells).unwrap());
-    cells
+    run_suite_sharded(&spec, model, threads())
+}
+
+/// The full 20-workload × {linux, synpa} sweep that backs Figs. 5, 8 and 9
+/// ([`cached_cells`] under [`eval_config`] and [`trained_model`]).
+pub fn evaluation_suite() -> Vec<CellOutcome> {
+    let (suite, model) = (workload::standard_suite(), trained_model().0);
+    cached_cells(suite, &SuitePolicy::PAPER, &eval_config(), model)
 }
 
 /// Finds the two cells (linux, synpa) of one workload in suite results.
@@ -204,15 +206,13 @@ pub fn cells_of<'a>(
     cells: &'a [CellOutcome],
     workload: &str,
 ) -> (&'a CellOutcome, &'a CellOutcome) {
-    let linux = cells
-        .iter()
-        .find(|c| c.workload == workload && c.policy == "linux")
-        .expect("linux cell");
-    let synpa = cells
-        .iter()
-        .find(|c| c.workload == workload && c.policy == "synpa")
-        .expect("synpa cell");
-    (linux, synpa)
+    let find = |policy| {
+        let cell = cells
+            .iter()
+            .find(|c| c.workload == workload && c.policy == policy);
+        cell.unwrap_or_else(|| panic!("no {policy} cell for {workload}"))
+    };
+    (find("linux"), find("synpa"))
 }
 
 /// Every perfect pairing of apps `0..n` (`n` even): the `(n − 1)!!` static

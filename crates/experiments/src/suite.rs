@@ -33,6 +33,9 @@ pub enum SuitePolicy {
 }
 
 impl SuitePolicy {
+    /// The paper's two policies, the columns of every figure's sweep.
+    pub const PAPER: [SuitePolicy; 2] = [SuitePolicy::Linux, SuitePolicy::Synpa];
+
     /// Stable name used in cell keys and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -604,6 +607,7 @@ mod tests {
                 capped: false,
                 stats: RunStats::default(),
             },
+            exemplar_seed: 0,
         };
         store_cell(&dir, "right", &cell);
         std::fs::rename(dir.join("right.json"), dir.join("wrong.json")).unwrap();

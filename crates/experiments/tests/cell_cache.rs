@@ -63,6 +63,7 @@ fn sentinel() -> CellOutcome {
             capped: false,
             stats: RunStats::default(),
         },
+        exemplar_seed: 0xBEEF,
     }
 }
 
@@ -150,6 +151,39 @@ fn cell_cached_without_censored_apps_is_not_trusted() {
     assert_ne!(legacy, text, "the field was present and has been removed");
     std::fs::write(&path, legacy).unwrap();
     assert!(load_cell(&dir, "legacy").is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exemplar's seed has no serde default: a cell cached before the
+/// field existed is refused, and the sweep recomputes and rewrites it,
+/// because its exemplar's rows could not be re-run from it.
+#[test]
+fn cell_cached_without_its_exemplar_seed_is_recomputed() {
+    let dir = temp_dir("no-exemplar-seed");
+    let cfg = mini_config();
+    let w = workload::by_name("fb2").unwrap();
+    let key = cell_key(&w, SuitePolicy::Linux, &cfg, &model());
+    store_cell(&dir, &key, &sentinel());
+    let path = dir.join(format!("{key}.json"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    // The seed is the last field: cut it with the comma before it, so
+    // the file stays well-formed JSON.
+    let field = text
+        .find("\"exemplar_seed\"")
+        .expect("the field is written");
+    let comma = text[..field].rfind(',').unwrap();
+    let end = field + text[field..].find('\n').unwrap();
+    let legacy = format!("{}{}", &text[..comma], &text[end..]);
+    assert!(serde_json::from_str::<serde_json::Value>(&legacy).is_ok());
+    std::fs::write(&path, legacy).unwrap();
+    assert!(load_cell(&dir, &key).is_none(), "seedless cell rejected");
+    let cells = run_suite_sharded(&spec(&dir, cfg), model(), 1);
+    assert_ne!(cells[0].tt_mean, sentinel().tt_mean, "cell recomputed");
+    assert_eq!(
+        load_cell(&dir, &key),
+        Some(cells[0].clone()),
+        "and rewritten"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

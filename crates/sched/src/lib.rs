@@ -20,7 +20,7 @@
 //!   sampled app per quantum (Figs. 6/7, Table V); the loop keeps none;
 //! * [`run_cell`] / [`prepare_workload`] — the repetition + outlier-discard
 //!   experiment driver, with calibration memoized per [`ExperimentConfig`]
-//!   ([`run_cell_with_rows`] also returns the exemplar's rows).
+//!   ([`exemplar_rows`] re-runs a cell's exemplar for its rows).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ pub use policy::{
     QuantumView, RandomPairing, RowLog, StaticPairs, Synpa,
 };
 pub use runner::{
-    calibrate_apps, cv, discard_outliers, prepare_workload, run_cell, run_cell_with_rows,
+    calibrate_apps, cv, discard_outliers, exemplar_rows, prepare_workload, run_cell,
     CalibrationMemo, CellOutcome, ExperimentConfig, PreparedWorkload,
 };
 pub use service::{run_service, ServiceApp, ServiceConfig, ServiceResult};

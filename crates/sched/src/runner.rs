@@ -215,8 +215,22 @@ pub struct CellOutcome {
     /// Per-app names (arrival order).
     pub app_names: Vec<String>,
     /// Full result of the first kept repetition. Its per-quantum rows
-    /// (Figs. 6/7 and Table V) come from [`run_cell_with_rows`].
+    /// (Figs. 6/7 and Table V) come from [`exemplar_rows`].
     pub exemplar: RunResult,
+    /// Seed of the exemplar's repetition: `base_seed` plus its index.
+    pub exemplar_seed: u64,
+}
+
+/// Runs one repetition of `p` under `policy`, the chip seeded with `seed`.
+fn run_rep(
+    p: &PreparedWorkload,
+    policy: &mut dyn Policy,
+    cfg: &ExperimentConfig,
+    seed: u64,
+) -> RunResult {
+    let mut mgr = cfg.manager.clone();
+    mgr.chip = mgr.chip.clone().with_seed(seed);
+    run_workload_with_arrivals(&p.apps, &p.solo_ipc, policy, &mgr, &p.workload.arrivals)
 }
 
 /// Runs one workload under one policy for `cfg.reps` repetitions and
@@ -231,83 +245,31 @@ pub fn run_cell<F>(
 where
     F: Fn(u64) -> Box<dyn Policy> + Sync,
 {
-    run_reps(prepared, make_policy, cfg, false).0
-}
-
-/// [`run_cell`], plus the exemplar's per-quantum rows: each repetition's
-/// policy runs inside a [`RowLog`], and the rows of the repetition kept as
-/// the exemplar are returned.
-pub fn run_cell_with_rows<F>(
-    prepared: &PreparedWorkload,
-    make_policy: F,
-    cfg: &ExperimentConfig,
-) -> (CellOutcome, Vec<QuantumRow>)
-where
-    F: Fn(u64) -> Box<dyn Policy> + Sync,
-{
-    run_reps(prepared, make_policy, cfg, true)
-}
-
-/// The repetitions behind both: rows are recorded only when `rows` is set.
-fn run_reps<F>(
-    prepared: &PreparedWorkload,
-    make_policy: F,
-    cfg: &ExperimentConfig,
-    rows: bool,
-) -> (CellOutcome, Vec<QuantumRow>)
-where
-    F: Fn(u64) -> Box<dyn Policy> + Sync,
-{
     assert!(
         cfg.reps >= 1,
         "ExperimentConfig::reps must be at least 1 (a cell reports its first kept repetition)"
     );
     let reps: Vec<u64> = (0..cfg.reps as u64).map(|r| cfg.base_seed + r).collect();
-    let p = prepared;
     let mut results = parallel_map(&reps, cfg.threads, |&seed| {
-        let mut mgr = cfg.manager.clone();
-        mgr.chip = mgr.chip.clone().with_seed(seed);
-        let run = |policy: &mut dyn Policy| {
-            run_workload_with_arrivals(&p.apps, &p.solo_ipc, policy, &mgr, &p.workload.arrivals)
-        };
-        let mut policy = make_policy(seed);
-        if !rows {
-            return (run(policy.as_mut()), Vec::new());
-        }
-        let mut log = RowLog::new(policy.as_mut());
-        (run(&mut log), log.rows)
+        run_rep(prepared, make_policy(seed).as_mut(), cfg, seed)
     });
 
-    let tts: Vec<u64> = results.iter().map(|r| r.0.tt_cycles).collect();
+    let tts: Vec<u64> = results.iter().map(|r| r.tt_cycles).collect();
     let kept = discard_outliers(&tts, MAX_CV);
-    let kept_results: Vec<&RunResult> = kept.iter().map(|&i| &results[i].0).collect();
     let kept_tts: Vec<u64> = kept.iter().map(|&i| tts[i]).collect();
+    // The mean of `f` over the kept repetitions.
+    let mean = |f: &dyn Fn(&RunResult) -> f64| {
+        kept.iter().map(|&i| f(&results[i])).sum::<f64>() / kept.len() as f64
+    };
     let n = prepared.apps.len();
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let app_ipc: Vec<f64> = (0..n)
-        .map(|k| {
-            mean(
-                &kept_results
-                    .iter()
-                    .map(|r| r.per_app[k].ipc)
-                    .collect::<Vec<_>>(),
-            )
-        })
+    let app_ipc = (0..n).map(|k| mean(&|r| r.per_app[k].ipc)).collect();
+    let app_speedup = (0..n)
+        .map(|k| mean(&|r| r.per_app[k].individual_speedup()))
         .collect();
-    let app_speedup: Vec<f64> = (0..n)
-        .map(|k| {
-            mean(
-                &kept_results
-                    .iter()
-                    .map(|r| r.per_app[k].individual_speedup())
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let tt_mean = mean(&kept_tts.iter().map(|&t| t as f64).collect::<Vec<_>>());
+    let tt_mean = mean(&|r| r.tt_cycles as f64);
     let tt_cv = cv(&kept_tts);
-    let (exemplar, rows) = results.swap_remove(kept[0]);
-    let cell = CellOutcome {
+    let exemplar = results.swap_remove(kept[0]);
+    CellOutcome {
         workload: prepared.workload.name.clone(),
         policy: exemplar.policy.clone(),
         tt_mean,
@@ -318,8 +280,32 @@ where
         app_speedup,
         app_names: prepared.apps.iter().map(|a| a.name().to_string()).collect(),
         exemplar,
-    };
-    (cell, rows)
+        exemplar_seed: reps[kept[0]],
+    }
+}
+
+/// The per-quantum rows of `cell`'s exemplar: its repetition re-run at
+/// [`CellOutcome::exemplar_seed`] with the policy inside a [`RowLog`].
+/// `prepared`, `make_policy` and `cfg` must be what `cell` was run with;
+/// a re-run that differs from `cell.exemplar` (a stale or mismatched
+/// cell) panics rather than returning the rows of another run.
+pub fn exemplar_rows<F>(
+    prepared: &PreparedWorkload,
+    make_policy: F,
+    cfg: &ExperimentConfig,
+    cell: &CellOutcome,
+) -> Vec<QuantumRow>
+where
+    F: Fn(u64) -> Box<dyn Policy>,
+{
+    let mut policy = make_policy(cell.exemplar_seed);
+    let mut log = RowLog::new(policy.as_mut());
+    let rerun = run_rep(prepared, &mut log, cfg, cell.exemplar_seed);
+    assert_eq!(
+        rerun, cell.exemplar,
+        "the exemplar's re-run differs from the cell's exemplar"
+    );
+    log.rows
 }
 
 /// Coefficient of variation (σ/µ) of a sample.
@@ -361,7 +347,7 @@ pub fn discard_outliers(tts: &[u64], max_cv: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LinuxLike;
+    use crate::policy::{LinuxLike, RandomPairing};
     use synpa_apps::workload;
 
     #[test]
@@ -455,15 +441,85 @@ mod tests {
         };
         let w = workload::by_name("fb2").unwrap();
         let prepared = prepare_workload(&w, &cfg);
-        let (cell, rows) = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
+        let cell = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
+        let rows = exemplar_rows(&prepared, |_| Box::new(LinuxLike), &cfg, &cell);
         assert_eq!(cell.policy, "linux");
         assert!(cell.tt_mean > 0.0);
         assert_eq!(cell.app_ipc.len(), 8);
         assert_eq!(cell.tt_runs.len() + cell.discarded, 3);
         assert!(!rows.is_empty());
-        // The recorder only observes: the cell is the same without it.
-        let bare = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
-        assert_eq!(format!("{bare:?}"), format!("{cell:?}"));
+        // The recorder only observes: its re-run reproduced the exemplar
+        // (`exemplar_rows` asserts it), and the cell is the same again.
+        let again = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
+        assert_eq!(format!("{again:?}"), format!("{cell:?}"));
+    }
+
+    /// fb2 at test size with base seed 2, where `RandomPairing` loses its
+    /// first repetition to the outlier rule and `LinuxLike` keeps all five.
+    fn exemplar_cfg() -> ExperimentConfig {
+        ExperimentConfig {
+            target_window: 25_000,
+            calibration_warmup: 20_000,
+            reps: 5,
+            base_seed: 2,
+            ..Default::default()
+        }
+    }
+
+    /// `exemplar_rows` gives the rows a `RowLog` records around the
+    /// exemplar's own run: `run_workload_with_arrivals` at `base_seed +
+    /// kept[0]`, with `kept` replayed here from every repetition.
+    fn assert_rows_are_the_exemplars(make_policy: fn(u64) -> Box<dyn Policy>) -> CellOutcome {
+        let cfg = exemplar_cfg();
+        let p = prepare_workload(&workload::by_name("fb2").unwrap(), &cfg);
+        let run_at = |seed: u64, policy: &mut dyn Policy| {
+            let mut mgr = cfg.manager.clone();
+            mgr.chip = mgr.chip.clone().with_seed(seed);
+            run_workload_with_arrivals(&p.apps, &p.solo_ipc, policy, &mgr, &p.workload.arrivals)
+        };
+        let tts: Vec<u64> = (0..cfg.reps as u64)
+            .map(|r| run_at(cfg.base_seed + r, make_policy(cfg.base_seed + r).as_mut()).tt_cycles)
+            .collect();
+        let seed = cfg.base_seed + discard_outliers(&tts, MAX_CV)[0] as u64;
+        let mut policy = make_policy(seed);
+        let mut log = RowLog::new(policy.as_mut());
+        let run = run_at(seed, &mut log);
+
+        let cell = run_cell(&p, make_policy, &cfg);
+        assert_eq!(cell.exemplar_seed, seed);
+        assert_eq!(cell.exemplar, run);
+        let rows = exemplar_rows(&p, make_policy, &cfg, &cell);
+        assert!(!rows.is_empty());
+        assert_eq!(format!("{rows:?}"), format!("{:?}", log.rows));
+        cell
+    }
+
+    #[test]
+    fn exemplar_rows_follow_the_outlier_rule() {
+        let cell = assert_rows_are_the_exemplars(|s| Box::new(RandomPairing::new(s)));
+        assert!(cell.discarded > 0);
+        assert_ne!(
+            cell.exemplar_seed,
+            exemplar_cfg().base_seed,
+            "rep 0 was discarded"
+        );
+    }
+
+    #[test]
+    fn exemplar_rows_of_a_cell_that_keeps_every_rep() {
+        let cell = assert_rows_are_the_exemplars(|_| Box::new(LinuxLike));
+        assert_eq!(cell.discarded, 0);
+        assert_eq!(cell.exemplar_seed, exemplar_cfg().base_seed);
+    }
+
+    #[test]
+    #[should_panic(expected = "the exemplar's re-run differs from the cell's exemplar")]
+    fn exemplar_rows_refuse_a_cell_whose_exemplar_does_not_match() {
+        let cfg = exemplar_cfg();
+        let p = prepare_workload(&workload::by_name("fb2").unwrap(), &cfg);
+        let mut cell = run_cell(&p, |_| Box::new(LinuxLike), &cfg);
+        cell.exemplar.tt_cycles += 1;
+        exemplar_rows(&p, |_| Box::new(LinuxLike), &cfg, &cell);
     }
 
     /// Regression: `reps: 0` used to panic with an opaque index out of

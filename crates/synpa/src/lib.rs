@@ -53,7 +53,7 @@ pub mod prelude {
     pub use synpa_model::training::{train, TrainingConfig};
     pub use synpa_model::{Categories, SynpaModel};
     pub use synpa_sched::{
-        prepare_workload, run_cell, run_cell_with_rows, run_service, run_workload,
+        exemplar_rows, prepare_workload, run_cell, run_service, run_workload,
         run_workload_with_arrivals, ExperimentConfig, GuardrailStats, LinuxLike, ManagerConfig,
         OracleSynpa, Policy, QuantumRow, RandomPairing, RowLog, RunStats, ServiceApp,
         ServiceConfig, ServiceResult, Synpa,

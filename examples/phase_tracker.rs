@@ -85,9 +85,16 @@ fn main() {
     println!("workload fb2: {:?}\n", workload.apps);
     let prepared = prepare_workload(&workload, &cfg);
 
-    let linux = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
-    render(&linux, app, &workload.apps);
+    let with_rows = |make_policy: &(dyn Fn(u64) -> Box<dyn Policy> + Sync)| {
+        let cell = run_cell(&prepared, make_policy, &cfg);
+        let rows = exemplar_rows(&prepared, make_policy, &cfg, &cell);
+        (cell, rows)
+    };
+    render(&with_rows(&|_| Box::new(LinuxLike)), app, &workload.apps);
     println!();
-    let synpa = run_cell_with_rows(&prepared, |_| Box::new(Synpa::new(model)), &cfg);
-    render(&synpa, app, &workload.apps);
+    render(
+        &with_rows(&|_| Box::new(Synpa::new(model))),
+        app,
+        &workload.apps,
+    );
 }

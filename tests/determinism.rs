@@ -21,7 +21,9 @@ fn tiny_cfg(base_seed: u64) -> ExperimentConfig {
 /// results.
 fn fingerprint(prepared: &PreparedWorkload, seed: u64) -> String {
     let cfg = tiny_cfg(seed);
-    let (cell, rows) = run_cell_with_rows(prepared, |s| Box::new(RandomPairing::new(s)), &cfg);
+    let policy = |s| Box::new(RandomPairing::new(s)) as Box<dyn Policy>;
+    let cell = run_cell(prepared, policy, &cfg);
+    let rows = exemplar_rows(prepared, policy, &cfg, &cell);
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
         cell.tt_runs, cell.app_ipc, cell.app_speedup, cell.exemplar, cell.discarded, rows

@@ -111,7 +111,8 @@ fn oracle_and_random_policies_complete() {
 fn trace_is_complete_and_coherent() {
     let cfg = quick_cfg();
     let prepared = prepare_workload(&workload::by_name("be1").unwrap(), &cfg);
-    let (cell, trace) = run_cell_with_rows(&prepared, |_| Box::new(LinuxLike), &cfg);
+    let cell = run_cell(&prepared, |_| Box::new(LinuxLike), &cfg);
+    let trace = exemplar_rows(&prepared, |_| Box::new(LinuxLike), &cfg, &cell);
     assert!(!trace.is_empty());
     // Every quantum logs all 8 apps exactly once.
     let quanta = cell.exemplar.quanta;

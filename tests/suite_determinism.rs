@@ -1,6 +1,6 @@
 //! The sharded suite orchestrator must be a pure refactor of the
 //! sequential loop: for any worker-thread count, and with or without the
-//! cell cache, the serialized `suite.json` payload is byte-identical to the
+//! cell cache, the serialized cell vector is byte-identical to the
 //! pre-refactor sequential path.
 
 use std::path::PathBuf;
